@@ -52,11 +52,14 @@ from .linalg import (
     DEFAULT_FRAME,
     EXACT,
     FLOAT,
+    INVARIANCE_SLACK,
     Matrix,
     Scalar,
+    Span,
     ToleranceFrame,
-    char_poly,
-    exact_roots,
+    complete_basis,
+    eigenspace,
+    inverse,
     kernel_basis,
     rank,
     solve_matrix,
@@ -73,7 +76,6 @@ __all__ = [
     "GermScale",
     "GermSeries",
     "GermId",
-    "check_commuting",
     "krylov_span",
     "is_stable",
     "common_eigenvector",
@@ -118,33 +120,36 @@ class CommutingTuple:
         for i in range(len(B)):
             for j in range(i + 1, len(B)):
                 comm = B[i] @ B[j] - B[j] @ B[i]
-                if mode == EXACT:
-                    if not comm.is_zero():
-                        raise NotCommutingError(i, j, comm.norm())
-                else:
-                    tol = B[i].frame.eps_eq * max(B[i].norm() * B[j].norm(), 1e-300)
-                    cn = comm.norm()
-                    if cn > tol:
-                        raise NotCommutingError(i, j, cn)
+                if not comm.negligible(max(B[i].norm() * B[j].norm(), 1e-300)):
+                    raise NotCommutingError(i, j, comm.norm())
         self.B = tuple(B)
         self.m = len(B)
         self.n = n
         self.mode = mode
-        self.frame = B[0].frame if mode == FLOAT else None
+        self.frame = B[0].frame
 
     @staticmethod
     def _unchecked(B) -> "CommutingTuple":
         """Wrap without the commutativity check.  Internal: for tuples
         derived from validated ones by operations that preserve
-        commutativity exactly (conjugation, invariant restriction)."""
+        commutativity exactly (invariant restriction, similarity)."""
         self = object.__new__(CommutingTuple)
         B = tuple(B)
         self.B = B
         self.m = len(B)
         self.n = B[0].rows
         self.mode = B[0].mode
-        self.frame = B[0].frame if self.mode == FLOAT else None
+        self.frame = B[0].frame
         return self
+
+    @staticmethod
+    def _derived(B) -> "CommutingTuple":
+        """Wrap members computed from a commuting tuple by operations that
+        keep commutativity (conjugation, multiplication matrices).  Exact
+        members commute exactly, so only float members are re-checked:
+        their rounding is what the check reports."""
+        B = list(B)
+        return CommutingTuple._unchecked(B) if B[0].mode == EXACT else CommutingTuple(B)
 
     def __iter__(self):
         return iter(self.B)
@@ -162,10 +167,8 @@ class CommutingTuple:
 
     def conjugate(self, g: Matrix) -> "CommutingTuple":
         """g^{-1} B g for invertible g."""
-        from .linalg import inverse
-
         gi = inverse(g)
-        return CommutingTuple([gi @ M @ g for M in self.B])
+        return CommutingTuple._derived([gi @ M @ g for M in self.B])
 
     def to_float(self, frame: ToleranceFrame | None = None) -> "CommutingTuple":
         return CommutingTuple([M.to_float(frame) for M in self.B])
@@ -179,11 +182,6 @@ class CommutingTuple:
         return CommutingTuple([Matrix.from_json(MJ, mode, frame) for MJ in obj["B"]])
 
 
-def check_commuting(B) -> CommutingTuple:
-    """Validate a list of matrices as a commuting tuple."""
-    return CommutingTuple(B)
-
-
 class MarkedTuple:
     """A commuting tuple with a nonzero marking vector."""
 
@@ -194,10 +192,7 @@ class MarkedTuple:
             raise ValueError("marking must be an n x 1 column")
         if v.mode != tup.mode:
             raise ModeMismatchError("marking mode differs from tuple")
-        if tup.mode == EXACT:
-            if v.is_zero():
-                raise ValueError("marking must be nonzero")
-        elif v.norm() <= tup.frame.eps_eq:
+        if v.negligible():
             raise ValueError("marking must be nonzero")
         self.tuple = tup
         self.v = v
@@ -226,9 +221,7 @@ class MarkedTuple:
     def from_json(obj, frame: ToleranceFrame | None = None) -> "MarkedTuple":
         tup = CommutingTuple.from_json(obj, frame)
         mode = obj.get("mode", EXACT)
-        v = Matrix.column([Scalar.from_json(x, mode) for x in obj["v"]])
-        if mode == FLOAT and frame is not None:
-            v = Matrix(FLOAT, v.rows, 1, v._a, frame)
+        v = Matrix.column([Scalar.from_json(x, mode) for x in obj["v"]], frame)
         return MarkedTuple(tup, v)
 
 
@@ -255,63 +248,12 @@ class InvariantFlag:
         return InvariantFlag(Matrix.identity(n, mode, frame))
 
 
-# ----------------------------------------------------------------------
-# incremental spans
-
-
-class _Span:
-    """Incremental linear independence bookkeeping for column vectors."""
-
-    def __init__(self, n, mode, frame):
-        self.n = n
-        self.mode = mode
-        self.frame = frame or DEFAULT_FRAME
-        self.rows = []  # exact: (pivot, reduced row)
-        self.ortho = []  # float: orthonormal numpy vectors
-
-    @property
-    def dim(self):
-        return len(self.rows) if self.mode == EXACT else len(self.ortho)
-
-    def add(self, vec: Matrix) -> bool:
-        """Try to add a column; True if it enlarged the span."""
-        if self.mode == EXACT:
-            cur = [vec[i, 0] for i in range(self.n)]
-            for pivot, row in self.rows:
-                c = cur[pivot]
-                if c.re or c.im:
-                    for k in range(self.n):
-                        s = row[k]
-                        if s.re or s.im:
-                            t = cur[k]
-                            cur[k] = Scalar(EXACT, t.re - (c.re * s.re - c.im * s.im), t.im - (c.re * s.im + c.im * s.re))
-            pivot = next((k for k in range(self.n) if not cur[k].is_zero()), None)
-            if pivot is None:
-                return False
-            inv = Scalar.one(EXACT) / cur[pivot]
-            self.rows.append((pivot, [x * inv for x in cur]))
-            return True
-        c = vec.to_numpy().reshape(-1)
-        nrm = np.linalg.norm(c)
-        if nrm == 0.0:
-            return False
-        r = c.copy()
-        for _ in range(2):  # re-orthogonalize once for stability
-            for q in self.ortho:
-                r = r - (q.conj() @ r) * q
-        rn = np.linalg.norm(r)
-        if rn <= self.frame.eps_rank * nrm:
-            return False
-        self.ortho.append(r / rn)
-        return True
-
-
 def krylov_span(M: MarkedTuple) -> Matrix:
     """Smallest subspace containing the marking and invariant under every
     member, as a matrix of basis columns (the accepted generating words,
     breadth first: v, B_1 v, B_2 v, ...)."""
     tup, v = M.tuple, M.v
-    span = _Span(tup.n, tup.mode, tup.frame)
+    span = Span(tup.n, tup.mode, tup.frame)
     span.add(v)
     accepted = [v]
     queue = [v]
@@ -324,10 +266,7 @@ def krylov_span(M: MarkedTuple) -> Matrix:
                 queue.append(c)
                 if span.dim == tup.n:
                     break
-    out = accepted[0]
-    for c in accepted[1:]:
-        out = out.hstack(c)
-    return out
+    return v.hstack(*accepted[1:])
 
 
 def is_stable(M: MarkedTuple) -> bool:
@@ -338,58 +277,6 @@ def is_stable(M: MarkedTuple) -> bool:
 
 # ----------------------------------------------------------------------
 # eigen machinery
-
-
-def _sort_key(s: Scalar):
-    if s.mode == EXACT:
-        return (float(s.re), float(s.im), str(s.re), str(s.im))
-    return (s.re, s.im, "", "")
-
-
-def _exact_distinct_eigs(R: Matrix) -> list[tuple[Scalar, int]]:
-    """Distinct eigenvalues with algebraic multiplicities, canonically
-    sorted.  NonSplitCharPoly when the spectrum is not Gaussian rational."""
-    return exact_roots(char_poly(R))
-
-
-def _float_eig_clusters(R: Matrix) -> list[tuple[complex, float]]:
-    """Cluster numpy eigenvalues within eps_eq; returns (mean, spread)
-    sorted by (Re, Im)."""
-    w = np.linalg.eig(R._a)[0]
-    scale = 1.0 + float(np.abs(w).max())
-    tol = R.frame.eps_eq * scale
-    clusters: list[list[complex]] = []
-    for z in sorted(w, key=lambda x: (x.real, x.imag)):
-        placed = False
-        for cl in clusters:
-            if abs(z - cl[0]) <= tol:
-                cl.append(z)
-                placed = True
-                break
-        if not placed:
-            clusters.append([z])
-    out = []
-    for cl in clusters:
-        mean = sum(cl) / len(cl)
-        spread = max(abs(z - mean) for z in cl)
-        out.append((mean, spread))
-    out.sort(key=lambda t: (t[0].real, t[0].imag))
-    return out
-
-
-def _float_eigenspace(R: Matrix, lam: complex, spread: float) -> Matrix:
-    """Approximate eigenspace via small singular vectors of R - lam.
-    Falls back to the single best vector when thresholding rejects all
-    (defective eigenvalues split by roughly sqrt(machine eps))."""
-    n = R.rows
-    A = R._a - lam * np.eye(n)
-    u, s, vh = np.linalg.svd(A)
-    smax = s[0] if s[0] > 0 else 1.0
-    thresh = max(R.frame.eps_rank * smax, 2.0 * spread)
-    cols = [vh[i].conj() for i in range(n) if s[i] <= thresh]
-    if not cols:
-        cols = [vh[n - 1].conj()]
-    return Matrix(FLOAT, n, len(cols), np.array(cols).T, R.frame)
 
 
 def common_eigenvector(T: CommutingTuple):
@@ -406,52 +293,11 @@ def common_eigenvector(T: CommutingTuple):
     lams = []
     for Bj in T.B:
         R = solve_matrix(S, Bj @ S) if S.cols < n else Bj
-        if T.mode == EXACT:
-            eigs = _exact_distinct_eigs(R)
-            lam, _ = eigs[0]
-            shifted = R - Matrix.identity(R.rows, EXACT).scale(lam)
-            E = kernel_basis(shifted)
-            lams.append(lam)
-            if len(E) < R.rows:
-                Emat = E[0]
-                for e in E[1:]:
-                    Emat = Emat.hstack(e)
-                S = S @ Emat
-        else:
-            clusters = _float_eig_clusters(R)
-            lam, spread = clusters[0]
-            lams.append(Scalar(FLOAT, lam.real, lam.imag))
-            E = _float_eigenspace(R, lam, spread)
-            if E.cols < R.rows:
-                S = S @ E
+        lam, E = eigenspace(R)
+        lams.append(lam)
+        if E.cols < R.rows:
+            S = S @ E
     return S.col(0), tuple(lams)
-
-
-def _complete_to_basis_exact(w: Matrix) -> Matrix:
-    """[w | standard vectors] chosen greedily to stay invertible."""
-    n = w.rows
-    cols = [w]
-    span = _Span(n, EXACT, None)
-    span.add(w)
-    for j in range(n):
-        if len(cols) == n:
-            break
-        e = Matrix.exact([[1 if i == j else 0] for i in range(n)])
-        if span.add(e):
-            cols.append(e)
-    out = cols[0]
-    for c in cols[1:]:
-        out = out.hstack(c)
-    return out
-
-
-def _complete_to_unitary(w: np.ndarray, frame) -> Matrix:
-    n = w.shape[0]
-    i0 = int(np.argmax(np.abs(w)))
-    others = [np.eye(n)[:, j] for j in range(n) if j != i0]
-    A = np.column_stack([w] + others)
-    Q, _ = np.linalg.qr(A)
-    return Matrix(FLOAT, n, n, Q, frame)
 
 
 def triangularize(T: CommutingTuple):
@@ -460,49 +306,46 @@ def triangularize(T: CommutingTuple):
     columns of g.  Deflation is by common eigenvectors, so the result is
     deterministic; float mode accumulates unitary deflation steps."""
     n = T.n
-    mode = T.mode
-    g = Matrix.identity(n, mode, T.frame)
+    g = Matrix.identity(n, T.mode, T.frame)
     current = list(T.B)
-    k = n
-    offset = 0
-    while k > 1:
+    for offset in range(n - 1):
+        k = n - offset
         w, _ = common_eigenvector(CommutingTuple._unchecked(current))
-        if mode == EXACT:
-            P = _complete_to_basis_exact(w)
-        else:
-            P = _complete_to_unitary(w.to_numpy().reshape(-1), T.frame)
-        from .linalg import inverse
-
+        P = complete_basis(w)
         Pi = inverse(P)
         current = [(Pi @ M @ P) for M in current]
         # embed P into the ambient space at the current offset
-        if offset == 0:
-            emb = P
-        else:
-            emb = Matrix.identity(n, mode, T.frame)
-            if mode == EXACT:
-                rows = [[emb[i, j] for j in range(n)] for i in range(n)]
-                for i in range(k):
-                    for j in range(k):
-                        rows[offset + i][offset + j] = P[i, j]
-                emb = Matrix(EXACT, n, n, rows)
-            else:
-                a = emb._a.copy()
-                a[offset:, offset:] = P._a
-                emb = Matrix(FLOAT, n, n, a, T.frame)
-        g = g @ emb
+        if offset:
+            P = Matrix.block_diag([Matrix.identity(offset, T.mode, T.frame), P])
+        g = g @ P
         # recurse on the trailing block
-        if mode == EXACT:
-            current = [Matrix(EXACT, k - 1, k - 1, [row[1:] for row in M._a[1:]]) for M in current]
-        else:
-            current = [Matrix(FLOAT, k - 1, k - 1, M._a[1:, 1:].copy(), T.frame) for M in current]
-        offset += 1
-        k -= 1
-    from .linalg import inverse
-
+        current = [M.submatrix(1, k, 1, k) for M in current]
     gi = inverse(g)
     upper = [gi @ M @ g for M in T.B]
     return g, InvariantFlag(g), CommutingTuple._unchecked(upper)
+
+
+def _clusters(count: int, close) -> list[list[int]]:
+    """Groups of 0..count-1 under the transitive closure of close(i, j),
+    each listed in increasing order, groups ordered by first member."""
+    parent = list(range(count))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(count):
+        for j in range(i + 1, count):
+            if close(i, j):
+                pi, pj = find(i), find(j)
+                if pi != pj:
+                    parent[max(pi, pj)] = min(pi, pj)
+    groups: dict[int, list[int]] = {}
+    for i in range(count):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
 
 
 def joint_spectrum(T: CommutingTuple) -> list[tuple[Scalar, ...]]:
@@ -514,29 +357,12 @@ def joint_spectrum(T: CommutingTuple) -> list[tuple[Scalar, ...]]:
     n = T.n
     tuples = [tuple(upper[j][k, k] for j in range(T.m)) for k in range(n)]
     if T.mode == EXACT:
-        return sorted(tuples, key=lambda t: tuple(_sort_key(s) for s in t))
+        return sorted(tuples, key=lambda t: tuple(s.sort_key() for s in t))
     vals = np.array([[s.cx for s in t] for t in tuples])  # n x m
     scales = 1.0 + np.abs(vals).max(axis=0)
     tol = T.frame.eps_eq * scales
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.all(np.abs(vals[i] - vals[j]) <= tol):
-                pi, pj = find(i), find(j)
-                if pi != pj:
-                    parent[max(pi, pj)] = min(pi, pj)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
     reps = []
-    for members in groups.values():
+    for members in _clusters(n, lambda i, j: np.all(np.abs(vals[i] - vals[j]) <= tol)):
         mean = vals[members].mean(axis=0)
         reps.append((mean, len(members)))
     reps.sort(key=lambda t: tuple(x for z in t[0] for x in (z.real, z.imag)))
@@ -583,7 +409,7 @@ def _float_local_subspace(T: CommutingTuple, pt, mult: int) -> Matrix:
         raise NonSplitCharPolyError(
             f"generalized eigenspace dimension {dim} != multiplicity {mult}"
         )
-    return Matrix(FLOAT, n, dim, V.copy(), T.frame)
+    return Matrix.flt(V, T.frame)
 
 
 def _float_support_refine(T: CommutingTuple, entries):
@@ -603,25 +429,12 @@ def _float_support_refine(T: CommutingTuple, entries):
         for j in range(m)
     ]
     vals = [np.array([c.cx for c in pt]) for pt, _ in entries]
-    parent = list(range(len(entries)))
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def close(i, j):
+        return all(abs(vals[i][k] - vals[j][k]) <= radius[k] for k in range(m))
 
-    for i in range(len(entries)):
-        for j in range(i + 1, len(entries)):
-            if all(abs(vals[i][k] - vals[j][k]) <= radius[k] for k in range(m)):
-                pi, pj = find(i), find(j)
-                if pi != pj:
-                    parent[max(pi, pj)] = min(pi, pj)
-    groups: dict[int, list[int]] = {}
-    for i in range(len(entries)):
-        groups.setdefault(find(i), []).append(i)
     out = []
-    for members in groups.values():
+    for members in _clusters(len(entries), close):
         total = sum(entries[i][1] for i in members)
         mean = sum(vals[i] * entries[i][1] for i in members) / total
         pt = tuple(Scalar(FLOAT, z.real, z.imag) for z in mean)
@@ -634,7 +447,7 @@ def _float_support_refine(T: CommutingTuple, entries):
         except NonSplitCharPolyError:
             pass
         out.append((pt, total))
-    out.sort(key=lambda e: tuple(_sort_key(c) for c in e[0]))
+    out.sort(key=lambda e: tuple(c.sort_key() for c in e[0]))
     return out
 
 
@@ -677,22 +490,11 @@ def _adapted(T: CommutingTuple, F: InvariantFlag) -> list[Matrix]:
         raise ModeMismatchError("flag mode differs from tuple")
     if F.n != T.n:
         raise ValueError("flag size differs from tuple")
-    from .linalg import inverse
-
     gi = inverse(F.basis)
     adapted = [gi @ M @ F.basis for M in T.B]
-    n = T.n
     for A in adapted:
-        if T.mode == EXACT:
-            for i in range(n):
-                for j in range(i):
-                    if not A[i, j].is_zero():
-                        raise FlagNotInvariantError("flag is not invariant for the tuple")
-        else:
-            scale = max(1.0, A.norm())
-            low = sum(abs(A[i, j].cx) ** 2 for i in range(n) for j in range(i))
-            if math.sqrt(low) > A.frame.eps_eq * scale * 10:
-                raise FlagNotInvariantError("flag is not invariant for the tuple")
+        if not A.strict_lower().negligible(INVARIANCE_SLACK * max(1.0, A.norm())):
+            raise FlagNotInvariantError("flag is not invariant for the tuple")
     return adapted
 
 def _check_weights(weights, n: int):
@@ -719,7 +521,6 @@ def rees_family(T: CommutingTuple, F: InvariantFlag, weights, t: Scalar) -> Comm
     if t.is_zero():
         raise ValueError("t must be nonzero; the limit is rees_limit")
     adapted = _adapted(T, F)
-    n = T.n
     powers: dict[int, Scalar] = {0: Scalar.one(T.mode)}
 
     def tpow(e: int) -> Scalar:
@@ -730,18 +531,9 @@ def rees_family(T: CommutingTuple, F: InvariantFlag, weights, t: Scalar) -> Comm
                 powers[e] = tpow(e + 1) / t
         return powers[e]
 
-    out = []
-    for A in adapted:
-        if T.mode == EXACT:
-            rows = [[A[i, j] * tpow(w[i] - w[j]) for j in range(n)] for i in range(n)]
-            out.append(Matrix(EXACT, n, n, rows))
-        else:
-            a = A._a.copy()
-            for i in range(n):
-                for j in range(n):
-                    a[i, j] *= tpow(w[i] - w[j]).cx
-            out.append(Matrix(FLOAT, n, n, a, A.frame))
-    return CommutingTuple(out)
+    D = Matrix.diag([tpow(x) for x in w], T.frame)
+    Dinv = Matrix.diag([tpow(-x) for x in w], T.frame)
+    return CommutingTuple([D @ A @ Dinv for A in adapted])
 
 
 def rees_limit(T: CommutingTuple, F: InvariantFlag, weights) -> CommutingTuple:
@@ -751,58 +543,35 @@ def rees_limit(T: CommutingTuple, F: InvariantFlag, weights) -> CommutingTuple:
     the diagonal: the semisimplification in the flag basis."""
     w = _check_weights(weights, T.n)
     adapted = _adapted(T, F)
-    n = T.n
-    out = []
-    for A in adapted:
-        if T.mode == EXACT:
-            z = Scalar.zero(EXACT)
-            rows = [[A[i, j] if w[i] == w[j] else z for j in range(n)] for i in range(n)]
-            out.append(Matrix(EXACT, n, n, rows))
-        else:
-            a = A._a.copy()
-            for i in range(n):
-                for j in range(n):
-                    if w[i] != w[j]:
-                        a[i, j] = 0.0
-            out.append(Matrix(FLOAT, n, n, a, A.frame))
-    return CommutingTuple(out)
+    # nonincreasing weights: equal weights are runs, so the survivors are
+    # the diagonal blocks of the runs
+    runs = []
+    start = 0
+    for k in range(1, T.n + 1):
+        if k == T.n or w[k] != w[start]:
+            runs.append((start, k))
+            start = k
+    return CommutingTuple(
+        [Matrix.block_diag([A.submatrix(a, b, a, b) for a, b in runs]) for A in adapted]
+    )
 
 
 # ----------------------------------------------------------------------
 # automorphisms
 
 
-def _commutant_rows(T: CommutingTuple) -> tuple[list, int]:
-    """Rows of the linear system cutting out {g : g B_j = B_j g}, over
-    unknowns g_{ab} indexed a * n + b."""
-    n = T.n
-    rows = []
-    for Bj in T.B:
-        for r in range(n):
-            for c in range(n):
-                if T.mode == EXACT:
-                    row = [Scalar.zero(EXACT)] * (n * n)
-                    for k in range(n):
-                        row[r * n + k] = row[r * n + k] + Bj[k, c]
-                        row[k * n + c] = row[k * n + c] - Bj[r, k]
-                    rows.append(row)
-                else:
-                    row = np.zeros(n * n, dtype=np.complex128)
-                    for k in range(n):
-                        row[r * n + k] += Bj._a[k, c]
-                        row[k * n + c] -= Bj._a[r, k]
-                    rows.append(row)
-    return rows, n
+def _commutant_system(T: CommutingTuple) -> Matrix:
+    """The linear system cutting out {g : g B_j = B_j g}, over unknowns
+    g_{ab} indexed a * n + b: one block Id (x) B_j^T - B_j (x) Id per
+    member."""
+    eye = Matrix.identity(T.n, T.mode, T.frame)
+    blocks = [eye.kron(Bj.transpose()) - Bj.kron(eye) for Bj in T.B]
+    return blocks[0].vstack(*blocks[1:])
 
 
 def centralizer_dim(T: CommutingTuple) -> int:
     """Dimension of the algebra of matrices commuting with every member."""
-    rows, n = _commutant_rows(T)
-    if T.mode == EXACT:
-        M = Matrix(EXACT, len(rows), n * n, rows)
-    else:
-        M = Matrix(FLOAT, len(rows), n * n, np.array(rows), T.frame)
-    return n * n - rank(M)
+    return T.n * T.n - rank(_commutant_system(T))
 
 
 def marked_automorphisms_trivial(M: MarkedTuple) -> bool:
@@ -810,23 +579,9 @@ def marked_automorphisms_trivial(M: MarkedTuple) -> bool:
     is the identity: writing g = Id + h, iff no nonzero h commutes with
     every member and kills the marking."""
     T = M.tuple
-    n = T.n
-    rows, _ = _commutant_rows(T)
-    if T.mode == EXACT:
-        for i in range(n):
-            row = [Scalar.zero(EXACT)] * (n * n)
-            for j in range(n):
-                row[i * n + j] = M.v[j, 0]
-            rows.append(row)
-        mat = Matrix(EXACT, len(rows), n * n, rows)
-    else:
-        vv = M.v.to_numpy().reshape(-1)
-        for i in range(n):
-            row = np.zeros(n * n, dtype=np.complex128)
-            row[i * n : (i + 1) * n] = vv
-            rows.append(row)
-        mat = Matrix(FLOAT, len(rows), n * n, np.array(rows), T.frame)
-    return rank(mat) == n * n
+    eye = Matrix.identity(T.n, T.mode, T.frame)
+    system = _commutant_system(T).vstack(eye.kron(M.v.transpose()))
+    return rank(system) == T.n * T.n
 
 
 # ----------------------------------------------------------------------
@@ -858,7 +613,7 @@ class IdealNormalForm:
         """Joint spectrum of the multiplication matrices (computed on
         first use; exact mode may raise NonSplitCharPoly)."""
         if self._support is None:
-            self._support = spectrum_support(CommutingTuple(list(self.mult_matrices)))
+            self._support = spectrum_support(CommutingTuple._derived(self.mult_matrices))
         return self._support
 
     def __eq__(self, other):
@@ -909,7 +664,7 @@ def ideal_normal_form(M: MarkedTuple) -> IdealNormalForm:
     heap = [(_grlex_key(zero), zero)]
     seen = {zero}
     images: dict[tuple[int, ...], Matrix] = {zero: v}
-    span = _Span(n, T.mode, T.frame)
+    span = Span(n, T.mode, T.frame)
     staircase: list[tuple[int, ...]] = []
     while heap and len(staircase) < n:
         _, e = heapq.heappop(heap)
@@ -928,9 +683,7 @@ def ideal_normal_form(M: MarkedTuple) -> IdealNormalForm:
                 heapq.heappush(heap, (_grlex_key(child), child))
     if len(staircase) < n:
         raise NotStableError("staircase closed before reaching full length")
-    P = images[staircase[0]]
-    for e in staircase[1:]:
-        P = P.hstack(images[e])
+    P = images[staircase[0]].hstack(*(images[e] for e in staircase[1:]))
     mult = [solve_matrix(P, T.B[j] @ P) for j in range(m)]
     return IdealNormalForm(staircase, mult)
 
@@ -939,35 +692,21 @@ def ideal_normal_form(M: MarkedTuple) -> IdealNormalForm:
 # points and punctual pieces
 
 
-def _coerce_scalar(c, mode: str) -> Scalar:
-    if isinstance(c, Scalar):
-        return c
-    if mode == EXACT:
-        return Scalar.exact(c)
-    return Scalar.from_complex(complex(c))
-
-
 def from_points(points, mode: str = EXACT, frame: ToleranceFrame | None = None) -> MarkedTuple:
     """The semisimple marked tuple of n distinct points of C^m: diagonal
     members, marking all ones.  DuplicatePoint when two points collide
     (exact equality, or within eps_eq coordinatewise in float mode)."""
-    pts = [tuple(_coerce_scalar(c, mode) for c in p) for p in points]
+    pts = [tuple(Scalar.of(mode, c) for c in p) for p in points]
     if not pts:
         raise ValueError("need at least one point")
     m = len(pts[0])
     eps = (frame or DEFAULT_FRAME).eps_eq
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
-            if mode == EXACT:
-                if all(a == b for a, b in zip(pts[i], pts[j])):
-                    raise DuplicatePointError(f"points {i} and {j} coincide")
-            elif all(abs(a.cx - b.cx) <= eps for a, b in zip(pts[i], pts[j])):
-                raise DuplicatePointError(f"points {i} and {j} collide within eps_eq")
+            if all((a - b).negligible(eps) for a, b in zip(pts[i], pts[j])):
+                raise DuplicatePointError(f"points {i} and {j} coincide")
     mats = [Matrix.diag([p[j] for p in pts], frame) for j in range(m)]
-    ones = Matrix.column([Scalar.one(mode) for _ in pts])
-    if mode == FLOAT and frame is not None:
-        mats = [Matrix(FLOAT, M.rows, M.cols, M._a, frame) for M in mats]
-        ones = Matrix(FLOAT, ones.rows, 1, ones._a, frame)
+    ones = Matrix.column([Scalar.one(mode) for _ in pts], frame)
     return MarkedTuple(CommutingTuple(mats), ones)
 
 
@@ -979,17 +718,13 @@ class PunctualData:
     __slots__ = ("point", "N", "marking")
 
     def __init__(self, point, N: CommutingTuple, marking: Matrix | None = None):
-        pt = tuple(_coerce_scalar(c, N.mode) for c in point)
+        pt = tuple(Scalar.of(N.mode, c) for c in point)
         if len(pt) != N.m:
             raise ValueError("point dimension differs from tuple arity")
         ell = N.n
         for Nj in N.B:
-            P = Nj.power(ell)
-            if N.mode == EXACT:
-                if not P.is_zero():
-                    raise ValueError("parts are not nilpotent")
-            elif P.norm() > N.frame.eps_eq * max(1.0, Nj.norm()) ** ell:
-                raise ValueError("parts are not nilpotent within tolerance")
+            if not Nj.power(ell).negligible(max(1.0, Nj.norm()) ** ell):
+                raise ValueError("parts are not nilpotent")
         if marking is not None and (marking.cols != 1 or marking.rows != ell):
             raise ValueError("marking must be an ell x 1 column")
         self.point = pt
@@ -1029,8 +764,24 @@ class PunctualData:
         pt = [Scalar.from_json(x, mode) for x in obj["point"]]
         marking = None
         if "v" in obj:
-            marking = Matrix.column([Scalar.from_json(x, mode) for x in obj["v"]])
+            marking = Matrix.column([Scalar.from_json(x, mode) for x in obj["v"]], frame)
         return PunctualData(pt, N, marking)
+
+
+def _local_subspace(T: CommutingTuple, pt, mult: int) -> Matrix:
+    """Joint generalized eigenspace at a support point, as columns.  Exact
+    mode takes the kernel of the stacked n-th powers; float mode grows it
+    one power at a time (see _float_local_subspace)."""
+    if T.mode == FLOAT:
+        return _float_local_subspace(T, pt, mult)
+    eye = Matrix.identity(T.n, EXACT)
+    powers = [(Bj - eye.scale(pj)).power(T.n) for Bj, pj in zip(T.B, pt)]
+    kb = kernel_basis(powers[0].vstack(*powers[1:]))
+    if len(kb) != mult:
+        raise NonSplitCharPolyError(
+            f"generalized eigenspace dimension {len(kb)} != multiplicity {mult}"
+        )
+    return kb[0].hstack(*kb[1:])
 
 
 def decompose_punctual(M: MarkedTuple) -> list[PunctualData]:
@@ -1040,51 +791,23 @@ def decompose_punctual(M: MarkedTuple) -> list[PunctualData]:
     if not is_stable(M):
         raise NotStableError("punctual decomposition needs a cyclic marking")
     T = M.tuple
-    n = T.n
-    support = spectrum_support(T)
+    bases = [(pt, _local_subspace(T, pt, mult)) for pt, mult in spectrum_support(T)]
+    coeffs = solve_matrix(bases[0][1].hstack(*(E for _, E in bases[1:])), M.v)
     pieces = []
-    bases = []
-    for pt, mult in support:
-        if T.mode == FLOAT:
-            bases.append((pt, _float_local_subspace(T, pt, mult)))
-            continue
-        stacked = None
-        for j in range(T.m):
-            Bs = T.B[j] - Matrix.identity(n, T.mode, T.frame).scale(pt[j])
-            P = Bs.power(n)
-            stacked = P if stacked is None else stacked.vstack(P)
-        kb = kernel_basis(stacked)
-        if len(kb) != mult:
-            raise NonSplitCharPolyError(
-                f"generalized eigenspace dimension {len(kb)} != multiplicity {mult}"
-            )
-        E = kb[0]
-        for b in kb[1:]:
-            E = E.hstack(b)
-        bases.append((pt, E))
-    big = bases[0][1]
-    for _, E in bases[1:]:
-        big = big.hstack(E)
-    coeffs = solve_matrix(big, M.v)
     offset = 0
     for pt, E in bases:
         ell = E.cols
-        R = [solve_matrix(E, T.B[j] @ E) for j in range(T.m)]
-        if T.mode == FLOAT:
-            # trace mean of the restriction: working-precision point even
-            # when the cluster mean carries Jordan-split fuzz
-            inv = Scalar.flt(ell)
-            pt = tuple(R[j].trace() / inv for j in range(T.m))
-        N = CommutingTuple(
-            [R[j] - Matrix.identity(ell, T.mode, T.frame).scale(pt[j]) for j in range(T.m)]
-        )
-        if T.mode == EXACT:
-            mark = Matrix(EXACT, ell, 1, [[coeffs[offset + i, 0]] for i in range(ell)])
-        else:
-            mark = Matrix(FLOAT, ell, 1, coeffs._a[offset : offset + ell].copy(), T.frame)
-        pieces.append(PunctualData(pt, N, mark))
+        R = [solve_matrix(E, Bj @ E) for Bj in T.B]
+        # the trace mean of the restriction is the point: exactly in exact
+        # mode, and at working precision in float mode even when the
+        # cluster mean carries Jordan-split fuzz
+        inv = Scalar.of(T.mode, ell)
+        pt = tuple(Rj.trace() / inv for Rj in R)
+        eye = Matrix.identity(ell, T.mode, T.frame)
+        N = CommutingTuple([Rj - eye.scale(p) for Rj, p in zip(R, pt)])
+        pieces.append(PunctualData(pt, N, coeffs.submatrix(offset, offset + ell, 0, 1)))
         offset += ell
-    pieces.sort(key=lambda p: tuple(_sort_key(c) for c in p.point))
+    pieces.sort(key=lambda p: tuple(c.sort_key() for c in p.point))
     return pieces
 
 
@@ -1117,12 +840,6 @@ class GermSeries:
     coeffs: tuple  # (c_0, c_1, ...) Scalars, truncation at least the length
 
 
-def _rat_coeff(mode: str, num: int, den: int) -> Scalar:
-    if mode == EXACT:
-        return Scalar.exact(Fraction(num, den))
-    return Scalar.flt(num / den)
-
-
 def expm1_matrix(N: Matrix) -> Matrix:
     """exp(N) - Id for nilpotent N, by the finite series sum N^k / k!.
     Coefficients are rational, so exact input gives exact output."""
@@ -1131,7 +848,7 @@ def expm1_matrix(N: Matrix) -> Matrix:
     term = Matrix.identity(ell, N.mode, N.frame)
     for k in range(1, ell):
         term = term @ N
-        out = out + term.scale(_rat_coeff(N.mode, 1, math.factorial(k)))
+        out = out + term.scale(Scalar.of(N.mode, Fraction(1, math.factorial(k))))
     return out
 
 
@@ -1143,7 +860,7 @@ def log1p_matrix(N: Matrix) -> Matrix:
     term = Matrix.identity(ell, N.mode, N.frame)
     for k in range(1, ell):
         term = term @ N
-        out = out + term.scale(_rat_coeff(N.mode, 1 if k % 2 else -1, k))
+        out = out + term.scale(Scalar.of(N.mode, Fraction(1 if k % 2 else -1, k)))
     return out
 
 
@@ -1155,34 +872,26 @@ def _exp_scalar(p: Scalar) -> Scalar:
 
 
 def _log_scalar(p: Scalar, eps: float) -> Scalar:
-    if p.mode == EXACT:
-        if p.is_zero():
-            raise LogAtZeroError("log of zero base point")
-        if p == Scalar.one(EXACT):
-            return Scalar.zero(EXACT)
-    elif abs(p.cx) <= eps:
+    if p.negligible(eps):
         raise LogAtZeroError("log of zero base point")
+    if p.mode == EXACT and p == Scalar.one(EXACT):
+        return Scalar.zero(EXACT)
     z = cmath.log(p.cx)
     return Scalar(FLOAT, z.real, z.imag)
 
 
 def _scale_pair(x: Scalar, c: Scalar) -> Scalar:
     """c * x, dropping to float unless both factors are exact."""
-    if x.mode == c.mode:
-        return x * c
-    if x.mode == EXACT:
-        x = Scalar.from_complex(x.cx)
-    if c.mode == EXACT:
-        c = Scalar.from_complex(c.cx)
+    if x.mode != c.mode:
+        x, c = x.to_float(), c.to_float()
     return x * c
 
 
 def _scale_matrix(N: Matrix, c: Scalar) -> Matrix:
-    if N.mode == c.mode:
-        return N.scale(c)
-    if N.mode == FLOAT:
-        return N.scale(Scalar.from_complex(c.cx))
-    return N.to_float().scale(Scalar.from_complex(c.cx))
+    """c * N, dropping to float unless both factors are exact."""
+    if N.mode != c.mode:
+        N, c = N.to_float(), c.to_float()
+    return N.scale(c)
 
 
 def punctual_transport(P: PunctualData, germs) -> PunctualData:
@@ -1234,17 +943,8 @@ def punctual_transport(P: PunctualData, germs) -> PunctualData:
             coeffs = list(g.coeffs)
             if len(coeffs) < P.length:
                 raise ValueError("series truncated below the piece length")
-            allexact = (
-                p.mode == EXACT and N.mode == EXACT and all(c.mode == EXACT for c in coeffs)
-            )
-            if not allexact:
-                if p.mode == EXACT:
-                    p = Scalar.from_complex(p.cx)
-                if N.mode == EXACT:
-                    N = N.to_float()
-                coeffs = [
-                    c if c.mode == FLOAT else Scalar.from_complex(c.cx) for c in coeffs
-                ]
+            if len({p.mode, N.mode, *(c.mode for c in coeffs)}) > 1:
+                p, N, coeffs = p.to_float(), N.to_float(), [c.to_float() for c in coeffs]
             A = N + Matrix.identity(P.length, N.mode, N.frame).scale(p)
             acc = Matrix.zeros(P.length, P.length, N.mode, N.frame)
             pw = Matrix.identity(P.length, N.mode, N.frame)

@@ -24,7 +24,6 @@ from .adhm import (
     InvariantFlag,
     MarkedTuple,
     PunctualData,
-    _float_eig_clusters,
     ideal_normal_form,
     is_stable,
     joint_spectrum,
@@ -43,7 +42,7 @@ from .dalgebra import (
     jacobi_check,
     orbit_invariants,
 )
-from .linalg import EXACT, FLOAT, Matrix, Scalar, char_poly, exact_roots, rank, solve
+from .linalg import EXACT, FLOAT, Matrix, Scalar, eigenvalues, rank, solve
 from .moduli import (
     FiberSpace,
     HilbPoint,
@@ -317,15 +316,10 @@ def _hodge_hilb_exact(rng, model) -> HilbPoint:
 
 def _upper_residual(upper: CommutingTuple) -> float:
     """Worst relative strict-lower entry and pairwise commutator."""
-    mats = [M.to_numpy() for M in upper.B]
-    worst = 0.0
-    for A in mats:
+    worst = _commutator_residual(upper)
+    for M in upper.B:
+        A = M.to_numpy()
         worst = max(worst, np.linalg.norm(np.tril(A, -1)) / max(1.0, np.linalg.norm(A)))
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            C = mats[i] @ mats[j] - mats[j] @ mats[i]
-            den = max(1.0, np.linalg.norm(mats[i]) * np.linalg.norm(mats[j]))
-            worst = max(worst, np.linalg.norm(C) / den)
     return worst
 
 
@@ -392,12 +386,7 @@ def _brute_unstable(M: MarkedTuple) -> bool:
     so the marking sits in one iff some joint left eigenvector kills it."""
     T = M.tuple
     n = T.n
-    cands = []
-    for Bj in T.B:
-        if T.mode == EXACT:
-            cands.append([lam for lam, _ in exact_roots(char_poly(Bj))])
-        else:
-            cands.append([Scalar.flt(z.real, z.imag) for z, _ in _float_eig_clusters(Bj)])
+    cands = [eigenvalues(Bj) for Bj in T.B]
     vt = M.v.transpose()
     eye = Matrix.identity(n, T.mode, T.frame)
     for combo in itertools.product(*cands):

@@ -47,34 +47,39 @@ _LABELS = {
     "generic": "Generic",
 }
 
-_RAT = r"[+-]?\d+(?:/\d+)?"
+# an unsigned 'p/q' or decimal, read exactly by Fraction; the exponent is
+# capped so an exact parse cannot build an enormous power of ten
+_NUM = r"(?:\d+/\d+|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d{1,3})?)"
+_RAT = rf"[+-]?{_NUM}"
 
 
 def _parse_scalar(text: str, mode: str) -> Scalar:
-    """Parse 'p/q', 'a+b/qi', 'i', '-2i', or any float complex literal.
-    Rational forms stay exact when mode is exact."""
+    """Parse 'p/q', decimals, 'a+b/qi', 'i', '-2i', or any float complex
+    literal.  Rational and decimal forms stay exact when mode is exact."""
     s = text.strip().replace(" ", "")
     mre = re.fullmatch(_RAT, s)
-    mim = re.fullmatch(rf"([+-]?)(\d+(?:/\d+)?)?[ij]", s)
-    mboth = re.fullmatch(rf"({_RAT})([+-](?:\d+(?:/\d+)?)?)[ij]", s)
+    mim = re.fullmatch(rf"([+-]?)({_NUM})?[ij]", s)
+    mboth = re.fullmatch(rf"({_RAT})([+-]{_NUM}?)[ij]", s)
+    parts = None
     if mre:
-        re_part, im_part = Fraction(s), Fraction(0)
+        parts = Fraction(s), Fraction(0)
     elif mim:
-        re_part = Fraction(0)
-        im_part = Fraction(mim.group(1) + (mim.group(2) or "1"))
+        parts = Fraction(0), Fraction(mim.group(1) + (mim.group(2) or "1"))
     elif mboth:
-        re_part = Fraction(mboth.group(1))
         tail = mboth.group(2)
-        im_part = Fraction(tail if len(tail) > 1 else tail + "1")
-    else:
+        parts = Fraction(mboth.group(1)), Fraction(tail if len(tail) > 1 else tail + "1")
+    if parts is not None:
+        if mode == EXACT:
+            return Scalar.exact(*parts)
         try:
-            z = complex(s.replace("i", "j"))
-        except ValueError:
-            raise SchemaError(f"cannot parse scalar {text!r}") from None
-        return Scalar.flt(z.real, z.imag)
-    if mode == FLOAT:
-        return Scalar.flt(float(re_part), float(im_part))
-    return Scalar.exact(re_part, im_part)
+            return Scalar.flt(float(parts[0]), float(parts[1]))
+        except OverflowError:
+            pass  # beyond double range: complex() below gives inf
+    try:
+        z = complex(s.replace("i", "j"))
+    except ValueError:
+        raise SchemaError(f"cannot parse scalar {text!r}") from None
+    return Scalar.flt(z.real, z.imag)
 
 
 def _frame(args) -> ToleranceFrame | None:

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ModeMismatchError, SingularGroupElementError
-from .linalg import EXACT, FLOAT, Matrix, Scalar, inverse, rank
+from .linalg import DEFAULT_FRAME, EXACT, Matrix, Scalar, inverse, rank
 
 __all__ = [
     "Poly",
@@ -115,8 +115,7 @@ class Poly:
             if e[k]:
                 e2 = list(e)
                 e2[k] -= 1
-                mult = Scalar.exact(e[k]) if self.mode == EXACT else Scalar.flt(e[k])
-                out[tuple(e2)] = c * mult
+                out[tuple(e2)] = c * Scalar.of(self.mode, e[k])
         return Poly(self.d, self.mode, out)
 
     def is_zero(self) -> bool:
@@ -155,14 +154,8 @@ class UtaiTriple:
             raise ValueError("beta shape differs from alpha")
         if (gamma.rows, gamma.cols) != (v, v):
             raise ValueError("gamma must be v x v")
-        skew = gamma + gamma.transpose()
-        if gamma.mode == EXACT:
-            if not skew.is_zero():
-                raise ValueError("gamma is not alternating")
-        else:
-            tol = gamma.frame.eps_eq * max(1.0, gamma.norm())
-            if skew.norm() > tol:
-                raise ValueError("gamma is not alternating")
+        if not (gamma + gamma.transpose()).negligible(max(1.0, gamma.norm())):
+            raise ValueError("gamma is not alternating")
         self.d, self.v = d, v
         self.alpha, self.beta, self.gamma = alpha, beta, gamma
         self.mode = alpha.mode
@@ -247,12 +240,6 @@ def orbit_invariants(t: UtaiTriple) -> dict:
     }
 
 
-def _is_zero(M: Matrix) -> bool:
-    if M.mode == EXACT:
-        return M.is_zero()
-    return M.norm() <= M.frame.eps_eq * max(1.0, 1.0)
-
-
 def _scalar_multiple_of_id(M: Matrix) -> Scalar | None:
     """If M = tau * Id, return tau, else None.  Float mode compares within
     eps_eq relative to the matrix scale."""
@@ -260,10 +247,7 @@ def _scalar_multiple_of_id(M: Matrix) -> Scalar | None:
         return None
     tau = M[0, 0]
     target = Matrix.identity(M.rows, M.mode, M.frame).scale(tau)
-    if M.mode == EXACT:
-        return tau if M == target else None
-    tol = M.frame.eps_eq * max(1.0, M.norm())
-    return tau if (M - target).norm() <= tol else None
+    return tau if (M - target).negligible(max(1.0, M.norm())) else None
 
 
 def classify(t: UtaiTriple, coefficients: str = "tangent") -> DAlgebraLabel:
@@ -277,26 +261,24 @@ def classify(t: UtaiTriple, coefficients: str = "tangent") -> DAlgebraLabel:
     """
     if coefficients not in ("tangent", "cotangent"):
         raise ValueError("coefficients must be 'tangent' or 'cotangent'")
-    abelian = _is_zero(t.alpha) and _is_zero(t.gamma)
-    bg_zero = _is_zero(t.beta) and _is_zero(t.gamma)
+    abelian = t.alpha.negligible() and t.gamma.negligible()
+    bg_zero = t.beta.negligible() and t.gamma.negligible()
+    eps = (t.alpha.frame or DEFAULT_FRAME).eps_eq
+    one = Scalar.one(t.mode)
     if bg_zero and t.v == t.d:
         tau = _scalar_multiple_of_id(t.alpha)
         if tau is not None:
             if tau.is_zero():
                 kind = "dolbeault" if coefficients == "tangent" else "co-higgs"
                 return DAlgebraLabel(kind, tau, abelian)
-            if tau == Scalar.one(t.mode) or (
-                t.mode == FLOAT and abs(tau.cx - 1.0) <= t.alpha.frame.eps_eq
-            ):
+            if (tau - one).negligible(eps):
                 return DAlgebraLabel("de-rham", tau, abelian)
             return DAlgebraLabel("tau-connection", tau, abelian)
     if bg_zero and t.v < t.d and rank(t.alpha) == t.v:
         return DAlgebraLabel("foliation", None, abelian)
     if t.v == t.d and not bg_zero:
-        one = _scalar_multiple_of_id(t.alpha)
-        if one is not None and one == Scalar.one(t.mode):
-            return DAlgebraLabel("twisted-differential-operators", None, abelian)
-        if t.mode == FLOAT and one is not None and abs(one.cx - 1.0) <= t.alpha.frame.eps_eq:
+        s = _scalar_multiple_of_id(t.alpha)
+        if s is not None and (s - one).negligible(eps):
             return DAlgebraLabel("twisted-differential-operators", None, abelian)
     return DAlgebraLabel("generic", None, abelian)
 

@@ -18,6 +18,24 @@ Everything downstream works over one of two modes:
 
 A computation never silently mixes modes; combining an exact matrix with
 a float one raises :class:`~abelmod.errors.ModeMismatchError`.
+
+This module is the only one that knows how a :class:`Matrix` is stored
+(rows of :class:`Scalar` when exact, a numpy array when float).  Callers
+stay mode-blind through this surface:
+
+* construction: ``Matrix.exact``, ``Matrix.flt``, ``Matrix.identity``,
+  ``Matrix.zeros``, ``Matrix.column`` and ``Matrix.diag`` (both taking a
+  ``frame``), ``Matrix.block_diag``, ``Scalar.of``;
+* access and assembly: ``Matrix[i, j]``, ``col``, ``submatrix``,
+  ``strict_lower``, variadic ``hstack`` / ``vstack``, ``kron``;
+* decisions: ``Scalar.negligible(eps)`` and ``Matrix.negligible(scale)``,
+  an exact-zero test in exact mode and ``norm <= eps_eq * scale`` in
+  float mode; ``Scalar.sort_key`` for canonical ordering;
+* elimination: ``rank``, ``kernel_basis``, ``solve``, ``solve_matrix``,
+  ``inverse``, and the incremental :class:`Span`;
+* spectra: ``char_poly`` and ``exact_roots`` (exact only),
+  ``eigenvalues``, ``eigenspace`` (the canonically smallest eigenvalue
+  and its eigenspace) and ``complete_basis``.
 """
 
 from __future__ import annotations
@@ -25,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -52,16 +70,27 @@ __all__ = [
     "Scalar",
     "ToleranceFrame",
     "Matrix",
-    "Eigenpair",
+    "Span",
+    "INVARIANCE_SLACK",
+    "SOLVE_SLACK",
     "rank",
     "kernel_basis",
     "solve",
     "solve_matrix",
     "inverse",
-    "eigenpairs",
     "char_poly",
     "exact_roots",
+    "eigenvalues",
+    "eigenspace",
+    "complete_basis",
 ]
+
+# Float residual slack, in units of eps_eq times the data scale: a flag is
+# invariant when the strict lower part of the adapted tuple is within
+# INVARIANCE_SLACK, and solve_matrix accepts a least-squares solution whose
+# residual is within SOLVE_SLACK.
+INVARIANCE_SLACK = 10
+SOLVE_SLACK = 100
 
 
 def _to_q(x) -> object:
@@ -114,12 +143,36 @@ class Scalar:
     def one(mode: str) -> "Scalar":
         return Scalar(mode, _Q1, _Q0) if mode == EXACT else Scalar(FLOAT, 1.0, 0.0)
 
+    @staticmethod
+    def of(mode: str, x) -> "Scalar":
+        """x itself when it is a Scalar, else x (int, rational, 'p/q'
+        string; any number in float mode) as a scalar of the given mode."""
+        if isinstance(x, Scalar):
+            return x
+        return Scalar.exact(x) if mode == EXACT else Scalar.from_complex(complex(x))
+
     @property
     def cx(self) -> complex:
         return complex(self.re, self.im)
 
+    def to_float(self) -> "Scalar":
+        return self if self.mode == FLOAT else Scalar.from_complex(self.cx)
+
     def is_zero(self) -> bool:
         return not (self.re or self.im)
+
+    def negligible(self, eps: float) -> bool:
+        """Exactly zero in exact mode; |z| <= eps in float mode."""
+        if self.mode == EXACT:
+            return not (self.re or self.im)
+        return abs(self) <= eps
+
+    def sort_key(self):
+        """Canonical ordering by (Re, Im); exact ties between rationals
+        that round to the same doubles break on their text."""
+        if self.mode == EXACT:
+            return (float(self.re), float(self.im), str(self.re), str(self.im))
+        return (self.re, self.im, "", "")
 
     def _chk(self, other: "Scalar"):
         if self.mode != other.mode:
@@ -274,14 +327,14 @@ class Matrix:
         return Matrix.flt(np.zeros((rows, cols), dtype=np.complex128), frame)
 
     @staticmethod
-    def column(values: Sequence[Scalar]) -> "Matrix":
+    def column(values: Sequence[Scalar], frame: ToleranceFrame | None = None) -> "Matrix":
         vals = list(values)
         if not vals:
             raise ValueError("empty column")
         mode = vals[0].mode
         if mode == EXACT:
             return Matrix(EXACT, len(vals), 1, [[v] for v in vals])
-        return Matrix.flt(np.array([[v.cx] for v in vals]))
+        return Matrix.flt(np.array([[v.cx] for v in vals]), frame)
 
     @staticmethod
     def diag(values: Sequence[Scalar], frame: ToleranceFrame | None = None) -> "Matrix":
@@ -292,6 +345,30 @@ class Matrix:
             rows = [[vals[i] if i == j else Scalar.zero(EXACT) for j in range(n)] for i in range(n)]
             return Matrix(EXACT, n, n, rows)
         return Matrix.flt(np.diag([v.cx for v in vals]), frame)
+
+    @staticmethod
+    def block_diag(blocks: Sequence["Matrix"]) -> "Matrix":
+        """Square blocks along the diagonal, zeros elsewhere; the frame is
+        the first block's."""
+        first = blocks[0]
+        for B in blocks[1:]:
+            first._chk(B)
+        n = sum(B.rows for B in blocks)
+        if first.mode == FLOAT:
+            a = np.zeros((n, n), dtype=np.complex128)
+            off = 0
+            for B in blocks:
+                a[off : off + B.rows, off : off + B.rows] = B._a
+                off += B.rows
+            return Matrix(FLOAT, n, n, a, first.frame)
+        z = Scalar.zero(EXACT)
+        rows = []
+        off = 0
+        for B in blocks:
+            for r in B._a:
+                rows.append([z] * off + list(r) + [z] * (n - off - B.rows))
+            off += B.rows
+        return Matrix(EXACT, n, n, rows)
 
     # ------------------------------------------------------------------
     # access
@@ -310,6 +387,20 @@ class Matrix:
 
     def col_scalars(self, j: int) -> list[Scalar]:
         return [self[i, j] for i in range(self.rows)]
+
+    def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
+        """Rows r0..r1-1 and columns c0..c1-1, as a new matrix."""
+        if self.mode == FLOAT:
+            return Matrix(FLOAT, r1 - r0, c1 - c0, self._a[r0:r1, c0:c1].copy(), self.frame)
+        return Matrix(EXACT, r1 - r0, c1 - c0, [row[c0:c1] for row in self._a[r0:r1]])
+
+    def strict_lower(self) -> "Matrix":
+        """The entries below the diagonal, zeros elsewhere."""
+        if self.mode == FLOAT:
+            return Matrix(FLOAT, self.rows, self.cols, np.tril(self._a, -1), self.frame)
+        z = Scalar.zero(EXACT)
+        data = [[s if j < i else z for j, s in enumerate(row)] for i, row in enumerate(self._a)]
+        return Matrix(EXACT, self.rows, self.cols, data)
 
     def to_numpy(self) -> np.ndarray:
         if self.mode == FLOAT:
@@ -349,7 +440,16 @@ class Matrix:
         return Matrix(EXACT, self.rows, self.cols, data)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
+        self._chk(other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ValueError("shape mismatch in subtract")
+        if self.mode == FLOAT:
+            return Matrix(FLOAT, self.rows, self.cols, self._a - other._a, self.frame)
+        data = [
+            [a if not (b.re or b.im) else Scalar(EXACT, a.re - b.re, a.im - b.im) for a, b in zip(ra, rb)]
+            for ra, rb in zip(self._a, other._a)
+        ]
+        return Matrix(EXACT, self.rows, self.cols, data)
 
     def __neg__(self) -> "Matrix":
         if self.mode == FLOAT:
@@ -430,22 +530,52 @@ class Matrix:
                 base = base @ base
         return out
 
-    def hstack(self, other: "Matrix") -> "Matrix":
-        self._chk(other)
-        if self.rows != other.rows:
-            raise ValueError("row mismatch in hstack")
+    def hstack(self, *others: "Matrix") -> "Matrix":
+        for o in others:
+            self._chk(o)
+            if self.rows != o.rows:
+                raise ValueError("row mismatch in hstack")
+        cols = self.cols + sum(o.cols for o in others)
         if self.mode == FLOAT:
-            return Matrix(FLOAT, self.rows, self.cols + other.cols, np.hstack([self._a, other._a]), self.frame)
-        data = [list(ra) + list(rb) for ra, rb in zip(self._a, other._a)]
-        return Matrix(EXACT, self.rows, self.cols + other.cols, data)
+            return Matrix(FLOAT, self.rows, cols, np.hstack([self._a] + [o._a for o in others]), self.frame)
+        data = [list(r) for r in self._a]
+        for o in others:
+            for row, extra in zip(data, o._a):
+                row.extend(extra)
+        return Matrix(EXACT, self.rows, cols, data)
 
-    def vstack(self, other: "Matrix") -> "Matrix":
-        self._chk(other)
-        if self.cols != other.cols:
-            raise ValueError("column mismatch in vstack")
+    def vstack(self, *others: "Matrix") -> "Matrix":
+        for o in others:
+            self._chk(o)
+            if self.cols != o.cols:
+                raise ValueError("column mismatch in vstack")
+        rows = self.rows + sum(o.rows for o in others)
         if self.mode == FLOAT:
-            return Matrix(FLOAT, self.rows + other.rows, self.cols, np.vstack([self._a, other._a]), self.frame)
-        return Matrix(EXACT, self.rows + other.rows, self.cols, [list(r) for r in self._a] + [list(r) for r in other._a])
+            return Matrix(FLOAT, rows, self.cols, np.vstack([self._a] + [o._a for o in others]), self.frame)
+        return Matrix(EXACT, rows, self.cols, [list(r) for M in (self,) + others for r in M._a])
+
+    def kron(self, other: "Matrix") -> "Matrix":
+        """Kronecker product: entry (i p + k, j q + l) is self[i, j] *
+        other[k, l] for other of shape p x q."""
+        self._chk(other)
+        rows, cols = self.rows * other.rows, self.cols * other.cols
+        if self.mode == FLOAT:
+            return Matrix(FLOAT, rows, cols, np.kron(self._a, other._a), self.frame)
+        z = Scalar.zero(EXACT)
+        zeros = [z] * other.cols
+        data = []
+        for ra in self._a:
+            for rb in other._a:
+                row = []
+                for a in ra:
+                    if not (a.re or a.im):
+                        row.extend(zeros)
+                    elif a.re == 1 and not a.im:
+                        row.extend(rb)
+                    else:
+                        row.extend(a * b if b.re or b.im else z for b in rb)
+                data.append(row)
+        return Matrix(EXACT, rows, cols, data)
 
     def norm(self) -> float:
         """Frobenius norm (float in both modes)."""
@@ -458,6 +588,13 @@ class Matrix:
         if self.mode == FLOAT:
             return not self._a.any()
         return all(s.is_zero() for row in self._a for s in row)
+
+    def negligible(self, scale: float = 1.0) -> bool:
+        """Exact mode: every entry is exactly zero.  Float mode: the
+        Frobenius norm is at most frame.eps_eq * scale."""
+        if self.mode == EXACT:
+            return self.is_zero()
+        return self.norm() <= self.frame.eps_eq * scale
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -500,6 +637,28 @@ class Matrix:
 # exact Gauss-Jordan machinery
 
 
+def _normalized(row: list[Scalar], c: int) -> list[Scalar]:
+    """row divided by its entry in column c (nonzero)."""
+    piv = row[c]
+    pr_, pi_ = piv.re, piv.im
+    den = pr_ * pr_ + pi_ * pi_
+    inv_re, inv_im = pr_ / den, -pi_ / den
+    return [
+        Scalar(EXACT, s.re * inv_re - s.im * inv_im, s.re * inv_im + s.im * inv_re) if s.re or s.im else s
+        for s in row
+    ]
+
+
+def _subtract_multiple(tgt: list[Scalar], src: list[Scalar], f: Scalar, start: int) -> None:
+    """tgt[j] -= f * src[j] in place for j >= start (src is zero before)."""
+    ref, imf = f.re, f.im
+    for j in range(start, len(src)):
+        s = src[j]
+        if s.re or s.im:
+            t = tgt[j]
+            tgt[j] = Scalar(EXACT, t.re - (ref * s.re - imf * s.im), t.im - (ref * s.im + imf * s.re))
+
+
 def _rref_exact(data: list[list[Scalar]], ncols: int):
     """Reduced row echelon form of a list-of-rows copy.  Returns
     (rref rows, pivot column list)."""
@@ -516,35 +675,63 @@ def _rref_exact(data: list[list[Scalar]], ncols: int):
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        pr_, pi_ = piv.re, piv.im
-        den = pr_ * pr_ + pi_ * pi_
-        inv_re, inv_im = pr_ / den, -pi_ / den
-        newrow = []
-        for s in rows[r]:
-            if s.re or s.im:
-                newrow.append(Scalar(EXACT, s.re * inv_re - s.im * inv_im, s.re * inv_im + s.im * inv_re))
-            else:
-                newrow.append(s)
-        rows[r] = newrow
+        rows[r] = _normalized(rows[r], c)
         for i in range(nrows):
             if i == r:
                 continue
             f = rows[i][c]
             if f.re or f.im:
-                ref, imf = f.re, f.im
-                src = rows[r]
-                tgt = rows[i]
-                for j in range(c, ncols):
-                    s = src[j]
-                    if s.re or s.im:
-                        t = tgt[j]
-                        tgt[j] = Scalar(EXACT, t.re - (ref * s.re - imf * s.im), t.im - (ref * s.im + imf * s.re))
+                _subtract_multiple(rows[i], rows[r], f, c)
         pivots.append(c)
         r += 1
         if r == nrows:
             break
     return rows, pivots
+
+
+class Span:
+    """Incremental linear independence of n x 1 columns.
+
+    Exact mode keeps one row per accepted vector, reduced by the
+    elimination step of the Gauss-Jordan pass and scaled to 1 at its
+    pivot; float mode keeps orthonormal vectors and rejects a vector
+    whose residual is at most eps_rank times its norm."""
+
+    def __init__(self, n: int, mode: str, frame: ToleranceFrame | None = None):
+        self.n = n
+        self.mode = mode
+        self.frame = frame or DEFAULT_FRAME
+        self.basis = []  # exact: (pivot, reduced row); float: orthonormal numpy vectors
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    def add(self, vec: Matrix) -> bool:
+        """Try to add a column; True if it enlarged the span."""
+        if self.mode == EXACT:
+            cur = [row[0] for row in vec._a]
+            for pivot, row in self.basis:
+                c = cur[pivot]
+                if c.re or c.im:
+                    _subtract_multiple(cur, row, c, pivot)
+            pivot = next((k for k, s in enumerate(cur) if s.re or s.im), None)
+            if pivot is None:
+                return False
+            self.basis.append((pivot, _normalized(cur, pivot)))
+            return True
+        r = vec._a.reshape(-1)
+        nrm = np.linalg.norm(r)
+        if nrm == 0.0:
+            return False
+        for _ in range(2):  # re-orthogonalize once for stability
+            for q in self.basis:
+                r = r - (q.conj() @ r) * q
+        rn = np.linalg.norm(r)
+        if rn <= self.frame.eps_rank * nrm:
+            return False
+        self.basis.append(r / rn)
+        return True
 
 
 def rank(M: Matrix) -> int:
@@ -641,7 +828,7 @@ def solve_matrix(A: Matrix, B: Matrix) -> Matrix:
         x, res, rk, sv = np.linalg.lstsq(A._a, B._a, rcond=None)
         resid = A._a @ x - B._a
         scale = max(1.0, float(np.abs(B._a).max(initial=0.0)))
-        if np.abs(resid).max(initial=0.0) > A.frame.eps_eq * scale * 100:
+        if np.abs(resid).max(initial=0.0) > A.frame.eps_eq * scale * SOLVE_SLACK:
             raise NoSolutionError("columns outside the column space")
         return Matrix(FLOAT, A.cols, B.cols, x, A.frame)
     aug = A.hstack(B)
@@ -672,13 +859,6 @@ def inverse(M: Matrix) -> Matrix:
 
 # ----------------------------------------------------------------------
 # eigenvalues
-
-
-@dataclass(frozen=True)
-class Eigenpair:
-    value: Scalar
-    vector: Matrix
-    algebraic: int
 
 
 def char_poly(M: Matrix) -> list[Scalar]:
@@ -789,46 +969,82 @@ def exact_roots(coeffs: list[Scalar]) -> list[tuple[Scalar, int]]:
     return [(lam, found[(lam.re, lam.im)]) for lam in order]
 
 
-def eigenpairs(M: Matrix) -> list[Eigenpair]:
-    """Eigenvalue/eigenvector pairs.
-
-    Exact mode: roots of the characteristic polynomial over the Gaussian
-    rationals (NonSplitCharPoly when it fails to split), one pair per
-    kernel basis vector of M - lambda, tagged with the algebraic
-    multiplicity.  Float mode: numpy eigendecomposition, values clustered
-    within eps_eq for the multiplicity count, sorted by (Re, Im).
-    """
-    n = M.rows
-    if n != M.cols:
-        raise ValueError("eigenpairs of non-square matrix")
-    if M.mode == EXACT:
-        roots = exact_roots(char_poly(M))
-        out = []
-        for lam, mult in roots:
-            shifted = M - Matrix.identity(n, EXACT).scale(lam)
-            for vec in kernel_basis(shifted):
-                out.append(Eigenpair(lam, vec, mult))
-        return out
-    w, v = np.linalg.eig(M._a)
-    scale = 1.0 + float(np.abs(w).max()) if w.size else 1.0
+def _float_eig_clusters(M: Matrix) -> list[tuple[complex, float]]:
+    """Cluster numpy eigenvalues within eps_eq; returns (mean, spread)
+    sorted by (Re, Im)."""
+    w = np.linalg.eig(M._a)[0]
+    scale = 1.0 + float(np.abs(w).max())
     tol = M.frame.eps_eq * scale
-    idx = sorted(range(n), key=lambda i: (w[i].real, w[i].imag))
-    mult = [1] * n
-    # group along the sorted order
-    groups: list[list[int]] = []
-    for i in idx:
-        if groups and abs(w[i] - w[groups[-1][0]]) <= tol:
-            groups[-1].append(i)
+    clusters: list[list[complex]] = []
+    for z in sorted(w, key=lambda x: (x.real, x.imag)):
+        for cl in clusters:
+            if abs(z - cl[0]) <= tol:
+                cl.append(z)
+                break
         else:
-            groups.append([i])
+            clusters.append([z])
     out = []
-    for g in groups:
-        for i in g:
-            out.append(
-                Eigenpair(
-                    Scalar(FLOAT, w[i].real, w[i].imag),
-                    Matrix(FLOAT, n, 1, v[:, i].reshape(-1, 1), M.frame),
-                    len(g),
-                )
-            )
+    for cl in clusters:
+        mean = sum(cl) / len(cl)
+        out.append((mean, max(abs(z - mean) for z in cl)))
+    out.sort(key=lambda t: (t[0].real, t[0].imag))
     return out
+
+
+def eigenvalues(M: Matrix) -> list[Scalar]:
+    """Distinct eigenvalues sorted by (Re, Im): exact roots of the
+    characteristic polynomial (NonSplitCharPoly when it does not split
+    over the Gaussian rationals), or numpy eigenvalues clustered within
+    eps_eq."""
+    if M.mode == EXACT:
+        return [lam for lam, _ in exact_roots(char_poly(M))]
+    return [Scalar(FLOAT, z.real, z.imag) for z, _ in _float_eig_clusters(M)]
+
+
+def eigenspace(M: Matrix) -> tuple[Scalar, Matrix]:
+    """The canonically smallest eigenvalue (by (Re, Im)) and a basis of
+    its eigenspace as columns.
+
+    Exact mode: the reduced-echelon kernel of M - lambda.  Float mode:
+    right singular vectors of M - lambda at singular values within
+    max(eps_rank * sigma_max, twice the cluster spread), falling back to
+    the single best vector when thresholding rejects all (defective
+    eigenvalues split by roughly sqrt(machine eps))."""
+    n = M.rows
+    if M.mode == EXACT:
+        lam = exact_roots(char_poly(M))[0][0]
+        ker = kernel_basis(M - Matrix.identity(n, EXACT).scale(lam))
+        return lam, ker[0].hstack(*ker[1:])
+    z, spread = _float_eig_clusters(M)[0]
+    _, s, vh = np.linalg.svd(M._a - z * np.eye(n))
+    smax = s[0] if s[0] > 0 else 1.0
+    thresh = max(M.frame.eps_rank * smax, 2.0 * spread)
+    cols = [vh[i].conj() for i in range(n) if s[i] <= thresh]
+    if not cols:
+        cols = [vh[n - 1].conj()]
+    return Scalar(FLOAT, z.real, z.imag), Matrix(FLOAT, n, len(cols), np.array(cols).T, M.frame)
+
+
+def complete_basis(w: Matrix) -> Matrix:
+    """An invertible n x n matrix whose first column is the nonzero
+    column w.  Exact mode appends the standard vectors that keep the
+    columns independent, chosen greedily in order; float mode returns a
+    unitary matrix, the QR factor of w beside every standard vector but
+    the one where w is largest."""
+    n = w.rows
+    if w.mode == EXACT:
+        span = Span(n, EXACT)
+        span.add(w)
+        cols = [w]
+        for j in range(n):
+            if len(cols) == n:
+                break
+            e = Matrix.exact([[1 if i == j else 0] for i in range(n)])
+            if span.add(e):
+                cols.append(e)
+        return w.hstack(*cols[1:])
+    v = w._a.reshape(-1)
+    i0 = int(np.argmax(np.abs(v)))
+    others = [np.eye(n)[:, j] for j in range(n) if j != i0]
+    Q, _ = np.linalg.qr(np.column_stack([v] + others))
+    return Matrix(FLOAT, n, n, Q, w.frame)

@@ -38,7 +38,6 @@ from .adhm import (
     _log_scalar,
     _scale_matrix,
     _scale_pair,
-    _sort_key,
     decompose_punctual,
     expm1_matrix,
     is_stable,
@@ -46,7 +45,6 @@ from .adhm import (
     spectrum_support,
 )
 from .errors import (
-    ModeMismatchError,
     PieceCollisionError,
     TauZeroError,
     ZeroEigenvalueError,
@@ -200,9 +198,7 @@ class FiberSpace:
         if self.kind != NATURAL:
             return c
         z = c.cx
-        if c.mode == EXACT and -np.pi < z.imag <= np.pi:
-            return c
-        if -np.pi < z.imag <= np.pi and c.mode == FLOAT:
+        if -np.pi < z.imag <= np.pi:
             return c
         return Scalar.from_complex(fold_imag(z))
 
@@ -256,7 +252,7 @@ def _point_from_json(obj) -> tuple[Scalar, ...]:
 
 
 def _point_key(coords):
-    return tuple(_sort_key(c) for c in coords)
+    return tuple(c.sort_key() for c in coords)
 
 
 class SymPoint:
@@ -408,9 +404,7 @@ class HilbPoint:
             pd = pj["punctual"]
             mode = pd.get("mode", EXACT)
             N = CommutingTuple([Matrix.from_json(MJ, mode, frame) for MJ in pd["N"]])
-            v = Matrix.column([Scalar.from_json(x, mode) for x in pd["v"]])
-            if mode == FLOAT:
-                v = Matrix(FLOAT, v.rows, 1, v._a, frame)
+            v = Matrix.column([Scalar.from_json(x, mode) for x in pd["v"]], frame)
             pieces.append(PunctualData(point, N, v))
         return HilbPoint(space, pieces)
 
@@ -419,66 +413,48 @@ class HilbPoint:
 # assembly with collision handling
 
 
+def _all_exact(pieces) -> bool:
+    return all(
+        P.N.mode == P.marking.mode == EXACT and all(c.mode == EXACT for c in P.point)
+        for P in pieces
+    )
+
+
+def _float_piece(P: PunctualData, frame) -> PunctualData:
+    """P with point, nilpotent parts and marking as float data in frame."""
+    N = CommutingTuple._unchecked([Nk.to_float(frame) for Nk in P.N.B])
+    return PunctualData(tuple(c.to_float() for c in P.point), N, P.marking.to_float(frame))
+
+
 def _direct_sum(space: FiberSpace, group: list[PunctualData]) -> PunctualData:
     """Merge same-point pieces: mean base point, block-diagonal nilpotent
     parts (absorbing the point offsets), stacked marking.  If the stacked
     marking is not cyclic, a deterministic family of candidate markings is
-    tried; PieceCollision if none is cyclic."""
+    tried; PieceCollision if none is cyclic.  Exact data stays exact only
+    when every piece is exact; exact pieces merge only on exact equality,
+    so their point offsets vanish."""
     if len(group) == 1:
         return group[0]
     m = group[0].N.m
     total = sum(P.length for P in group)
-    exact_all = all(
-        P.N.mode == EXACT and all(c.mode == EXACT for c in P.point) for P in group
-    )
-    if exact_all:
-        point = group[0].point  # exact merge only happens on exact equality
-        mats = []
-        for j in range(m):
-            rows = []
-            off = 0
-            for P in group:
-                ell = P.length
-                for r in range(ell):
-                    row = [Scalar.zero(EXACT)] * total
-                    for c in range(ell):
-                        row[off + c] = P.N[j][r, c]
-                    rows.append(row)
-                off += ell
-            mats.append(Matrix(EXACT, total, total, rows))
-        N = CommutingTuple(mats)
-        mark = Matrix.column(
-            [P.marking[i, 0] for P in group for i in range(P.length)]
-        )
+    frame = space.frame
+    if _all_exact(group):
+        point = group[0].point
+        parts = [[P.N[j] for P in group] for j in range(m)]
     else:
-        frame = space.frame
+        group = [_float_piece(P, frame) for P in group]
         pts = np.array([[c.cx for c in P.point] for P in group])
         mean = pts.mean(axis=0)
         point = tuple(Scalar.from_complex(z) for z in mean)
-        mats = []
-        for j in range(m):
-            a = np.zeros((total, total), dtype=np.complex128)
-            off = 0
-            for i, P in enumerate(group):
-                ell = P.length
-                block = P.N[j].to_numpy() + (pts[i, j] - mean[j]) * np.eye(ell)
-                a[off : off + ell, off : off + ell] = block
-                off += ell
-            mats.append(Matrix(FLOAT, total, total, a, frame))
-        N = CommutingTuple(mats)
-        mark = np.concatenate([P.marking.to_numpy().reshape(-1) for P in group])
-        mark = Matrix(FLOAT, total, 1, mark.reshape(-1, 1), frame)
-    candidates = [mark]
-    mode = N.mode
+        parts = [[] for _ in range(m)]
+        for i, P in enumerate(group):
+            eye = Matrix.identity(P.length, FLOAT, frame)
+            for j in range(m):
+                parts[j].append(P.N[j] + eye.scale(Scalar.from_complex(pts[i, j] - mean[j])))
+    N = CommutingTuple([Matrix.block_diag(blocks) for blocks in parts])
+    candidates = [group[0].marking.vstack(*(P.marking for P in group[1:]))]
     for t in range(1, 2 * total + 1):
-        if mode == EXACT:
-            vals = [Scalar.one(EXACT)]
-            for _ in range(total - 1):
-                vals.append(vals[-1] * Scalar.exact(t))
-            candidates.append(Matrix.column(vals))
-        else:
-            arr = np.array([float(t) ** k for k in range(total)], dtype=np.complex128)
-            candidates.append(Matrix(FLOAT, total, 1, arr.reshape(-1, 1), space.frame))
+        candidates.append(Matrix.column([Scalar.of(N.mode, t**k) for k in range(total)], frame))
     for v in candidates:
         if is_stable(MarkedTuple(N, v)):
             return PunctualData(point, N, v)
@@ -513,12 +489,11 @@ def hilbert_chow(h: HilbPoint) -> SymPoint:
 # Betti models of matrix data
 
 
-def _spectrum_invertible(support, eps: float):
+def _spectrum_invertible(support, frame):
+    eps = (frame or DEFAULT_FRAME).eps_eq
     for pt, _ in support:
         for c in pt:
-            if (c.mode == EXACT and c.is_zero()) or (
-                c.mode == FLOAT and abs(c.cx) <= eps
-            ):
+            if c.negligible(eps):
                 raise ZeroEigenvalueError(
                     "joint eigenvalue has a zero coordinate; holonomy is singular"
                 )
@@ -531,9 +506,8 @@ def betti_marked(M: MarkedTuple) -> HilbPoint:
     if M.m % 2 != 0:
         raise ValueError("need an even number of members (one per lattice generator)")
     d = M.m // 2
-    eps = M.tuple.frame.eps_eq if M.mode == FLOAT else DEFAULT_FRAME.eps_eq
     pieces = decompose_punctual(M)
-    _spectrum_invertible([(P.point, P.length) for P in pieces], eps)
+    _spectrum_invertible([(P.point, P.length) for P in pieces], M.tuple.frame)
     space = FiberSpace.betti(d, M.tuple.frame)
     normalized = []
     for P in pieces:
@@ -553,8 +527,7 @@ def betti_unmarked(T: CommutingTuple) -> SymPoint:
     if T.m % 2 != 0:
         raise ValueError("need an even number of members (one per lattice generator)")
     support = spectrum_support(T)
-    eps = T.frame.eps_eq if T.mode == FLOAT else DEFAULT_FRAME.eps_eq
-    _spectrum_invertible(support, eps)
+    _spectrum_invertible(support, T.frame)
     return SymPoint(FiberSpace.betti(T.m // 2, T.frame), support)
 
 
@@ -564,51 +537,16 @@ def betti_assemble(h: HilbPoint) -> MarkedTuple:
     betti_marked up to base change (the ideal normal form agrees)."""
     if h.space.kind != BETTI:
         raise ValueError("betti_assemble needs a betti-chart point")
-    m = h.space.chart_dim
-    exact_all = all(
-        P.N.mode == EXACT
-        and P.marking.mode == EXACT
-        and all(c.mode == EXACT for c in P.point)
-        for P in h.pieces
-    )
-    total = h.total
-    if exact_all:
-        mats = []
-        for k in range(m):
-            rows = []
-            off = 0
-            for P in h.pieces:
-                ell = P.length
-                eye = Matrix.identity(ell, EXACT)
-                block = (eye + P.N[k]).scale(P.point[k])
-                for r in range(ell):
-                    row = [Scalar.zero(EXACT)] * total
-                    for c in range(ell):
-                        row[off + c] = block[r, c]
-                    rows.append(row)
-                off += ell
-            mats.append(Matrix(EXACT, total, total, rows))
-        mark = Matrix.column(
-            [P.marking[i, 0] for P in h.pieces for i in range(P.length)]
-        )
-    else:
-        frame = h.space.frame
-        mats = []
-        for k in range(m):
-            a = np.zeros((total, total), dtype=np.complex128)
-            off = 0
-            for P in h.pieces:
-                ell = P.length
-                z = P.point[k].cx
-                a[off : off + ell, off : off + ell] = z * (
-                    np.eye(ell) + P.N[k].to_numpy()
-                )
-                off += ell
-            mats.append(Matrix(FLOAT, total, total, a, frame))
-        vals = np.concatenate(
-            [P.marking.to_numpy().reshape(-1) for P in h.pieces]
-        )
-        mark = Matrix(FLOAT, total, 1, vals.reshape(-1, 1), frame)
+    frame = h.space.frame
+    pieces = h.pieces if _all_exact(h.pieces) else [_float_piece(P, frame) for P in h.pieces]
+    mats = []
+    for k in range(h.space.chart_dim):
+        blocks = []
+        for P in pieces:
+            eye = Matrix.identity(P.length, P.N.mode, frame)
+            blocks.append((eye + P.N[k]).scale(P.point[k]))
+        mats.append(Matrix.block_diag(blocks))
+    mark = pieces[0].marking.vstack(*(P.marking for P in pieces[1:]))
     return MarkedTuple(CommutingTuple(mats), mark)
 
 
@@ -652,9 +590,7 @@ def rh_to_betti(h: HilbPoint) -> HilbPoint:
 
 
 def _tau_nonzero(tau: Scalar, eps: float):
-    if (tau.mode == EXACT and tau.is_zero()) or (
-        tau.mode == FLOAT and abs(tau.cx) <= eps
-    ):
+    if tau.negligible(eps):
         raise TauZeroError("tau-scaling is undefined at tau = 0")
 
 
@@ -681,8 +617,8 @@ def hodge_deform(h: HilbPoint, tau) -> HilbPoint:
         stack = np.stack([Nk.to_numpy() for Nk in P.N.B])
         X = np.tensordot(C, stack, axes=1)
         X[:d] *= tz
-        mats = [Matrix(FLOAT, P.length, P.length, X[i], frame) for i in range(2 * d)]
-        mark = P.marking if P.marking.mode == FLOAT else P.marking.to_float(frame)
+        mats = [Matrix.flt(X[i], frame) for i in range(2 * d)]
+        mark = P.marking.to_float(frame)
         out.append(
             PunctualData(
                 tuple(Scalar.from_complex(z) for z in x),
@@ -713,8 +649,8 @@ def hodge_undeform(h: HilbPoint) -> HilbPoint:
         stack = np.stack([Nk.to_numpy() for Nk in P.N.B]).astype(np.complex128)
         stack[:d] /= tz
         A = np.tensordot(K, stack, axes=1)
-        mats = [Matrix(FLOAT, P.length, P.length, A[i], frame) for i in range(2 * d)]
-        mark = P.marking if P.marking.mode == FLOAT else P.marking.to_float(frame)
+        mats = [Matrix.flt(A[i], frame) for i in range(2 * d)]
+        mark = P.marking.to_float(frame)
         out.append(
             PunctualData(
                 tuple(Scalar.from_complex(z) for z in a),

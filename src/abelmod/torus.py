@@ -32,14 +32,13 @@ from .errors import (
     TauZeroError,
     ZeroHolonomyError,
 )
-from .linalg import DEFAULT_FRAME, EXACT, FLOAT, Scalar, ToleranceFrame
+from .linalg import DEFAULT_FRAME, FLOAT, Scalar, ToleranceFrame
 
 __all__ = [
     "AbelianVarietyModel",
     "BettiPoint",
     "NaturalPoint",
     "DualPoint",
-    "CotangentPoint",
     "HodgePoint",
     "exp_rh",
     "log_rh",
@@ -270,23 +269,6 @@ class DualPoint:
 
     def to_json(self):
         return {"space": "dual", "w": [c.to_json() for c in self.w]}
-
-
-class CotangentPoint:
-    """A point of the cotangent space of the dual torus: base point plus a
-    covector eta in C^d."""
-
-    __slots__ = ("xhat", "eta")
-
-    def __init__(self, xhat: DualPoint, eta):
-        coords = tuple(c if isinstance(c, Scalar) else Scalar.from_complex(c) for c in eta)
-        if len(coords) != xhat.model.d:
-            raise ValueError("need d covector coordinates")
-        self.xhat = xhat
-        self.eta = coords
-
-    def to_json(self):
-        return {"space": "cotangent", "w": [c.to_json() for c in self.xhat.w], "eta": [c.to_json() for c in self.eta]}
 
 
 class HodgePoint:

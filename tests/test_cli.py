@@ -120,6 +120,20 @@ class TestRees:
         lim = _read(tmp_path, "l.json")
         assert lim["B"][0][0][1] == _sc("0")
 
+    def test_decimal_parameter_stays_exact(self, tmp_path):
+        doc = {
+            "m": 1,
+            "n": 2,
+            "mode": "exact",
+            "B": [[[_sc("1"), _sc("1")], [_sc("0"), _sc("2")]]],
+            "g": [[_sc("1"), _sc("0")], [_sc("0"), _sc("1")]],
+        }
+        inp = _write(tmp_path, "in.json", doc)
+        for name, t in (("dec.json", "0.5"), ("rat.json", "1/2")):
+            rc = main(["rees", "--weights", "1,0", "--t", t, "--in", inp, "--out", str(tmp_path / name)])
+            assert rc == 0
+        assert (tmp_path / "dec.json").read_bytes() == (tmp_path / "rat.json").read_bytes()
+
     def test_increasing_weights_rejected(self, tmp_path):
         doc = {
             "m": 1,

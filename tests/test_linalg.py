@@ -10,9 +10,12 @@ from abelmod.linalg import (
     DEFAULT_FRAME,
     Matrix,
     Scalar,
+    Span,
     ToleranceFrame,
     char_poly,
-    eigenpairs,
+    complete_basis,
+    eigenspace,
+    eigenvalues,
     exact_roots,
     inverse,
     kernel_basis,
@@ -138,18 +141,46 @@ class TestCharPoly:
         roots = {lam for lam, _ in exact_roots(char_poly(B))}
         assert roots == {Scalar.exact(0, 1), Scalar.exact(0, -1)}
 
-    def test_eigenpairs_exact(self):
-        B = Matrix.exact([[2, 1], [0, 3]])
-        pairs = eigenpairs(B)
-        assert sorted(p.algebraic for p in pairs) == [1, 1]
-        for p in pairs:
-            assert (B @ p.vector - p.vector.scale(p.value)).is_zero()
 
-    def test_eigenpairs_float(self):
-        B = Matrix.flt([[1.0, 2.0], [0.0, -1.0]])
-        for p in eigenpairs(B):
-            r = (B @ p.vector - p.vector.scale(p.value)).norm()
-            assert r <= 1e-12
+class TestSeam:
+    def test_negligible_both_modes(self):
+        assert not Scalar.exact("1/1000000000000").negligible(1.0)
+        assert Scalar.flt(1e-12).negligible(1e-9)
+        tiny = Matrix.flt([[1e-12, 0.0], [0.0, 0.0]])
+        assert tiny.negligible() and not tiny.negligible(1e-4)
+        assert not Matrix.exact([[0, "1/1000000000000"]]).negligible(1e9)
+
+    def test_eigenspace_smallest_eigenvalue(self):
+        for B in (Matrix.exact([[3, 1], [0, 2]]), Matrix.flt([[3.0, 1.0], [0.0, 2.0]])):
+            lam, E = eigenspace(B)
+            assert abs(lam.cx - 2.0) < 1e-12 and E.cols == 1
+            assert (B @ E - E.scale(lam)).norm() < 1e-12
+        assert eigenvalues(Matrix.exact([[3, 1], [0, 2]])) == [Scalar.exact(2), Scalar.exact(3)]
+        assert [z.cx for z in eigenvalues(Matrix.flt([[2.0, 0.0], [0.0, 2.0]]))] == [2.0]
+
+    def test_complete_basis(self):
+        w = Matrix.column([Scalar.exact(0), Scalar.exact(2), Scalar.exact(1)])
+        P = complete_basis(w)
+        assert P.col(0) == w and rank(P) == 3
+        Q = complete_basis(w.to_float())
+        assert rank(Q) == 3 and abs(abs(Q[1, 0].cx) - 2 / 5**0.5) < 1e-12
+
+    def test_span_exact_and_float(self):
+        for mode, mk in ((EXACT, Matrix.exact), (FLOAT, Matrix.flt)):
+            span = Span(2, mode)
+            assert span.add(mk([[1], [1]]))
+            assert not span.add(mk([[2], [2]]))
+            assert span.add(mk([[0], [1]])) and span.dim == 2
+
+    def test_block_diag_submatrix_kron(self):
+        A = Matrix.exact([[1, 2], [3, 4]])
+        D = Matrix.block_diag([A, Matrix.exact([[5]])])
+        assert D.submatrix(0, 2, 0, 2) == A and D[2, 2] == Scalar.exact(5)
+        assert D.submatrix(0, 2, 2, 3).is_zero()
+        K = Matrix.identity(2, EXACT).kron(A)
+        assert K == Matrix.block_diag([A, A])
+        F = A.to_float()
+        assert Matrix.flt([[1.0, 2.0]]).kron(F) == F.hstack(F.scale(Scalar.flt(2.0)))
 
 
 class TestFrames:
