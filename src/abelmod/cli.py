@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -54,8 +55,9 @@ _RAT = rf"[+-]?{_NUM}"
 
 
 def _parse_scalar(text: str, mode: str) -> Scalar:
-    """Parse 'p/q', decimals, 'a+b/qi', 'i', '-2i', or any float complex
-    literal.  Rational and decimal forms stay exact when mode is exact."""
+    """Parse 'p/q', decimals, 'a+b/qi', 'i', '-2i', or any finite float
+    complex literal.  Rational and decimal forms stay exact when mode is
+    exact; nan, inf and literals beyond double range are SchemaErrors."""
     s = text.strip().replace(" ", "")
     mre = re.fullmatch(_RAT, s)
     mim = re.fullmatch(rf"([+-]?)({_NUM})?[ij]", s)
@@ -79,6 +81,8 @@ def _parse_scalar(text: str, mode: str) -> Scalar:
         z = complex(s.replace("i", "j"))
     except ValueError:
         raise SchemaError(f"cannot parse scalar {text!r}") from None
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise SchemaError(f"scalar {text!r} is not finite")
     return Scalar.flt(z.real, z.imag)
 
 

@@ -3,10 +3,13 @@
 Everything downstream works over one of two modes:
 
 ``exact``
-    Gaussian rationals a + bi with a, b rational, kept always in lowest
-    terms.  Results are reproducible bit for bit: rank and kernels come
-    from fraction-free-style Gauss-Jordan elimination, eigenvalues from a
-    verified search for roots of the characteristic polynomial.  When the
+    Gaussian rationals a + bi with a, b rational.  A matrix keeps Python
+    int numerators (real and imaginary grids) over one common
+    denominator; a :class:`Scalar` entry is two ``Fraction`` values in
+    lowest terms.  Results are reproducible bit for bit: rank, kernels,
+    solutions and inverses come from fraction-free Gauss-Jordan
+    elimination over the Gaussian integers, eigenvalues from a verified
+    search for roots of the characteristic polynomial.  When the
     characteristic polynomial does not split into linear factors over the
     Gaussian rationals, eigenvalue-dependent operations raise
     :class:`~abelmod.errors.NonSplitCharPolyError`.
@@ -20,8 +23,10 @@ A computation never silently mixes modes; combining an exact matrix with
 a float one raises :class:`~abelmod.errors.ModeMismatchError`.
 
 This module is the only one that knows how a :class:`Matrix` is stored
-(rows of :class:`Scalar` when exact, a numpy array when float).  Callers
-stay mode-blind through this surface:
+(integer grids over one denominator when exact, a numpy array when
+float); ``Fraction`` values are built only where a :class:`Scalar` leaves
+a matrix (``Matrix[i, j]``, ``entries``, ``trace``, ``to_json``).
+Callers stay mode-blind through this surface:
 
 * construction: ``Matrix.exact``, ``Matrix.flt``, ``Matrix.identity``,
   ``Matrix.zeros``, ``Matrix.column`` and ``Matrix.diag`` (both taking a
@@ -43,6 +48,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -53,16 +61,11 @@ from .errors import (
     NoSolutionError,
 )
 
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
-    _Q = Fraction
-
 EXACT = "exact"
 FLOAT = "float"
 
-_Q0 = _Q(0)
-_Q1 = _Q(1)
+_Q0 = Fraction(0)
+_Q1 = Fraction(1)
 
 __all__ = [
     "EXACT",
@@ -93,18 +96,16 @@ INVARIANCE_SLACK = 10
 SOLVE_SLACK = 100
 
 
-def _to_q(x) -> object:
+def _to_q(x) -> Fraction:
     """Coerce x to an exact rational.  Strings use the 'p/q' form."""
     if isinstance(x, (int, str)):
-        return _Q(x)
+        return Fraction(x)
     if isinstance(x, Fraction):
-        return _Q(x.numerator, x.denominator)
-    if type(x) is type(_Q0):
         return x
     if isinstance(x, float):
         if x != int(x):
             raise ValueError(f"refusing to coerce non-integral float {x!r} to exact")
-        return _Q(int(x))
+        return Fraction(int(x))
     raise TypeError(f"cannot coerce {type(x).__name__} to exact rational")
 
 
@@ -264,10 +265,13 @@ DEFAULT_FRAME = ToleranceFrame()
 class Matrix:
     """Dense matrix over one scalar mode.
 
-    Exact storage is a list of rows of :class:`Scalar`; float storage is a
-    numpy complex128 array plus the owning :class:`ToleranceFrame`.
-    Instances are treated as immutable; all operations return new
-    matrices.
+    Exact storage is a triple ``(D, R, I)``: the entry (i, j) is
+    ``(R[i][j] + I[i][j] i) / D`` with Python ints, one common
+    denominator ``D > 0`` and ``gcd(D, every numerator) == 1``, so equal
+    matrices have equal storage.  Float storage is a numpy complex128
+    array plus the owning :class:`ToleranceFrame`.  Instances are treated
+    as immutable, and exact grid rows may be shared between them; all
+    operations return new matrices.
     """
 
     __slots__ = ("mode", "rows", "cols", "_a", "frame")
@@ -305,7 +309,7 @@ class Matrix:
         cols = len(data[0]) if rows else 0
         if any(len(r) != cols for r in data):
             raise ValueError("ragged rows")
-        return Matrix(EXACT, rows, cols, data)
+        return _from_scalars(data, rows, cols)
 
     @staticmethod
     def flt(entries, frame: ToleranceFrame | None = None) -> "Matrix":
@@ -317,13 +321,16 @@ class Matrix:
     @staticmethod
     def identity(n: int, mode: str, frame: ToleranceFrame | None = None) -> "Matrix":
         if mode == EXACT:
-            return Matrix.exact([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+            R = [[0] * n for _ in range(n)]
+            for i in range(n):
+                R[i][i] = 1
+            return Matrix(EXACT, n, n, (1, R, _zero_grid(n, n)))
         return Matrix.flt(np.eye(n, dtype=np.complex128), frame)
 
     @staticmethod
     def zeros(rows: int, cols: int, mode: str, frame: ToleranceFrame | None = None) -> "Matrix":
         if mode == EXACT:
-            return Matrix.exact([[0] * cols for _ in range(rows)])
+            return Matrix(EXACT, rows, cols, (1, _zero_grid(rows, cols), _zero_grid(rows, cols)))
         return Matrix.flt(np.zeros((rows, cols), dtype=np.complex128), frame)
 
     @staticmethod
@@ -333,7 +340,7 @@ class Matrix:
             raise ValueError("empty column")
         mode = vals[0].mode
         if mode == EXACT:
-            return Matrix(EXACT, len(vals), 1, [[v] for v in vals])
+            return _from_scalars([[v] for v in vals], len(vals), 1)
         return Matrix.flt(np.array([[v.cx] for v in vals]), frame)
 
     @staticmethod
@@ -342,8 +349,8 @@ class Matrix:
         n = len(vals)
         mode = vals[0].mode
         if mode == EXACT:
-            rows = [[vals[i] if i == j else Scalar.zero(EXACT) for j in range(n)] for i in range(n)]
-            return Matrix(EXACT, n, n, rows)
+            z = Scalar.zero(EXACT)
+            return _from_scalars([[vals[i] if i == j else z for j in range(n)] for i in range(n)], n, n)
         return Matrix.flt(np.diag([v.cx for v in vals]), frame)
 
     @staticmethod
@@ -361,14 +368,15 @@ class Matrix:
                 a[off : off + B.rows, off : off + B.rows] = B._a
                 off += B.rows
             return Matrix(FLOAT, n, n, a, first.frame)
-        z = Scalar.zero(EXACT)
-        rows = []
+        D, parts = _common_denominator(blocks)
+        R, I = [], []
         off = 0
-        for B in blocks:
-            for r in B._a:
-                rows.append([z] * off + list(r) + [z] * (n - off - B.rows))
+        for B, (BR, BI) in zip(blocks, parts):
+            left, right = [0] * off, [0] * (n - off - B.rows)
+            R.extend(left + r + right for r in BR)
+            I.extend(left + r + right for r in BI)
             off += B.rows
-        return Matrix(EXACT, n, n, rows)
+        return Matrix(EXACT, n, n, (D, R, I))
 
     # ------------------------------------------------------------------
     # access
@@ -376,14 +384,13 @@ class Matrix:
     def __getitem__(self, ij) -> Scalar:
         i, j = ij
         if self.mode == EXACT:
-            return self._a[i][j]
+            D, R, I = self._a
+            return Scalar(EXACT, Fraction(R[i][j], D), Fraction(I[i][j], D))
         z = self._a[i, j]
         return Scalar(FLOAT, z.real, z.imag)
 
     def col(self, j: int) -> "Matrix":
-        if self.mode == EXACT:
-            return Matrix(EXACT, self.rows, 1, [[self._a[i][j]] for i in range(self.rows)])
-        return Matrix(FLOAT, self.rows, 1, self._a[:, j : j + 1].copy(), self.frame)
+        return self.submatrix(0, self.rows, j, j + 1)
 
     def col_scalars(self, j: int) -> list[Scalar]:
         return [self[i, j] for i in range(self.rows)]
@@ -392,23 +399,29 @@ class Matrix:
         """Rows r0..r1-1 and columns c0..c1-1, as a new matrix."""
         if self.mode == FLOAT:
             return Matrix(FLOAT, r1 - r0, c1 - c0, self._a[r0:r1, c0:c1].copy(), self.frame)
-        return Matrix(EXACT, r1 - r0, c1 - c0, [row[c0:c1] for row in self._a[r0:r1]])
+        D, R, I = self._a
+        return _exact(D, [r[c0:c1] for r in R[r0:r1]], [r[c0:c1] for r in I[r0:r1]], r1 - r0, c1 - c0)
 
     def strict_lower(self) -> "Matrix":
         """The entries below the diagonal, zeros elsewhere."""
         if self.mode == FLOAT:
             return Matrix(FLOAT, self.rows, self.cols, np.tril(self._a, -1), self.frame)
-        z = Scalar.zero(EXACT)
-        data = [[s if j < i else z for j, s in enumerate(row)] for i, row in enumerate(self._a)]
-        return Matrix(EXACT, self.rows, self.cols, data)
+        D, R, I = self._a
+        c = self.cols
+        keep = [min(i, c) for i in range(self.rows)]
+        R = [r[:k] + [0] * (c - k) for r, k in zip(R, keep)]
+        I = [r[:k] + [0] * (c - k) for r, k in zip(I, keep)]
+        return _exact(D, R, I, self.rows, c)
 
     def to_numpy(self) -> np.ndarray:
         if self.mode == FLOAT:
             return self._a.copy()
+        D, R, I = self._a
+        # int / int is correctly rounded, as float(Fraction) is
         return np.array(
-            [[complex(self._a[i][j].re, self._a[i][j].im) for j in range(self.cols)] for i in range(self.rows)],
+            [[complex(x / D, y / D) for x, y in zip(rr, ri)] for rr, ri in zip(R, I)],
             dtype=np.complex128,
-        )
+        ).reshape(self.rows, self.cols)
 
     def to_float(self, frame: ToleranceFrame | None = None) -> "Matrix":
         """Explicit mode conversion (the only sanctioned exact-to-float path)."""
@@ -430,14 +443,10 @@ class Matrix:
             raise ValueError("shape mismatch in add")
         if self.mode == FLOAT:
             return Matrix(FLOAT, self.rows, self.cols, self._a + other._a, self.frame)
-        data = [
-            [
-                Scalar(EXACT, a.re + b.re, a.im + b.im)
-                for a, b in zip(ra, rb)
-            ]
-            for ra, rb in zip(self._a, other._a)
-        ]
-        return Matrix(EXACT, self.rows, self.cols, data)
+        D, ((Ra, Ia), (Rb, Ib)) = _common_denominator((self, other))
+        R = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(Ra, Rb)]
+        I = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(Ia, Ib)]
+        return _exact(D, R, I, self.rows, self.cols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._chk(other)
@@ -445,17 +454,16 @@ class Matrix:
             raise ValueError("shape mismatch in subtract")
         if self.mode == FLOAT:
             return Matrix(FLOAT, self.rows, self.cols, self._a - other._a, self.frame)
-        data = [
-            [a if not (b.re or b.im) else Scalar(EXACT, a.re - b.re, a.im - b.im) for a, b in zip(ra, rb)]
-            for ra, rb in zip(self._a, other._a)
-        ]
-        return Matrix(EXACT, self.rows, self.cols, data)
+        D, ((Ra, Ia), (Rb, Ib)) = _common_denominator((self, other))
+        R = [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(Ra, Rb)]
+        I = [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(Ia, Ib)]
+        return _exact(D, R, I, self.rows, self.cols)
 
     def __neg__(self) -> "Matrix":
         if self.mode == FLOAT:
             return Matrix(FLOAT, self.rows, self.cols, -self._a, self.frame)
-        data = [[Scalar(EXACT, -s.re, -s.im) for s in row] for row in self._a]
-        return Matrix(EXACT, self.rows, self.cols, data)
+        D, R, I = self._a
+        return Matrix(EXACT, self.rows, self.cols, (D, _negated(R), _negated(I)))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._chk(other)
@@ -463,47 +471,56 @@ class Matrix:
             raise ValueError("shape mismatch in matmul")
         if self.mode == FLOAT:
             return Matrix(FLOAT, self.rows, other.cols, self._a @ other._a, self.frame)
-        B = other._a
-        out = []
-        for i in range(self.rows):
-            arow = self._a[i]
-            orow = []
-            for j in range(other.cols):
-                sr = _Q0
-                si = _Q0
-                for k in range(self.cols):
-                    s = arow[k]
-                    if s.re or s.im:
-                        t = B[k][j]
-                        if t.re or t.im:
-                            sr += s.re * t.re - s.im * t.im
-                            si += s.re * t.im + s.im * t.re
-                orow.append(Scalar(EXACT, sr, si))
-            out.append(orow)
-        return Matrix(EXACT, self.rows, other.cols, out)
+        Da, AR, AI = self._a
+        Db, BR, BI = other._a
+        m = other.cols
+        # columns of B, and of its imaginary part only when it has one;
+        # a vanishing row of A (real or imaginary part) costs no products
+        bre = list(zip(*BR)) or [()] * m
+        bim = list(zip(*BI)) if any(map(any, BI)) else None
+        R, I = [], []
+        for ar, ai in zip(AR, AI):
+            nr, ni = any(ar), any(ai)
+            rr = [sum(map(mul, ar, c)) for c in bre] if nr else [0] * m
+            ri = [sum(map(mul, ai, c)) for c in bre] if ni else [0] * m
+            if bim is not None:
+                if ni:
+                    rr = [s - sum(map(mul, ai, c)) for s, c in zip(rr, bim)]
+                if nr:
+                    ri = [s + sum(map(mul, ar, c)) for s, c in zip(ri, bim)]
+            R.append(rr)
+            I.append(ri)
+        return _exact(Da * Db, R, I, self.rows, m)
 
     def scale(self, c: Scalar) -> "Matrix":
         if self.mode != c.mode:
             raise ModeMismatchError("scaling with scalar of different mode")
         if self.mode == FLOAT:
             return Matrix(FLOAT, self.rows, self.cols, self._a * c.cx, self.frame)
-        data = [
-            [Scalar(EXACT, s.re * c.re - s.im * c.im, s.re * c.im + s.im * c.re) for s in row]
-            for row in self._a
-        ]
-        return Matrix(EXACT, self.rows, self.cols, data)
+        D, R, I = self._a
+        dc = lcm(c.re.denominator, c.im.denominator)
+        p = c.re.numerator * (dc // c.re.denominator)
+        q = c.im.numerator * (dc // c.im.denominator)
+        if q:
+            R, I = (
+                [[p * x - q * y for x, y in zip(rr, ri)] for rr, ri in zip(R, I)],
+                [[q * x + p * y for x, y in zip(rr, ri)] for rr, ri in zip(R, I)],
+            )
+        else:
+            R, I = [[p * x for x in r] for r in R], [[p * y for y in r] for r in I]
+        return _exact(D * dc, R, I, self.rows, self.cols)
 
     def transpose(self) -> "Matrix":
         if self.mode == FLOAT:
             return Matrix(FLOAT, self.cols, self.rows, self._a.T.copy(), self.frame)
-        data = [[self._a[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        return Matrix(EXACT, self.cols, self.rows, data)
+        D, R, I = self._a
+        return Matrix(EXACT, self.cols, self.rows, (D, _transposed(R, self.cols), _transposed(I, self.cols)))
 
     def conj_transpose(self) -> "Matrix":
         if self.mode == FLOAT:
             return Matrix(FLOAT, self.cols, self.rows, self._a.conj().T.copy(), self.frame)
-        data = [[self._a[i][j].conj() for i in range(self.rows)] for j in range(self.cols)]
-        return Matrix(EXACT, self.cols, self.rows, data)
+        D, R, I = self._a
+        return Matrix(EXACT, self.cols, self.rows, (D, _transposed(R, self.cols), _negated(_transposed(I, self.cols))))
 
     def trace(self) -> Scalar:
         if self.rows != self.cols:
@@ -511,11 +528,9 @@ class Matrix:
         if self.mode == FLOAT:
             z = complex(np.trace(self._a))
             return Scalar(FLOAT, z.real, z.imag)
-        sr, si = _Q0, _Q0
-        for i in range(self.rows):
-            sr += self._a[i][i].re
-            si += self._a[i][i].im
-        return Scalar(EXACT, sr, si)
+        D, R, I = self._a
+        n = self.rows
+        return Scalar(EXACT, Fraction(sum(R[i][i] for i in range(n)), D), Fraction(sum(I[i][i] for i in range(n)), D))
 
     def power(self, k: int) -> "Matrix":
         if self.rows != self.cols:
@@ -538,11 +553,10 @@ class Matrix:
         cols = self.cols + sum(o.cols for o in others)
         if self.mode == FLOAT:
             return Matrix(FLOAT, self.rows, cols, np.hstack([self._a] + [o._a for o in others]), self.frame)
-        data = [list(r) for r in self._a]
-        for o in others:
-            for row, extra in zip(data, o._a):
-                row.extend(extra)
-        return Matrix(EXACT, self.rows, cols, data)
+        D, parts = _common_denominator((self,) + others)
+        R = [list(chain.from_iterable(rs)) for rs in zip(*(p[0] for p in parts))]
+        I = [list(chain.from_iterable(rs)) for rs in zip(*(p[1] for p in parts))]
+        return Matrix(EXACT, self.rows, cols, (D, R, I))
 
     def vstack(self, *others: "Matrix") -> "Matrix":
         for o in others:
@@ -552,7 +566,10 @@ class Matrix:
         rows = self.rows + sum(o.rows for o in others)
         if self.mode == FLOAT:
             return Matrix(FLOAT, rows, self.cols, np.vstack([self._a] + [o._a for o in others]), self.frame)
-        return Matrix(EXACT, rows, self.cols, [list(r) for M in (self,) + others for r in M._a])
+        D, parts = _common_denominator((self,) + others)
+        R = [r for p in parts for r in p[0]]
+        I = [r for p in parts for r in p[1]]
+        return Matrix(EXACT, rows, self.cols, (D, R, I))
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product: entry (i p + k, j q + l) is self[i, j] *
@@ -561,33 +578,41 @@ class Matrix:
         rows, cols = self.rows * other.rows, self.cols * other.cols
         if self.mode == FLOAT:
             return Matrix(FLOAT, rows, cols, np.kron(self._a, other._a), self.frame)
-        z = Scalar.zero(EXACT)
-        zeros = [z] * other.cols
-        data = []
-        for ra in self._a:
-            for rb in other._a:
-                row = []
-                for a in ra:
-                    if not (a.re or a.im):
-                        row.extend(zeros)
-                    elif a.re == 1 and not a.im:
-                        row.extend(rb)
+        Da, AR, AI = self._a
+        Db, BR, BI = other._a
+        zeros = [0] * other.cols
+        R, I = [], []
+        for ar, ai in zip(AR, AI):
+            for br, bi in zip(BR, BI):
+                rr, ri = [], []
+                for x, y in zip(ar, ai):
+                    if not (x or y):
+                        rr.extend(zeros)
+                        ri.extend(zeros)
+                    elif not y:
+                        rr.extend(x * u for u in br)
+                        ri.extend(x * v for v in bi)
                     else:
-                        row.extend(a * b if b.re or b.im else z for b in rb)
-                data.append(row)
-        return Matrix(EXACT, rows, cols, data)
+                        rr.extend(x * u - y * v for u, v in zip(br, bi))
+                        ri.extend(x * v + y * u for u, v in zip(br, bi))
+                R.append(rr)
+                I.append(ri)
+        return _exact(Da * Db, R, I, rows, cols)
 
     def norm(self) -> float:
         """Frobenius norm (float in both modes)."""
         if self.mode == FLOAT:
             return float(np.linalg.norm(self._a))
-        return math.sqrt(sum(float(s.abs2()) for row in self._a for s in row))
+        D, R, I = self._a
+        sq = sum(x * x for r in R for x in r) + sum(y * y for r in I for y in r)
+        return math.sqrt(sq / (D * D))
 
     def is_zero(self) -> bool:
         """Entrywise exact zero test (use norms for float comparisons)."""
         if self.mode == FLOAT:
             return not self._a.any()
-        return all(s.is_zero() for row in self._a for s in row)
+        _, R, I = self._a
+        return not (any(map(any, R)) or any(map(any, I)))
 
     def negligible(self, scale: float = 1.0) -> bool:
         """Exact mode: every entry is exactly zero.  Float mode: the
@@ -603,9 +628,12 @@ class Matrix:
             return False
         if self.mode == FLOAT:
             return bool((self._a == other._a).all())
-        return all(a == b for ra, rb in zip(self._a, other._a) for a, b in zip(ra, rb))
+        return self._a == other._a
 
     def __hash__(self):
+        if self.mode == EXACT:
+            D, R, I = self._a
+            return hash((EXACT, self.rows, self.cols, D, tuple(map(tuple, R)), tuple(map(tuple, I))))
         return hash((self.mode, self.rows, self.cols, tuple(self[i, j].cx for i in range(self.rows) for j in range(self.cols))))
 
     def close_to(self, other: "Matrix", tol: float | None = None) -> bool:
@@ -623,85 +651,243 @@ class Matrix:
     # serialization
 
     def to_json(self):
+        if self.mode == EXACT:
+            D, R, I = self._a
+            return [
+                [{"re": _q_text(x, D), "im": _q_text(y, D)} for x, y in zip(rr, ri)]
+                for rr, ri in zip(R, I)
+            ]
         return [[self[i, j].to_json() for j in range(self.cols)] for i in range(self.rows)]
 
     @staticmethod
     def from_json(obj, mode: str, frame: ToleranceFrame | None = None) -> "Matrix":
         rows = [[Scalar.from_json(x, mode) for x in row] for row in obj]
         if mode == EXACT:
-            return Matrix(EXACT, len(rows), len(rows[0]) if rows else 0, rows)
+            return _from_scalars(rows, len(rows), len(rows[0]) if rows else 0)
         return Matrix.flt([[s.cx for s in row] for row in rows], frame)
 
 
 # ----------------------------------------------------------------------
-# exact Gauss-Jordan machinery
+# exact storage helpers: (D, R, I) integer grids over one denominator
 
 
-def _normalized(row: list[Scalar], c: int) -> list[Scalar]:
-    """row divided by its entry in column c (nonzero)."""
-    piv = row[c]
-    pr_, pi_ = piv.re, piv.im
-    den = pr_ * pr_ + pi_ * pi_
-    inv_re, inv_im = pr_ / den, -pi_ / den
-    return [
-        Scalar(EXACT, s.re * inv_re - s.im * inv_im, s.re * inv_im + s.im * inv_re) if s.re or s.im else s
-        for s in row
-    ]
+def _zero_grid(rows: int, cols: int) -> list[list[int]]:
+    return [[0] * cols for _ in range(rows)]
 
 
-def _subtract_multiple(tgt: list[Scalar], src: list[Scalar], f: Scalar, start: int) -> None:
-    """tgt[j] -= f * src[j] in place for j >= start (src is zero before)."""
-    ref, imf = f.re, f.im
-    for j in range(start, len(src)):
-        s = src[j]
-        if s.re or s.im:
-            t = tgt[j]
-            tgt[j] = Scalar(EXACT, t.re - (ref * s.re - imf * s.im), t.im - (ref * s.im + imf * s.re))
+def _negated(G):
+    return [[-x for x in r] for r in G]
 
 
-def _rref_exact(data: list[list[Scalar]], ncols: int):
-    """Reduced row echelon form of a list-of-rows copy.  Returns
-    (rref rows, pivot column list)."""
-    rows = [list(r) for r in data]
-    nrows = len(rows)
+def _transposed(G, cols: int):
+    return [list(c) for c in zip(*G)] or [[] for _ in range(cols)]
+
+
+def _exact(D: int, R, I, rows: int, cols: int) -> Matrix:
+    """An exact matrix from numerators over D > 0, divided through by
+    their common gcd with D."""
+    if D != 1:
+        g = gcd(D, *chain.from_iterable(R), *chain.from_iterable(I))
+        if g != 1:
+            D //= g
+            R = [[x // g for x in r] for r in R]
+            I = [[y // g for y in r] for r in I]
+    return Matrix(EXACT, rows, cols, (D, R, I))
+
+
+def _from_scalars(grid, rows: int, cols: int) -> Matrix:
+    """An exact matrix from a grid of exact Scalars.  Over the lcm of the
+    entries' reduced denominators the numerators share no factor with it."""
+    D = lcm(*(q.denominator for row in grid for s in row for q in (s.re, s.im)))
+    R = [[s.re.numerator * (D // s.re.denominator) for s in row] for row in grid]
+    I = [[s.im.numerator * (D // s.im.denominator) for s in row] for row in grid]
+    return Matrix(EXACT, rows, cols, (D, R, I))
+
+
+def _common_denominator(mats):
+    """(L, [(R, I) per matrix]) with every grid rescaled to L, the lcm of
+    the denominators.  Stacking the rescaled grids of canonical matrices
+    needs no further gcd: each prime power that divides L fully divides
+    one of the denominators, and that matrix has a numerator it does not
+    divide."""
+    L = lcm(*(M._a[0] for M in mats))
+    parts = []
+    for M in mats:
+        D, R, I = M._a
+        f = L // D
+        if f != 1:
+            R = [[f * x for x in r] for r in R]
+            I = [[f * y for y in r] for r in I]
+        parts.append((R, I))
+    return L, parts
+
+
+def _q_text(n: int, D: int) -> str:
+    """str(Fraction(n, D)) without building the Fraction."""
+    g = gcd(n, D)
+    if g == D:
+        return str(n // D)
+    return f"{n // g}/{D // g}"
+
+
+# ----------------------------------------------------------------------
+# exact elimination: fraction-free Gauss-Jordan over Z[i]
+#
+# A working row is a pair (x, y) of int lists, the Gaussian integers
+# x[k] + y[k] i, with y None when the row is real.  Rows are kept
+# primitive: the integer gcd of all their parts is 1.
+
+
+def _primitive(x, y):
+    """(x, y) divided by the gcd of its parts; None for the zero row."""
+    g = gcd(*x, *y) if y is not None else gcd(*x)
+    if g == 0:
+        return None
+    if g != 1:
+        x = [u // g for u in x]
+        if y is not None:
+            y = [v // g for v in y]
+    return x, y
+
+
+def _cancel(row, prow, c: int):
+    """pi * row - f * prow, made primitive, where pi = prow[c] and f =
+    row[c]: the combination that clears column c without division.
+    None when it is the zero row."""
+    x, y = row
+    px, py = prow
+    a, b = px[c], (py[c] if py is not None else 0)
+    e, f = x[c], (y[c] if y is not None else 0)
+    g = gcd(a, b, e, f)
+    a, b, e, f = a // g, b // g, e // g, f // g
+    if y is None and py is None:
+        return _primitive([a * u - e * p for u, p in zip(x, px)], None)
+    zero = [0] * len(x)
+    y = y if y is not None else zero
+    py = py if py is not None else zero
+    nx = [a * u - b * v - e * p + f * q for u, v, p, q in zip(x, y, px, py)]
+    ny = [a * v + b * u - e * q - f * p for u, v, p, q in zip(x, y, px, py)]
+    return _primitive(nx, ny if any(ny) else None)
+
+
+def _rows(M: Matrix):
+    """M's numerator rows as primitive working rows, zero rows dropped.
+    The common denominator does not change the row space."""
+    out = []
+    for x, y in zip(M._a[1], M._a[2]):
+        row = _primitive(x, y if any(y) else None)
+        if row is not None:
+            out.append(row)
+    return out
+
+
+def _nonzero_at(row, c: int) -> bool:
+    return bool(row[0][c] or (row[1] is not None and row[1][c]))
+
+
+def _abs2(row, c: int) -> int:
+    x, y = row
+    return x[c] * x[c] + (y[c] * y[c] if y is not None else 0)
+
+
+def _rref_exact(M: Matrix, full: bool = True):
+    """Fraction-free Gauss-Jordan elimination of M.  Returns (rows,
+    pivots): rows[r] is the r-th row of the reduced row echelon form
+    times its entry in column pivots[r].  With full=False only the rows
+    below each pivot are cleared, which is all rank needs.
+
+    The reduced echelon form is unique, so the choice of pivot row (the
+    one with the smallest pivot) does not change the result; it only
+    keeps the integers small."""
+    work = _rows(M)
+    done = []
     pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c].re or rows[i][c].im:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        rows[r] = _normalized(rows[r], c)
-        for i in range(nrows):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f.re or f.im:
-                _subtract_multiple(rows[i], rows[r], f, c)
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+    for c in range(M.cols):
+        if not work:
             break
-    return rows, pivots
+        cand = [k for k, row in enumerate(work) if _nonzero_at(row, c)]
+        if not cand:
+            continue
+        prow = work.pop(min(cand, key=lambda k: _abs2(work[k], c)))
+        rest = []
+        for row in work:
+            if _nonzero_at(row, c):
+                row = _cancel(row, prow, c)
+            if row is not None:
+                rest.append(row)
+        work = rest
+        if full:
+            done = [_cancel(row, prow, c) if _nonzero_at(row, c) else row for row in done]
+        done.append(prow)
+        pivots.append(c)
+    return done, pivots
+
+
+def _reduced(rows, pivots, cols: Sequence[int]):
+    """(D, R, I): the entries in columns cols of the reduced echelon rows,
+    that is rows[r][j] / rows[r][pivots[r]], over one denominator."""
+    parts = []
+    for (x, y), p in zip(rows, pivots):
+        xs = [x[j] for j in cols]
+        ys = [y[j] for j in cols] if y is not None else [0] * len(xs)
+        a, b = x[p], (y[p] if y is not None else 0)
+        if b:
+            # (u + v i) / (a + b i) = ((u a + v b) + (v a - u b) i) / (a^2 + b^2)
+            den = a * a + b * b
+            xs, ys = [u * a + v * b for u, v in zip(xs, ys)], [v * a - u * b for u, v in zip(xs, ys)]
+        else:
+            den = a  # may be negative: L // den below carries the sign
+        g = gcd(den, *xs, *ys)
+        if g != 1:
+            den, xs, ys = den // g, [u // g for u in xs], [v // g for v in ys]
+        parts.append((den, xs, ys))
+    L = lcm(*(den for den, _, _ in parts))
+    R = [[u * (L // den) for u in xs] for den, xs, _ in parts]
+    I = [[v * (L // den) for v in ys] for den, _, ys in parts]
+    return L, R, I
+
+
+def _kernel(rows, pivots, n: int) -> Matrix | None:
+    """The canonical kernel basis (one column per free column among the
+    first n, unit in its free coordinate) read off reduced echelon rows,
+    as one n x k matrix; None when there is no free column."""
+    pivset = set(pivots)
+    free = [c for c in range(n) if c not in pivset]
+    if not free:
+        return None
+    D, BR, BI = _reduced(rows, pivots, free)
+    R, I = _zero_grid(n, len(free)), _zero_grid(n, len(free))
+    for r, p in enumerate(pivots):
+        R[p] = [-u for u in BR[r]]
+        I[p] = [-v for v in BI[r]]
+    for k, f in enumerate(free):
+        R[f][k] = D
+    return Matrix(EXACT, n, len(free), (D, R, I))
+
+
+def _pivot_block(rows, pivots, c0: int, c1: int, n: int) -> Matrix:
+    """The n x (c1 - c0) matrix whose row p is the reduced echelon row with
+    pivot p restricted to columns c0..c1-1, and zero where p is no pivot."""
+    D, BR, BI = _reduced(rows, pivots, range(c0, c1))
+    R, I = _zero_grid(n, c1 - c0), _zero_grid(n, c1 - c0)
+    for r, p in enumerate(pivots):
+        R[p], I[p] = BR[r], BI[r]
+    return Matrix(EXACT, n, c1 - c0, (D, R, I))
 
 
 class Span:
     """Incremental linear independence of n x 1 columns.
 
-    Exact mode keeps one row per accepted vector, reduced by the
-    elimination step of the Gauss-Jordan pass and scaled to 1 at its
-    pivot; float mode keeps orthonormal vectors and rejects a vector
-    whose residual is at most eps_rank times its norm."""
+    Exact mode keeps one primitive Gaussian-integer row per accepted
+    vector, reduced against the earlier rows by the fraction-free step
+    of the Gauss-Jordan pass; float mode keeps orthonormal vectors and
+    rejects a vector whose residual is at most eps_rank times its norm."""
 
     def __init__(self, n: int, mode: str, frame: ToleranceFrame | None = None):
         self.n = n
         self.mode = mode
         self.frame = frame or DEFAULT_FRAME
-        self.basis = []  # exact: (pivot, reduced row); float: orthonormal numpy vectors
+        self.basis = []  # exact: (pivot, working row); float: orthonormal numpy vectors
 
     @property
     def dim(self) -> int:
@@ -710,15 +896,18 @@ class Span:
     def add(self, vec: Matrix) -> bool:
         """Try to add a column; True if it enlarged the span."""
         if self.mode == EXACT:
-            cur = [row[0] for row in vec._a]
+            _, R, I = vec._a
+            y = [r[0] for r in I]
+            cur = _primitive([r[0] for r in R], y if any(y) else None)
             for pivot, row in self.basis:
-                c = cur[pivot]
-                if c.re or c.im:
-                    _subtract_multiple(cur, row, c, pivot)
-            pivot = next((k for k, s in enumerate(cur) if s.re or s.im), None)
-            if pivot is None:
+                if cur is None:
+                    return False
+                if _nonzero_at(cur, pivot):
+                    cur = _cancel(cur, row, pivot)
+            if cur is None:
                 return False
-            self.basis.append((pivot, _normalized(cur, pivot)))
+            pivot = next(k for k in range(self.n) if _nonzero_at(cur, k))
+            self.basis.append((pivot, cur))
             return True
         r = vec._a.reshape(-1)
         nrm = np.linalg.norm(r)
@@ -740,8 +929,7 @@ def rank(M: Matrix) -> int:
     if M.rows == 0 or M.cols == 0:
         return 0
     if M.mode == EXACT:
-        _, pivots = _rref_exact(M._a, M.cols)
-        return len(pivots)
+        return len(_rref_exact(M, full=False)[1])
     s = np.linalg.svd(M._a, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
@@ -757,17 +945,8 @@ def kernel_basis(M: Matrix) -> list[Matrix]:
     below the rank threshold.
     """
     if M.mode == EXACT:
-        rref, pivots = _rref_exact(M._a, M.cols)
-        pivset = set(pivots)
-        free = [c for c in range(M.cols) if c not in pivset]
-        basis = []
-        for f in free:
-            vec = [Scalar.zero(EXACT) for _ in range(M.cols)]
-            vec[f] = Scalar.one(EXACT)
-            for r_i, p in enumerate(pivots):
-                vec[p] = -rref[r_i][f]
-            basis.append(Matrix(EXACT, M.cols, 1, [[v] for v in vec]))
-        return basis
+        K = _kernel(*_rref_exact(M), M.cols)
+        return [] if K is None else [K.col(k) for k in range(K.cols)]
     u, s, vh = np.linalg.svd(M._a)
     smax = s[0] if s.size else 0.0
     r = int((s > M.frame.eps_rank * smax).sum()) if smax > 0.0 else 0
@@ -788,33 +967,21 @@ def solve(A: Matrix, b: Matrix) -> Matrix:
             raise NoSolutionError("right-hand side outside the column space")
         x, *_ = np.linalg.lstsq(A._a, b._a, rcond=None)
         return Matrix(FLOAT, A.cols, 1, x, A.frame)
-    aug = A.hstack(b)
-    rref, pivots = _rref_exact(aug._a, aug.cols)
-    if A.cols in pivots:
+    n = A.cols
+    rows, pivots = _rref_exact(A.hstack(b))
+    if n in pivots:
         raise NoSolutionError("right-hand side outside the column space")
-    x = [Scalar.zero(EXACT) for _ in range(A.cols)]
-    for r_i, p in enumerate(pivots):
-        x[p] = rref[r_i][A.cols]
-    x0 = Matrix(EXACT, A.cols, 1, [[v] for v in x])
-    ker = kernel_basis(A)
-    if not ker:
+    x0 = _pivot_block(rows, pivots, n, n + 1, n)
+    # b is no pivot column, so the first n columns are the reduced
+    # echelon form of A itself and carry its kernel
+    K = _kernel(rows, pivots, n)
+    if K is None:
         return x0
     # project the particular solution onto the orthogonal complement of
-    # the kernel (Hermitian inner product), exactly
-    K = ker[0]
-    for k in ker[1:]:
-        K = K.hstack(k)
+    # the kernel (Hermitian inner product), exactly: K^H K c = K^H x0
     Kh = K.conj_transpose()
-    G = Kh @ K
-    rhs = Kh @ x0
-    aug2 = G.hstack(rhs)
-    rr2, piv2 = _rref_exact(aug2._a, aug2.cols)
-    c = [Scalar.zero(EXACT) for _ in range(K.cols)]
-    for r_i, p in enumerate(piv2):
-        if p < K.cols:
-            c[p] = rr2[r_i][K.cols]
-    corr = K @ Matrix(EXACT, K.cols, 1, [[v] for v in c])
-    return x0 - corr
+    rows2, piv2 = _rref_exact((Kh @ K).hstack(Kh @ x0))
+    return x0 - K @ _pivot_block(rows2, piv2, K.cols, K.cols + 1, K.cols)
 
 
 def solve_matrix(A: Matrix, B: Matrix) -> Matrix:
@@ -831,14 +998,12 @@ def solve_matrix(A: Matrix, B: Matrix) -> Matrix:
         if np.abs(resid).max(initial=0.0) > A.frame.eps_eq * scale * SOLVE_SLACK:
             raise NoSolutionError("columns outside the column space")
         return Matrix(FLOAT, A.cols, B.cols, x, A.frame)
-    aug = A.hstack(B)
-    rref, pivots = _rref_exact(aug._a, aug.cols)
+    rows, pivots = _rref_exact(A.hstack(B))
     if any(p >= A.cols for p in pivots):
         raise NoSolutionError("columns outside the column space")
     if len(pivots) < A.cols:
         raise ValueError("coefficient matrix is column rank deficient")
-    data = [rref[r][A.cols :] for r in range(A.cols)]
-    return Matrix(EXACT, A.cols, B.cols, data)
+    return _pivot_block(rows, pivots, A.cols, A.cols + B.cols, A.cols)
 
 
 def inverse(M: Matrix) -> Matrix:
@@ -849,12 +1014,11 @@ def inverse(M: Matrix) -> Matrix:
         if rank(M) < M.rows:
             raise ValueError("singular matrix")
         return Matrix(FLOAT, M.rows, M.cols, np.linalg.inv(M._a), M.frame)
-    aug = M.hstack(Matrix.identity(M.rows, EXACT))
-    rref, pivots = _rref_exact(aug._a, aug.cols)
-    if len(pivots) < M.rows or pivots[M.rows - 1] != M.rows - 1:
+    n = M.rows
+    rows, pivots = _rref_exact(M.hstack(Matrix.identity(n, EXACT)))
+    if len(pivots) < n or pivots[n - 1] != n - 1:
         raise ValueError("singular matrix")
-    data = [row[M.cols :] for row in rref[: M.rows]]
-    return Matrix(EXACT, M.rows, M.cols, data)
+    return _pivot_block(rows, pivots, n, 2 * n, n)
 
 
 # ----------------------------------------------------------------------
@@ -881,25 +1045,34 @@ def char_poly(M: Matrix) -> list[Scalar]:
     return cs[::-1] + coeffs  # [c0..c_{n-1}, 1]
 
 
-def _poly_eval(coeffs: list[Scalar], x: Scalar) -> Scalar:
-    acc = Scalar.zero(EXACT)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def _poly_deflate(coeffs: list[Scalar], lam: Scalar) -> list[Scalar] | None:
-    """Divide by (x - lam); returns quotient coefficients or None when the
-    remainder is nonzero."""
-    n = len(coeffs) - 1
-    out = [None] * n
-    acc = coeffs[n]
+def _poly_deflate(poly, lam: Scalar):
+    """Exact division of the polynomial (D, A, B), coefficients (A[k] +
+    B[k] i) / D, by (x - lam); the quotient in the same form, or None when
+    the remainder is nonzero.  With lam = (a + b i) / q the Horner
+    accumulator after j steps is an integer pair over D q^j."""
+    D, A, B = poly
+    q = lcm(lam.re.denominator, lam.im.denominator)
+    a = lam.re.numerator * (q // lam.re.denominator)
+    b = lam.im.numerator * (q // lam.im.denominator)
+    n = len(A) - 1
+    X, Y = A[n], B[n]
+    QX, QY = [0] * n, [0] * n
+    qj = 1
     for k in range(n - 1, -1, -1):
-        out[k] = acc
-        acc = coeffs[k] + lam * acc
-    if acc.is_zero():
-        return out
-    return None
+        QX[k], QY[k] = X, Y
+        qj *= q
+        X, Y = A[k] * qj + a * X - b * Y, B[k] * qj + a * Y + b * X
+    if X or Y:
+        return None
+    # coefficient k is over D q^(n-1-k); bring all to D q^(n-1)
+    qk = 1
+    for k in range(n):
+        QX[k] *= qk
+        QY[k] *= qk
+        qk *= q
+    D *= q ** (n - 1)
+    g = gcd(D, *QX, *QY)
+    return D // g, [x // g for x in QX], [y // g for y in QY]
 
 
 _DEN_BOUNDS = (1, 2, 6, 16, 120, 1024, 10**4, 10**6)
@@ -919,12 +1092,19 @@ def exact_roots(coeffs: list[Scalar]) -> list[tuple[Scalar, int]]:
     verified roots are accepted, so the accept path carries no floating
     point error.
     """
-    work = list(coeffs)
+    D = lcm(*(q.denominator for c in coeffs for q in (c.re, c.im)))
+    work = (
+        D,
+        [c.re.numerator * (D // c.re.denominator) for c in coeffs],
+        [c.im.numerator * (D // c.im.denominator) for c in coeffs],
+    )
     found: dict[tuple, int] = {}
     order: list[Scalar] = []
-    while len(work) > 1:
-        deg = len(work) - 1
-        arr = np.array([c.cx for c in work], dtype=np.complex128)
+    while len(work[1]) > 1:
+        D, A, B = work
+        deg = len(A) - 1
+        # int / int is correctly rounded, as float(Fraction) is
+        arr = np.array([complex(x / D, y / D) for x, y in zip(A, B)], dtype=np.complex128)
         rts = np.roots(arr[::-1])
         scale = 1.0 + max(abs(r) for r in rts)
         tol = 1e-5 * scale
@@ -941,14 +1121,18 @@ def exact_roots(coeffs: list[Scalar]) -> list[tuple[Scalar, int]]:
         progressed = False
         for cl in clusters:
             mean = sum(cl) / len(cl)
+            tried = None
             for bound in _DEN_BOUNDS:
                 cand = Scalar(EXACT, _reconstruct(mean.real, bound), _reconstruct(mean.imag, bound))
+                if cand == tried:
+                    continue  # a looser bound gave the same rational
+                tried = cand
                 quot = _poly_deflate(work, cand)
                 if quot is not None:
                     key = (cand.re, cand.im)
                     mult = 1
                     work = quot
-                    while len(work) > 1:
+                    while len(work[1]) > 1:
                         q2 = _poly_deflate(work, cand)
                         if q2 is None:
                             break

@@ -213,6 +213,54 @@ class TestHilbCommands:
         assert _read(tmp_path, "out.json")["error"] == "TauZero"
 
 
+def _rees_doc(mode):
+    one, zero, two = ("1", "0", "2") if mode == "exact" else (1.0, 0.0, 2.0)
+    return {
+        "m": 1,
+        "n": 2,
+        "mode": mode,
+        "B": [[[_sc(one, zero), _sc(one, zero)], [_sc(zero, zero), _sc(two, zero)]]],
+        "g": [[_sc(one, zero), _sc(zero, zero)], [_sc(zero, zero), _sc(one, zero)]],
+    }
+
+
+class TestNonFiniteParameters:
+    """nan, inf and literals beyond double range are malformed parameters,
+    refused when parsed: exit 1 with a Malformed report in the output
+    file and nothing on stdout."""
+
+    def _rejected(self, tmp_path, capsys, argv):
+        rc = main(argv + ["--out", str(tmp_path / "out.json")])
+        assert rc == 1
+        assert capsys.readouterr().out == ""
+        doc = _read(tmp_path, "out.json")
+        assert doc["error"] == "Malformed"
+        assert "is not finite" in doc["detail"]
+
+    def test_hodge_tau_nan(self, tmp_path, capsys):
+        inp = _write(tmp_path, "in.json", _hilb_doc())
+        main(["rh-transform", "--from", "betti", "--to", "derham", "--in", inp, "--out", str(tmp_path / "mid.json")])
+        mid = _read(tmp_path, "mid.json")
+        mid.pop("schema")
+        inp2 = _write(tmp_path, "mid2.json", mid)
+        self._rejected(tmp_path, capsys, ["hodge-deform", "--tau", "nan", "--in", inp2])
+
+    @pytest.mark.parametrize("mode", ["exact", "float"])
+    def test_rees_t_nan(self, tmp_path, capsys, mode):
+        inp = _write(tmp_path, "in.json", _rees_doc(mode))
+        self._rejected(tmp_path, capsys, ["rees", "--weights", "1,0", "--t", "nan", "--in", inp])
+
+    def test_rees_t_overflow_in_float_mode(self, tmp_path, capsys):
+        inp = _write(tmp_path, "in.json", _rees_doc("float"))
+        self._rejected(tmp_path, capsys, ["rees", "--weights", "1,0", "--t", "1e999", "--in", inp])
+
+    def test_huge_decimal_stays_exact_in_exact_mode(self, tmp_path):
+        inp = _write(tmp_path, "in.json", _rees_doc("exact"))
+        rc = main(["rees", "--weights", "1,0", "--t", "1e999", "--in", inp, "--out", str(tmp_path / "out.json")])
+        assert rc == 0
+        assert _read(tmp_path, "out.json")["B"][0][0][1] == _sc("1" + "0" * 999)
+
+
 class TestPlumbing:
     def test_unknown_flag_rejected(self, tmp_path):
         inp = _write(tmp_path, "in.json", _unstable_diag())
