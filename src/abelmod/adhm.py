@@ -655,9 +655,10 @@ def ideal_normal_form(M: MarkedTuple) -> IdealNormalForm:
     under evaluation at the tuple applied to the marking is independent of
     the images already accepted.  The accepted set is the complement of
     the leading-term ideal, hence closed under division; the
-    multiplication matrices are the tuple rewritten in the image basis."""
-    if not is_stable(M):
-        raise NotStableError("ideal normal form needs a cyclic marking")
+    multiplication matrices are the tuple rewritten in the image basis.
+    The accepted images span an invariant subspace holding the marking,
+    so the walk closes short of n exactly when the marking is not cyclic
+    (NotStable)."""
     T, v = M.tuple, M.v
     n, m = T.n, T.m
     zero = (0,) * m
@@ -682,7 +683,7 @@ def ideal_normal_form(M: MarkedTuple) -> IdealNormalForm:
                 images[child] = T.B[j] @ img
                 heapq.heappush(heap, (_grlex_key(child), child))
     if len(staircase) < n:
-        raise NotStableError("staircase closed before reaching full length")
+        raise NotStableError("ideal normal form needs a cyclic marking")
     P = images[staircase[0]].hstack(*(images[e] for e in staircase[1:]))
     mult = [solve_matrix(P, T.B[j] @ P) for j in range(m)]
     return IdealNormalForm(staircase, mult)

@@ -69,10 +69,6 @@ class Poly:
                     self.terms[tuple(e)] = c
 
     @staticmethod
-    def constant(d: int, c: Scalar) -> "Poly":
-        return Poly(d, c.mode, {(0,) * d: c})
-
-    @staticmethod
     def coordinate(d: int, k: int, mode: str = EXACT) -> "Poly":
         e = [0] * d
         e[k] = 1

@@ -8,10 +8,13 @@ Everything downstream works over one of two modes:
     denominator; a :class:`Scalar` entry is two ``Fraction`` values in
     lowest terms.  Results are reproducible bit for bit: rank, kernels,
     solutions and inverses come from fraction-free Gauss-Jordan
-    elimination over the Gaussian integers, eigenvalues from a verified
-    search for roots of the characteristic polynomial.  When the
-    characteristic polynomial does not split into linear factors over the
-    Gaussian rationals, eigenvalue-dependent operations raise
+    elimination over the Gaussian integers.  Eigenvalues are the roots of
+    the characteristic polynomial, which rescaled by the lcm D of its
+    coefficient denominators are Gaussian integers over D: each is found
+    by an integer Newton walk from a float root and accepted only when it
+    divides the polynomial exactly over Z[i].  When the characteristic
+    polynomial does not split into linear factors over the Gaussian
+    rationals, eigenvalue-dependent operations raise
     :class:`~abelmod.errors.NonSplitCharPolyError`.
 
 ``float``
@@ -207,10 +210,6 @@ class Scalar:
     def conj(self) -> "Scalar":
         return Scalar(self.mode, self.re, -self.im)
 
-    def abs2(self):
-        """|z|^2, exact in exact mode."""
-        return self.re * self.re + self.im * self.im
-
     def __abs__(self) -> float:
         return math.hypot(float(self.re), float(self.im))
 
@@ -391,9 +390,6 @@ class Matrix:
 
     def col(self, j: int) -> "Matrix":
         return self.submatrix(0, self.rows, j, j + 1)
-
-    def col_scalars(self, j: int) -> list[Scalar]:
-        return [self[i, j] for i in range(self.rows)]
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "Matrix":
         """Rows r0..r1-1 and columns c0..c1-1, as a new matrix."""
@@ -1045,112 +1041,113 @@ def char_poly(M: Matrix) -> list[Scalar]:
     return cs[::-1] + coeffs  # [c0..c_{n-1}, 1]
 
 
-def _poly_deflate(poly, lam: Scalar):
-    """Exact division of the polynomial (D, A, B), coefficients (A[k] +
-    B[k] i) / D, by (x - lam); the quotient in the same form, or None when
-    the remainder is nonzero.  With lam = (a + b i) / q the Horner
-    accumulator after j steps is an integer pair over D q^j."""
-    D, A, B = poly
-    q = lcm(lam.re.denominator, lam.im.denominator)
-    a = lam.re.numerator * (q // lam.re.denominator)
-    b = lam.im.numerator * (q // lam.im.denominator)
-    n = len(A) - 1
-    X, Y = A[n], B[n]
-    QX, QY = [0] * n, [0] * n
-    qj = 1
-    for k in range(n - 1, -1, -1):
-        QX[k], QY[k] = X, Y
-        qj *= q
-        X, Y = A[k] * qj + a * X - b * Y, B[k] * qj + a * Y + b * X
-    if X or Y:
-        return None
-    # coefficient k is over D q^(n-1-k); bring all to D q^(n-1)
-    qk = 1
-    for k in range(n):
-        QX[k] *= qk
-        QY[k] *= qk
-        qk *= q
-    D *= q ** (n - 1)
-    g = gcd(D, *QX, *QY)
-    return D // g, [x // g for x in QX], [y // g for y in QY]
+def _divide(P, y):
+    """Synthetic division over Z[i] of P, coefficient pairs (re, im) from
+    degree 0 up, by (x - y): the quotient and the remainder P(y)."""
+    a, b = y
+    X = Y = 0
+    Q = []
+    for A, B in reversed(P):
+        Q.append((X, Y))
+        X, Y = A + a * X - b * Y, B + a * Y + b * X
+    return Q[:0:-1], (X, Y)
 
 
-_DEN_BOUNDS = (1, 2, 6, 16, 120, 1024, 10**4, 10**6)
+def _taylor(P, y, count: int):
+    """The first count Taylor coefficients P^(j)(y) / j! of P at y."""
+    t = []
+    for _ in range(count):
+        P, r = _divide(P, y)
+        t.append(r)
+    return t
 
 
-def _reconstruct(x: float, bound: int):
-    return _to_q(Fraction(x).limit_denominator(bound))
+def _nearest(x: float, D: int) -> int:
+    """The integer nearest to x * D, computed exactly."""
+    a, b = x.as_integer_ratio()
+    return (2 * a * D + b) // (2 * b)
+
+
+def _seeds(P, c, D: int):
+    """Gaussian integers near the roots of P as seen from the Gaussian
+    integer c: c + D z for the float roots z of P(c + D x) / D^n, whose
+    coefficients are the exact Taylor coefficients of P at c, each rounded
+    once.  A root at distance r from c comes out within about eps * r, so
+    roots that crowd together far from c separate when seen from near
+    them."""
+    n = len(P) - 1
+    t = _taylor(P, c, n + 1)
+    # int / int is correctly rounded, as float(Fraction) is
+    z = np.roots(np.array([complex(a / D ** (n - j), b / D ** (n - j)) for j, (a, b) in enumerate(t)][::-1]))
+    return [(c[0] + _nearest(w.real, D), c[1] + _nearest(w.imag, D)) for w in z]
+
+
+def _newton(P, y):
+    """Walk the Gaussian integer y towards a root of P by Newton steps on
+    P / P', rounded to Z[i]; P / P' has each root of P as a simple root,
+    so the walk converges quadratically at multiple roots too.  The walk
+    ends where the rounded step is zero or the exact step is no shorter
+    than the one before.  It visits no point twice and keeps to where the
+    step, about y minus the mean root when |y| is large, is shorter than
+    the first one, so it ends."""
+    last = None
+    while True:
+        p0, p1, p2 = _taylor(P, y, 3)
+        # step P P' / (P'^2 - P P''), as u / (c + d i)
+        u = (p0[0] * p1[0] - p0[1] * p1[1], p0[0] * p1[1] + p0[1] * p1[0])
+        c = p1[0] * p1[0] - p1[1] * p1[1] - 2 * (p0[0] * p2[0] - p0[1] * p2[1])
+        d = 2 * (p1[0] * p1[1] - p0[0] * p2[1] - p0[1] * p2[0])
+        n = c * c + d * d
+        size = (u[0] * u[0] + u[1] * u[1], n)  # |step|^2 as a fraction
+        if not n or (last is not None and size[0] * last[1] >= last[0] * n):
+            return y
+        s = ((2 * (u[0] * c + u[1] * d) + n) // (2 * n), (2 * (u[1] * c - u[0] * d) + n) // (2 * n))
+        if s == (0, 0):
+            return y
+        y, last = (y[0] - s[0], y[1] - s[1]), size
 
 
 def exact_roots(coeffs: list[Scalar]) -> list[tuple[Scalar, int]]:
-    """All roots of a monic exact polynomial, with multiplicity, provided
-    every root is a Gaussian rational with numerator/denominator within
-    the search bounds.  Raises NonSplitCharPoly otherwise.
+    """All roots of a monic exact polynomial with their multiplicities,
+    sorted by (Re, Im).  Raises NonSplitCharPoly when they are not all
+    Gaussian rationals.
 
-    Roots are located numerically, clustered, rounded to small-denominator
-    Gaussian rationals and then verified by exact division; only exactly
-    verified roots are accepted, so the accept path carries no floating
-    point error.
+    With D the lcm of the coefficient denominators, y = D x turns the
+    polynomial into a monic one over Z[i], which is integrally closed, so
+    every Gaussian-rational root is a Gaussian integer over D.  The float
+    roots of the polynomial seed integer Newton walks (:func:`_newton`);
+    a walk's end point is accepted only when exact synthetic division over
+    Z[i] leaves no remainder, and dividing again gives its multiplicity.
+    When a pass leaves roots unfound, the next pass seeds from a point
+    where a walk stopped short (:func:`_seeds`), where a cluster of roots
+    too tight for the first float roots comes apart; two passes in a row
+    that find nothing mean the rest does not split.  The accept path
+    carries no floating point error.
     """
     D = lcm(*(q.denominator for c in coeffs for q in (c.re, c.im)))
-    work = (
-        D,
-        [c.re.numerator * (D // c.re.denominator) for c in coeffs],
-        [c.im.numerator * (D // c.im.denominator) for c in coeffs],
-    )
-    found: dict[tuple, int] = {}
-    order: list[Scalar] = []
-    while len(work[1]) > 1:
-        D, A, B = work
-        deg = len(A) - 1
-        # int / int is correctly rounded, as float(Fraction) is
-        arr = np.array([complex(x / D, y / D) for x, y in zip(A, B)], dtype=np.complex128)
-        rts = np.roots(arr[::-1])
-        scale = 1.0 + max(abs(r) for r in rts)
-        tol = 1e-5 * scale
-        # transitive clustering
-        remaining = sorted(rts, key=lambda z: (z.real, z.imag))
-        clusters: list[list[complex]] = []
-        for z in remaining:
-            for cl in clusters:
-                if abs(z - cl[0]) <= tol:
-                    cl.append(z)
-                    break
-            else:
-                clusters.append([z])
-        progressed = False
-        for cl in clusters:
-            mean = sum(cl) / len(cl)
-            tried = None
-            for bound in _DEN_BOUNDS:
-                cand = Scalar(EXACT, _reconstruct(mean.real, bound), _reconstruct(mean.imag, bound))
-                if cand == tried:
-                    continue  # a looser bound gave the same rational
-                tried = cand
-                quot = _poly_deflate(work, cand)
-                if quot is not None:
-                    key = (cand.re, cand.im)
-                    mult = 1
-                    work = quot
-                    while len(work[1]) > 1:
-                        q2 = _poly_deflate(work, cand)
-                        if q2 is None:
-                            break
-                        work = q2
-                        mult += 1
-                    if key in found:
-                        found[key] += mult
-                    else:
-                        found[key] = mult
-                        order.append(cand)
-                    progressed = True
-                    break
-            if progressed:
-                break
-        if not progressed:
-            raise NonSplitCharPolyError(f"no Gaussian-rational root found at degree {deg}")
-    order.sort(key=lambda s: (s.re, s.im))
-    return [(lam, found[(lam.re, lam.im)]) for lam in order]
+    n = len(coeffs) - 1
+    # coefficient k of P(y) = D^n p(y / D) is the Gaussian integer c_k D^(n - k)
+    P = [((c.re * D ** (n - k)).numerator, (c.im * D ** (n - k)).numerator) for k, c in enumerate(coeffs[:-1])]
+    P.append((1, 0))
+    roots = []
+    center, stuck = (0, 0), False
+    while len(P) > 1:
+        found, stall = False, None
+        for y in _seeds(P, center, D):
+            y = _newton(P, y)
+            mult = 0
+            while not any((q := _divide(P, y))[1]):
+                P, mult = q[0], mult + 1
+            if mult:
+                roots.append((Scalar(EXACT, Fraction(y[0], D), Fraction(y[1], D)), mult))
+                found = True
+            elif stall is None:
+                stall = y
+        if stuck and not found:
+            raise NonSplitCharPolyError(f"no Gaussian-rational root found at degree {len(P) - 1}")
+        center, stuck = stall or (0, 0), not found
+    roots.sort(key=lambda t: (t[0].re, t[0].im))
+    return roots
 
 
 def _float_eig_clusters(M: Matrix) -> list[tuple[complex, float]]:

@@ -261,6 +261,36 @@ class TestNonFiniteParameters:
         assert _read(tmp_path, "out.json")["B"][0][0][1] == _sc("1" + "0" * 999)
 
 
+class TestToleranceFlags:
+    """A tolerance frame the flags cannot build (a non-positive or nan
+    tolerance, eps_eq above eps_lattice) is malformed input: exit 1 with
+    a Malformed report, no traceback."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--eps-eq", "1e-6"], ["--eps-rank", "-1"], ["--eps-eq", "nan"]],
+        ids=["eq-above-lattice", "negative-rank", "nan-eq"],
+    )
+    def test_bad_frame_is_malformed(self, tmp_path, capsys, flags):
+        inp = _write(tmp_path, "in.json", _stable_pair())
+        rc = main(["spectrum", "--mode", "float", "--in", inp, "--out", str(tmp_path / "out.json")] + flags)
+        assert rc == 1
+        assert capsys.readouterr().out == ""
+        doc = _read(tmp_path, "out.json")
+        assert doc["schema"] == "abelmod/1" and doc["error"] == "Malformed"
+
+
+class TestCheckUsage:
+    @pytest.mark.parametrize(
+        "flags", [["--n-max", "0"], ["--n-max", "1"], ["--d-max", "0"], ["--n-max", "-3"]]
+    )
+    def test_sizes_below_minimum_are_usage_errors(self, tmp_path, capsys, flags):
+        rc = main(["check", "--samples", "2", "--out", str(tmp_path / "out.json")] + flags)
+        assert rc == 1
+        assert "must be at least" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
+
 class TestPlumbing:
     def test_unknown_flag_rejected(self, tmp_path):
         inp = _write(tmp_path, "in.json", _unstable_diag())

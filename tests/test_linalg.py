@@ -25,7 +25,7 @@ from abelmod.linalg import (
     solve,
     solve_matrix,
 )
-from abelmod.errors import NoSolutionError
+from abelmod.errors import NonSplitCharPolyError, NoSolutionError
 
 
 class TestScalar:
@@ -142,6 +142,40 @@ class TestCharPoly:
         B = Matrix.exact([[0, -1], [1, 0]])
         roots = {lam for lam, _ in exact_roots(char_poly(B))}
         assert roots == {Scalar.exact(0, 1), Scalar.exact(0, -1)}
+
+    def test_large_denominators_split(self):
+        q = Scalar.exact(Fraction(1, 2**30))
+        assert exact_roots(char_poly(Matrix.exact([[q]]))) == [(q, 1)]
+        a, b = Scalar.exact("1/3"), Scalar.exact(Fraction(1, 3) + Fraction(1, 10**6))
+        assert exact_roots(char_poly(Matrix.diag([a, b]))) == [(a, 1), (b, 1)]
+        # the benchmark's fault instance: the bidiagonal member with
+        # diagonal (1/2^30, 1/3), conjugated by a shear
+        U = Matrix.exact([[q, 1], [0, a]])
+        g = Matrix.exact([[1, 1], [0, 1]])
+        assert exact_roots(char_poly(inverse(g) @ U @ g)) == [(q, 1), (a, 1)]
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [11478514133291, 11478514133294],
+            # float roots of this pair come out as a complex-conjugate pair
+            [2199023206395, 2199023304699],
+            [(-109700, -1), -109700, (-109700, 2)],
+            [(0, 81), (0, 81), ("1/146", 81), ("1/146", 81)],
+        ],
+        ids=["close-pair", "conjugate-seeds", "lattice-cluster", "double-pair"],
+    )
+    def test_tight_clusters_split(self, values):
+        """Roots too close for the float seeds: a walk stops between
+        them, and seeding again from there separates them."""
+        lams = [Scalar.exact(*v) if isinstance(v, tuple) else Scalar.exact(v) for v in values]
+        want = sorted(((lam, lams.count(lam)) for lam in set(lams)), key=lambda t: (t[0].re, t[0].im))
+        assert exact_roots(char_poly(Matrix.diag(lams))) == want
+
+    @pytest.mark.parametrize("coeffs", [(-2, 0, 1), (1, 1, 1)], ids=["x^2-2", "x^2+x+1"])
+    def test_irrational_roots_do_not_split(self, coeffs):
+        with pytest.raises(NonSplitCharPolyError):
+            exact_roots([Scalar.exact(c) for c in coeffs])
 
 
 class TestSeam:
@@ -392,3 +426,56 @@ class TestExactKernelProperties:
         back = A + A2 - A2
         assert back == A and hash(back) == hash(A)
         assert Matrix.from_json(A.to_json(), EXACT) == A
+
+
+# ----------------------------------------------------------------------
+# planted spectra: Gaussian rationals with large denominators and high
+# multiplicity, hidden by a unimodular shear conjugation
+
+_RAT = st.builds(Fraction, st.integers(-(2**66), 2**66), st.integers(1, 2**64))
+
+
+@st.composite
+def _planted(draw):
+    """(M, roots, diagonalizable): M = S T S^-1 with T upper triangular,
+    the planted eigenvalues on its diagonal, and S a product of integer
+    shears; roots are the planted (Scalar, multiplicity) pairs sorted by
+    (Re, Im)."""
+    n = draw(st.integers(1, 5))
+    values = draw(st.lists(st.tuples(_RAT, _RAT | st.just(Fraction(0))), min_size=1, max_size=n, unique=True))
+    diag = values + draw(st.lists(st.sampled_from(values), min_size=n - len(values), max_size=n - len(values)))
+    diag = draw(st.permutations(diag))
+    diagonalizable = draw(st.booleans())
+    T = [[diag[i] if i == j else (0, 0) for j in range(n)] for i in range(n)]
+    if not diagonalizable:
+        for i in range(n):
+            for j in range(i + 1, n):
+                T[i][j] = (draw(st.integers(-2, 2)), 0)
+    S = Matrix.identity(n, EXACT)
+    for _ in range(draw(st.integers(0, 2 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != j:
+            E = [[int(r == c) for c in range(n)] for r in range(n)]
+            E[i][j] = draw(st.integers(-3, 3))
+            S = S @ Matrix.exact(E)
+    M = S @ Matrix.exact(T) @ inverse(S)
+    roots = sorted(((Scalar.exact(*z), diag.count(z)) for z in values), key=lambda t: (t[0].re, t[0].im))
+    return M, roots, diagonalizable
+
+
+class TestExactRootProperties:
+    @_PROPS
+    @given(_planted())
+    def test_planted_roots_and_multiplicities(self, planted):
+        M, roots, _ = planted
+        assert exact_roots(char_poly(M)) == roots
+        assert eigenvalues(M) == [lam for lam, _ in roots]
+
+    @_PROPS
+    @given(_planted())
+    def test_eigenspace_of_smallest_root(self, planted):
+        M, roots, diagonalizable = planted
+        lam, E = eigenspace(M)
+        assert lam == roots[0][0]
+        assert (M @ E - E.scale(lam)).is_zero() and rank(E) == E.cols
+        assert E.cols == roots[0][1] if diagonalizable else 1 <= E.cols <= roots[0][1]
