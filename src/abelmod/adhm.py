@@ -12,17 +12,20 @@ pictures downstream:
 * triangularization: commuting matrices over C always share a complete
   invariant flag, found deterministically by intersecting eigenspaces
   member by member;
-* joint spectrum and the semisimple (direct sum of joint eigenlines)
-  normal form, reached along a one-parameter Rees degeneration attached
-  to an invariant flag and nonincreasing integer weights;
+* joint spectrum (the diagonal of a triangularization) and the
+  semisimple (direct sum of joint eigenlines) normal form, reached along
+  a one-parameter Rees degeneration attached to an invariant flag and
+  nonincreasing integer weights;
 * the canonical form of the defining ideal: the staircase of standard
   monomials in graded lexicographic order together with the
   multiplication matrices in the staircase basis, an invariant of the
   marked isomorphism class (identical after any base change);
-* punctual decomposition: a stable tuple splits along joint generalized
-  eigenspaces into local pieces (base point, commuting nilpotents,
-  cyclic marking), and local pieces transport through analytic germs by
-  finite nilpotent series.
+* support and punctual decomposition, both read off one primary
+  decomposition (linalg.primary_decomposition): the support points with
+  their multiplicities, and a stable tuple split along its joint
+  generalized eigenspaces into local pieces (base point, commuting
+  nilpotents, cyclic marking); local pieces transport through analytic
+  germs by finite nilpotent series.
 
 Exact mode keeps every decision bit-reproducible; float mode thresholds
 every rank decision through the tuple's ToleranceFrame.
@@ -35,8 +38,6 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import (
     DuplicatePointError,
@@ -60,7 +61,7 @@ from .linalg import (
     complete_basis,
     eigenspace,
     inverse,
-    kernel_basis,
+    primary_decomposition,
     rank,
     solve_matrix,
 )
@@ -325,148 +326,22 @@ def triangularize(T: CommutingTuple):
     return g, InvariantFlag(g), CommutingTuple._unchecked(upper)
 
 
-def _clusters(count: int, close) -> list[list[int]]:
-    """Groups of 0..count-1 under the transitive closure of close(i, j),
-    each listed in increasing order, groups ordered by first member."""
-    parent = list(range(count))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(count):
-        for j in range(i + 1, count):
-            if close(i, j):
-                pi, pj = find(i), find(j)
-                if pi != pj:
-                    parent[max(pi, pj)] = min(pi, pj)
-    groups: dict[int, list[int]] = {}
-    for i in range(count):
-        groups.setdefault(find(i), []).append(i)
-    return list(groups.values())
-
-
 def joint_spectrum(T: CommutingTuple) -> list[tuple[Scalar, ...]]:
-    """The multiset of joint eigenvalue m-tuples, from the diagonal of a
-    simultaneous triangularization; float mode merges tuples whose every
-    coordinate agrees within eps_eq, reporting cluster means.  Sorted by
-    coordinatewise (Re, Im)."""
+    """The multiset of joint eigenvalue m-tuples, read off the diagonal of
+    a simultaneous triangularization and sorted by coordinatewise
+    (Re, Im).  In float mode a defective block's entries keep the scatter
+    of computed eigenvalues; spectrum_support reports its point."""
     _, _, upper = triangularize(T)
-    n = T.n
-    tuples = [tuple(upper[j][k, k] for j in range(T.m)) for k in range(n)]
-    if T.mode == EXACT:
-        return sorted(tuples, key=lambda t: tuple(s.sort_key() for s in t))
-    vals = np.array([[s.cx for s in t] for t in tuples])  # n x m
-    scales = 1.0 + np.abs(vals).max(axis=0)
-    tol = T.frame.eps_eq * scales
-    reps = []
-    for members in _clusters(n, lambda i, j: np.all(np.abs(vals[i] - vals[j]) <= tol)):
-        mean = vals[members].mean(axis=0)
-        reps.append((mean, len(members)))
-    reps.sort(key=lambda t: tuple(x for z in t[0] for x in (z.real, z.imag)))
-    out = []
-    for mean, count in reps:
-        tup = tuple(Scalar(FLOAT, z.real, z.imag) for z in mean)
-        out.extend([tup] * count)
-    return out
-
-
-_EPS_M = float(np.finfo(np.float64).eps)
-
-
-def _float_local_subspace(T: CommutingTuple, pt, mult: int) -> Matrix:
-    """Joint generalized eigenspace at a support point, grown one power
-    at a time: V_{i+1} = {x : (B_j - p_j) x in V_i for all j}.
-
-    Stacked n-th powers would compress the separation between pieces
-    like gap^n, below the noise floor for moderate n; the staged chain
-    keeps the gap linear while accepting the eps^(1/(mult+1)) fuzz that
-    defective structure puts on computed eigenvalues."""
-    n = T.n
-    eye = np.eye(n)
-    shifted = [Bj.to_numpy() - pt[j].cx * eye for j, Bj in enumerate(T.B)]
-    scale = 1.0 + max(np.linalg.norm(S) for S in shifted)
-    tol = scale * _EPS_M ** (1.0 / (mult + 1))
-    V = None
-    dim = 0
-    for _ in range(n):
-        if V is None:
-            blocks = shifted
-        else:
-            proj = eye - V @ V.conj().T
-            blocks = [proj @ S for S in shifted]
-        _, s, vh = np.linalg.svd(np.vstack(blocks))
-        k = int(np.sum(s <= tol))
-        if k <= dim:
-            break
-        V = vh[n - k :, :].conj().T
-        dim = k
-        if dim >= mult:
-            break
-    if dim != mult or V is None:
-        raise NonSplitCharPolyError(
-            f"generalized eigenspace dimension {dim} != multiplicity {mult}"
-        )
-    return Matrix.flt(V, T.frame)
-
-
-def _float_support_refine(T: CommutingTuple, entries):
-    """Recluster fragmented float support and refine the points.
-
-    Defective length-ell structure scatters computed eigenvalues by
-    roughly eps^(1/ell), far beyond eps_eq, so entries are merged at the
-    Jordan radius eps^(1/(n+1)) per coordinate; each merged point is then
-    sharpened to the trace mean of the restriction to its local invariant
-    subspace, which is accurate at working precision.  Refinement is best
-    effort: a point whose subspace cannot be confirmed keeps its cluster
-    mean."""
-    n = T.n
-    m = T.m
-    radius = [
-        (1.0 + max(abs(pt[j]) for pt, _ in entries)) * _EPS_M ** (1.0 / (n + 1))
-        for j in range(m)
-    ]
-    vals = [np.array([c.cx for c in pt]) for pt, _ in entries]
-
-    def close(i, j):
-        return all(abs(vals[i][k] - vals[j][k]) <= radius[k] for k in range(m))
-
-    out = []
-    for members in _clusters(len(entries), close):
-        total = sum(entries[i][1] for i in members)
-        mean = sum(vals[i] * entries[i][1] for i in members) / total
-        pt = tuple(Scalar(FLOAT, z.real, z.imag) for z in mean)
-        try:
-            E = _float_local_subspace(T, pt, total)
-            inv = Scalar.flt(total)
-            pt = tuple(
-                solve_matrix(E, T.B[j] @ E).trace() / inv for j in range(m)
-            )
-        except NonSplitCharPolyError:
-            pass
-        out.append((pt, total))
-    out.sort(key=lambda e: tuple(c.sort_key() for c in e[0]))
-    return out
+    tuples = [tuple(U[k, k] for U in upper) for k in range(T.n)]
+    return sorted(tuples, key=lambda t: tuple(s.sort_key() for s in t))
 
 
 def spectrum_support(T: CommutingTuple) -> list[tuple[tuple[Scalar, ...], int]]:
-    """Distinct joint eigenvalue tuples with multiplicities.
-
-    Float mode reads the support at the Jordan radius rather than eps_eq
-    (see _float_support_refine), so a defective piece reports one point
-    with its full length."""
-    spec = joint_spectrum(T)
-    out = []
-    for t in spec:
-        if out and all(a == b for a, b in zip(out[-1][0], t)):
-            out[-1] = (out[-1][0], out[-1][1] + 1)
-        else:
-            out.append((t, 1))
-    if T.mode == FLOAT and out:
-        out = _float_support_refine(T, out)
-    return out
+    """Distinct joint eigenvalue tuples with multiplicities, sorted: the
+    points of the primary decomposition.  A defective piece reports one
+    point with its full length; see linalg.primary_decomposition for what
+    float mode resolves."""
+    return [(p, k) for p, k, _, _ in primary_decomposition(T.B)]
 
 
 def sequiv_normal_form(T: CommutingTuple) -> CommutingTuple:
@@ -769,22 +644,6 @@ class PunctualData:
         return PunctualData(pt, N, marking)
 
 
-def _local_subspace(T: CommutingTuple, pt, mult: int) -> Matrix:
-    """Joint generalized eigenspace at a support point, as columns.  Exact
-    mode takes the kernel of the stacked n-th powers; float mode grows it
-    one power at a time (see _float_local_subspace)."""
-    if T.mode == FLOAT:
-        return _float_local_subspace(T, pt, mult)
-    eye = Matrix.identity(T.n, EXACT)
-    powers = [(Bj - eye.scale(pj)).power(T.n) for Bj, pj in zip(T.B, pt)]
-    kb = kernel_basis(powers[0].vstack(*powers[1:]))
-    if len(kb) != mult:
-        raise NonSplitCharPolyError(
-            f"generalized eigenspace dimension {len(kb)} != multiplicity {mult}"
-        )
-    return kb[0].hstack(*kb[1:])
-
-
 def decompose_punctual(M: MarkedTuple) -> list[PunctualData]:
     """Split a stable tuple along joint generalized eigenspaces: one local
     piece per support point, carrying the restricted nilpotent parts and
@@ -792,23 +651,15 @@ def decompose_punctual(M: MarkedTuple) -> list[PunctualData]:
     if not is_stable(M):
         raise NotStableError("punctual decomposition needs a cyclic marking")
     T = M.tuple
-    bases = [(pt, _local_subspace(T, pt, mult)) for pt, mult in spectrum_support(T)]
-    coeffs = solve_matrix(bases[0][1].hstack(*(E for _, E in bases[1:])), M.v)
+    parts = primary_decomposition(T.B)
+    coeffs = solve_matrix(parts[0][2].hstack(*(E for _, _, E, _ in parts[1:])), M.v)
     pieces = []
     offset = 0
-    for pt, E in bases:
-        ell = E.cols
-        R = [solve_matrix(E, Bj @ E) for Bj in T.B]
-        # the trace mean of the restriction is the point: exactly in exact
-        # mode, and at working precision in float mode even when the
-        # cluster mean carries Jordan-split fuzz
-        inv = Scalar.of(T.mode, ell)
-        pt = tuple(Rj.trace() / inv for Rj in R)
+    for pt, ell, _, R in parts:
         eye = Matrix.identity(ell, T.mode, T.frame)
         N = CommutingTuple([Rj - eye.scale(p) for Rj, p in zip(R, pt)])
         pieces.append(PunctualData(pt, N, coeffs.submatrix(offset, offset + ell, 0, 1)))
         offset += ell
-    pieces.sort(key=lambda p: tuple(c.sort_key() for c in p.point))
     return pieces
 
 

@@ -292,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tau", required=True, help="deformation parameter, nonzero")
     sp = sub.add_parser("check", allow_abbrev=False)
     sp.add_argument("--out", dest="out", default="-", metavar="PATH")
-    sp.add_argument("--samples", type=int, default=500, help="scale of the property battery")
+    sp.add_argument("--samples", type=int, default=500, help="scale of the property battery, at least 1")
     sp.add_argument("--n-max", type=int, default=6, help="largest matrix size, at least 2")
     sp.add_argument("--d-max", type=int, default=2, help="largest torus dimension, at least 1")
     sp.add_argument("--seed", type=int, default=0)
@@ -316,8 +316,11 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
 
     if args.command == "check":
-        if args.n_max < 2 or args.d_max < 1:
-            print("abelmod check: --n-max must be at least 2 and --d-max at least 1", file=sys.stderr)
+        if args.n_max < 2 or args.d_max < 1 or args.samples < 1:
+            print(
+                "abelmod check: --n-max must be at least 2, --d-max and --samples at least 1",
+                file=sys.stderr,
+            )
             return 1
         out = getattr(args, "out", "-")
         try:

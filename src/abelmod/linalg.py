@@ -43,7 +43,10 @@ Callers stay mode-blind through this surface:
   ``inverse``, and the incremental :class:`Span`;
 * spectra: ``char_poly`` and ``exact_roots`` (exact only),
   ``eigenvalues``, ``eigenspace`` (the canonically smallest eigenvalue
-  and its eigenspace) and ``complete_basis``.
+  and its eigenspace) and ``complete_basis``;
+* joint spectra: ``primary_decomposition``, the support points of a
+  commuting tuple with their multiplicities, joint generalized
+  eigenspaces and restrictions, by one algorithm in both modes.
 """
 
 from __future__ import annotations
@@ -88,13 +91,15 @@ __all__ = [
     "exact_roots",
     "eigenvalues",
     "eigenspace",
+    "primary_decomposition",
     "complete_basis",
 ]
 
-# Float residual slack, in units of eps_eq times the data scale: a flag is
-# invariant when the strict lower part of the adapted tuple is within
-# INVARIANCE_SLACK, and solve_matrix accepts a least-squares solution whose
-# residual is within SOLVE_SLACK.
+# Float residual slack, in units of eps_eq times the data scale: a flag or
+# a subspace is invariant when the strict lower part of the adapted tuple,
+# or the residual of the restriction, is within INVARIANCE_SLACK, and
+# solve_matrix accepts a least-squares solution whose residual is within
+# SOLVE_SLACK.
 INVARIANCE_SLACK = 10
 SOLVE_SLACK = 100
 
@@ -252,8 +257,8 @@ class ToleranceFrame:
     eps_lattice: float = 1e-7
 
     def __post_init__(self):
-        if not (self.eps_rank > 0 and self.eps_eq > 0 and self.eps_lattice > 0):
-            raise ValueError("tolerances must be positive")
+        if not all(0 < x < math.inf for x in (self.eps_rank, self.eps_eq, self.eps_lattice)):
+            raise ValueError("tolerances must be positive and finite")
         if self.eps_eq > self.eps_lattice:
             raise ValueError("eps_eq must not exceed eps_lattice")
 
@@ -1204,6 +1209,135 @@ def eigenspace(M: Matrix) -> tuple[Scalar, Matrix]:
     if not cols:
         cols = [vh[n - 1].conj()]
     return Scalar(FLOAT, z.real, z.imag), Matrix(FLOAT, n, len(cols), np.array(cols).T, M.frame)
+
+
+_EPS = float(np.finfo(np.float64).eps)
+
+
+def _eigen_groups(M: Matrix, ref: Matrix, size: float) -> list[list[Scalar]]:
+    """The eigenvalues of M, with multiplicity, in groups: one group per
+    point of the spectrum at the resolution of ref, an n x n matrix that M
+    is computed from with rounding errors of about eps size.
+
+    Exact mode: each root of the characteristic polynomial, repeated by its
+    multiplicity; ref and size play no part.  Float mode: numpy eigenvalues
+    merged transitively within max(|ref - tr(ref)/n| eps^(1/(n+1)),
+    eps_eq size).  The first radius is the scatter a defective block of
+    length up to n puts on computed eigenvalues, measured against the
+    spread of ref, so it moves with a rescaling and not with a shift; the
+    second is the frame's resolution."""
+    if M.mode == EXACT:
+        return [[lam] * k for lam, k in exact_roots(char_poly(M))]
+    n = ref.rows
+    spread = float(np.linalg.norm(ref._a - np.trace(ref._a) / n * np.eye(n)))
+    radius = max(spread * _EPS ** (1.0 / (n + 1)), ref.frame.eps_eq * size)
+    groups: list[list[complex]] = []
+    for z in np.linalg.eigvals(M._a):
+        near = [g for g in groups if min(abs(z - u) for u in g) <= radius]
+        groups = [g for g in groups if all(g is not h for h in near)]
+        groups.append([z] + [u for g in near for u in g])
+    return [[Scalar.from_complex(z) for z in g] for g in groups]
+
+
+def _one_point(R: Matrix, ref: Matrix, size: float) -> bool:
+    """Whether the square matrix R has a single eigenvalue.  Exact mode:
+    R - tr(R)/k is nilpotent, (R - tr(R)/k)^k = 0 for R of size k.  Float
+    mode: its eigenvalues form one group at the resolution of ref (see
+    _eigen_groups), so a piece counts as one point exactly when the
+    eigenvalues it holds would merge as eigenvalues of ref."""
+    if R.mode == EXACT:
+        k = R.rows
+        return (R - Matrix.identity(k, EXACT).scale(R.trace() / Scalar.of(EXACT, k))).power(k).is_zero()
+    return len(_eigen_groups(R, ref, size)) == 1
+
+
+def _generalized_kernel(L: Matrix, group: list[Scalar]) -> tuple[Matrix, Matrix]:
+    """(E, W): a basis E, as columns, of the kernel of the product of
+    L - w over the eigenvalues w of one group, and a left inverse W of it
+    (W E = Id).  E spans the generalized eigenspace of that point, and is
+    the identity when the group holds every eigenvalue.
+
+    Exact mode: E is the canonical reduced-echelon kernel of
+    (L - lam)^k, whose row at each free coordinate is a unit row, so W
+    selects those rows.  Float mode grows E one factor at a time,
+    V_i = {x : (L - w_i) x in V_(i-1)}, as the i smallest right singular
+    vectors of the projected operator (Id - V V^H)(L - w_i), and
+    W = E^H.  Each w_i is an eigenvalue of a matrix within rounding of L,
+    so the count, not a threshold, fixes the dimension, and a step
+    compares the new direction with the rest of the spectrum at a gap
+    that stays linear: a k-th power would compress it like gap^k."""
+    n, k = L.rows, len(group)
+    eye = Matrix.identity(n, L.mode, L.frame)
+    if k == n:
+        return eye, eye
+    if L.mode == EXACT:
+        rows, pivots = _rref_exact((L - eye.scale(group[0])).power(k))
+        free = [c for c in range(n) if c not in set(pivots)]
+        W = Matrix(EXACT, k, n, (1, [[int(c == f) for c in range(n)] for f in free], _zero_grid(k, n)))
+        return _kernel(rows, pivots, n), W
+    V = np.zeros((n, 0), dtype=np.complex128)
+    for i, w in enumerate(group, 1):
+        A = L._a - w.cx * eye._a
+        _, _, vh = np.linalg.svd(A - V @ (V.conj().T @ A))
+        V = vh[n - i :].conj().T
+    E = Matrix(FLOAT, n, k, V, L.frame)
+    return E, E.conj_transpose()
+
+
+def primary_decomposition(B: Sequence[Matrix]) -> list[tuple[tuple[Scalar, ...], int, Matrix, list[Matrix]]]:
+    """The joint generalized eigenspaces of commuting n x n matrices B_j.
+
+    One entry (p, k, E, R) per support point p, the joint eigenvalue
+    tuple: its multiplicity k, a basis E of its joint generalized
+    eigenspace as n x k columns, and the restrictions R_j with
+    B_j E = E R_j.  Entries are sorted by p, coordinatewise (Re, Im).
+
+    This is the eigenvalue method (Cox, Little, O'Shea, Using Algebraic
+    Geometry, ch. 2 sec. 4; Moeller and Stetter 1995): for t = 0, 1, 2,
+    ... split L = sum_j t^j B_j at its eigenvalues, restrict every member
+    to each generalized eigenspace E of L, R_j = W B_j E for a left
+    inverse W of E, and read the point as p_j = tr R_j / k.  The t is
+    accepted when L separates the points: when every R_j has a single
+    eigenvalue, that is when every (R_j - p_j) is nilpotent.  Two
+    distinct points collide under at most m - 1 values of t, so some t up
+    to (m - 1) n (n - 1) / 2 separates them all.  Past that bound
+    NonSplitCharPoly is raised.  Exact mode raises it, there or from
+    exact_roots, only when the spectrum of some member is not Gaussian
+    rational: a separating L then does not split.
+
+    Float mode resolves what its frame resolves.  Eigenvalues of L closer
+    than eps_eq sum_j t^j |B_j| (the rounding scale of L, at least
+    eps_eq |L|), or than the scatter |L - tr(L)/n| eps^(1/(n+1)) of a
+    defective block, merge into one point.  A piece passes when B_j E is
+    within INVARIANCE_SLACK eps_eq |B_j| of E R_j and the eigenvalues of
+    each R_j merge at the radii taken from B_j.  This is the frame's
+    limit: points closer than eps_eq |L| merge, however the data is
+    scaled or shifted."""
+    B = list(B)
+    first = B[0]
+    n, m, mode = first.rows, len(B), first.mode
+    sizes = [Bj.norm() for Bj in B]
+    for t in range(1 + (m - 1) * n * (n - 1) // 2):
+        L = first
+        if t:
+            for j, Bj in enumerate(B[1:], 1):
+                L = L + Bj.scale(Scalar.of(mode, t**j))
+        pieces = []
+        for group in _eigen_groups(L, L, sum(s * t**j for j, s in enumerate(sizes))):
+            k = len(group)
+            E, W = _generalized_kernel(L, group)
+            BE = [Bj @ E for Bj in B]
+            R = [W @ X for X in BE]
+            if not all((X - E @ Rj).negligible(INVARIANCE_SLACK * s) for X, Rj, s in zip(BE, R, sizes)):
+                break
+            if k > 1 and not all(_one_point(Rj, Bj, s) for Rj, Bj, s in zip(R, B, sizes)):
+                break
+            p = tuple(Rj.trace() / Scalar.of(mode, k) for Rj in R)
+            pieces.append((p, k, E, R))
+        else:
+            pieces.sort(key=lambda piece: tuple(c.sort_key() for c in piece[0]))
+            return pieces
+    raise NonSplitCharPolyError("no combination of the members separates the joint spectrum")
 
 
 def complete_basis(w: Matrix) -> Matrix:

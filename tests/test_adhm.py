@@ -2,9 +2,12 @@
 punctual pieces."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from abelmod.adhm import (
     CommutingTuple,
@@ -41,7 +44,7 @@ from abelmod.errors import (
     NotStableError,
     WeightsNotDecreasingError,
 )
-from abelmod.linalg import EXACT, FLOAT, Matrix, Scalar
+from abelmod.linalg import EXACT, FLOAT, Matrix, Scalar, kernel_basis, primary_decomposition
 
 
 def _e(rows):
@@ -348,3 +351,160 @@ class TestCentralizer:
     def test_regular_nilpotent(self):
         T = CommutingTuple([_e([[0, 1, 0], [0, 0, 1], [0, 0, 0]])])
         assert centralizer_dim(T) == 3
+
+
+# ----------------------------------------------------------------------
+# the support through the primary decomposition
+
+
+def _float_support(mats):
+    return spectrum_support(CommutingTuple([Matrix.flt(A) for A in mats]))
+
+
+_G3 = np.array([[1.0 + 0.5j, 0.3, -0.2j], [0.1, 0.9 - 0.4j, 0.5], [-0.3j, 0.2, 1.1 + 0.2j]])
+
+
+class TestFloatSupportEquivariance:
+    """The float support moves with the data: rescaled, shifted or
+    conjugated input gives the same points, transformed, with the same
+    multiplicities."""
+
+    def test_scaled_diagonal(self):
+        for c in (1e-10, 1e-6, 1e-4, 1e8):
+            supp = _float_support([c * np.diag([1.0, 2.0, 3.0])])
+            assert [k for _, k in supp] == [1, 1, 1]
+            for (pt, _), want in zip(supp, (1, 2, 3)):
+                assert abs(pt[0].cx - c * want) <= 1e-9 * c
+
+    def test_shifted_diagonal(self):
+        for s in (1e5, 1e7):
+            supp = _float_support([np.diag([1.0, 2.0, 3.0]) + s * np.eye(3)])
+            assert [k for _, k in supp] == [1, 1, 1]
+            for (pt, _), want in zip(supp, (1, 2, 3)):
+                assert abs(pt[0].cx - (s + want)) <= 1e-9 * s
+
+    def test_conjugated_small_pair(self):
+        gi = np.linalg.inv(_G3)
+        mats = [1e-6 * gi @ np.diag(d) @ _G3 for d in ([1.0, 2.0, 3.0], [3.0, 1.0, 2.0])]
+        supp = _float_support(mats)
+        assert [k for _, k in supp] == [1, 1, 1]
+        got = [tuple(c.cx for c in pt) for pt, _ in supp]
+        for (a, b), (x, y) in zip(got, [(1, 3), (2, 1), (3, 2)]):
+            assert abs(a - 1e-6 * x) <= 1e-14 and abs(b - 1e-6 * y) <= 1e-14
+
+    def test_conjugated_scalar(self):
+        supp = _float_support([np.linalg.inv(_G3) @ (2.0 * np.eye(3)) @ _G3])
+        assert len(supp) == 1 and supp[0][1] == 3
+        assert abs(supp[0][0][0].cx - 2.0) <= 1e-12
+
+
+def _run_length(spec):
+    out = []
+    for t in spec:
+        if out and out[-1][0] == t:
+            out[-1] = (t, out[-1][1] + 1)
+        else:
+            out.append((t, 1))
+    return out
+
+
+def _stacked_power_kernel(T, pt):
+    """Reference: the joint generalized eigenspace at pt as the kernel of
+    the stacked n-th powers (B_j - p_j)^n, reduced-echelon basis."""
+    eye = Matrix.identity(T.n, EXACT)
+    powers = [(Bj - eye.scale(pj)).power(T.n) for Bj, pj in zip(T.B, pt)]
+    kb = kernel_basis(powers[0].vstack(*powers[1:]))
+    return kb[0].hstack(*kb[1:])
+
+
+_QS = st.one_of(st.integers(-3, 3).map(Fraction), st.builds(Fraction, st.integers(-9, 9), st.sampled_from([2, 3, 2**20])))
+
+
+@st.composite
+def _jordan_plant(draw, values):
+    """(points, lengths, members): m commuting n x n members, block
+    diagonal with one block p_j Id + N_j per point, each N_j a polynomial
+    in one nilpotent Jordan block.  Point coordinates come from a pool of
+    two or three values, so points share coordinates and the first
+    combinations of the members often fail to separate them."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    pool = draw(st.lists(values, min_size=2, max_size=3, unique=True))
+    r = draw(st.integers(1, min(n, len(pool) ** m)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), min_size=r - 1, max_size=r - 1))) if r > 1 else []
+    lengths = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+    points = draw(st.lists(st.tuples(*[st.sampled_from(pool)] * m), min_size=r, max_size=r, unique=True))
+    members = [[[0] * n for _ in range(n)] for _ in range(m)]
+    off = 0
+    for p, ell in zip(points, lengths):
+        for j in range(m):
+            coeffs = [draw(values) for _ in range(ell - 1)]
+            for i in range(ell):
+                members[j][off + i][off + i] = p[j]
+                for a, c in enumerate(coeffs, 1):
+                    if i + a < ell:
+                        members[j][off + i][off + i + a] = c
+        off += ell
+    return points, lengths, members
+
+
+def _shear(data, n):
+    S = Matrix.identity(n, EXACT)
+    for _ in range(data.draw(st.integers(0, 2 * n))):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        if i != j:
+            E = [[int(r == c) for c in range(n)] for r in range(n)]
+            E[i][j] = data.draw(st.integers(-2, 2))
+            S = S @ Matrix.exact(E)
+    return S
+
+
+_SUPPORT_PROPS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+class TestPrimaryDecompositionProperties:
+    @_SUPPORT_PROPS
+    @given(st.data())
+    def test_exact_support_is_merged_joint_spectrum(self, data):
+        points, lengths, members = data.draw(_jordan_plant(_QS))
+        S = _shear(data, len(members[0]))
+        T = CommutingTuple([Matrix.exact(A) for A in members]).conjugate(S)
+        supp = spectrum_support(T)
+        assert supp == _run_length(joint_spectrum(T))
+        planted = sorted(
+            ((tuple(Scalar.exact(c) for c in p), k) for p, k in zip(points, lengths)),
+            key=lambda e: tuple(c.sort_key() for c in e[0]),
+        )
+        assert supp == planted
+
+    @_SUPPORT_PROPS
+    @given(st.data())
+    def test_exact_eigenspaces_are_stacked_power_kernels(self, data):
+        _, _, members = data.draw(_jordan_plant(_QS))
+        S = _shear(data, len(members[0]))
+        T = CommutingTuple([Matrix.exact(A) for A in members]).conjugate(S)
+        for pt, k, E, R in primary_decomposition(T.B):
+            assert E == _stacked_power_kernel(T, pt) and E.cols == k
+            for Bj, Rj in zip(T.B, R):
+                assert Bj @ E == E @ Rj
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_float_planted_points_come_back(self, data):
+        values = st.integers(-6, 6).map(lambda x: x / 2)
+        points, lengths, members = data.draw(_jordan_plant(values))
+        n = len(members[0])
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # well-conditioned: unitary, singular values in [1, 2], unitary
+        q1, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        q2, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        g = q1 @ np.diag(rng.uniform(1.0, 2.0, n)) @ q2
+        c = 10.0 ** data.draw(st.floats(-3, 3))
+        supp = _float_support([c * np.linalg.inv(g) @ np.array(A, dtype=complex) @ g for A in members])
+        assert sorted(k for _, k in supp) == sorted(lengths)
+        left = [(tuple(c * x for x in p), k) for p, k in zip(points, lengths)]
+        for pt, k in supp:
+            hit = next(
+                i for i, (q, l) in enumerate(left)
+                if l == k and all(abs(a.cx - b) <= 1e-6 * c for a, b in zip(pt, q))
+            )
+            left.pop(hit)

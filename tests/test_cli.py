@@ -100,6 +100,18 @@ class TestCanonicalizeAndSpectrum:
         out = _read(tmp_path, "out.json")
         assert out["support"][0]["multiplicity"] == 2
 
+    def test_float_support_of_large_entries(self, tmp_path):
+        # diag(1, 2, 3) with 1e9 added to every entry: its two small
+        # eigenvalues lie closer than eps_eq |B| and merge, but the input is
+        # valid and must not be refused
+        rows = [[_sc(str(10**9 + (i + 1) * (i == j))) for j in range(3)] for i in range(3)]
+        doc = {"m": 1, "n": 3, "mode": "exact", "B": [rows], "v": [_sc("1"), _sc("0"), _sc("0")]}
+        inp = _write(tmp_path, "in.json", doc)
+        rc = main(["spectrum", "--mode", "float", "--in", inp, "--out", str(tmp_path / "out.json")])
+        assert rc == 0
+        out = _read(tmp_path, "out.json")
+        assert sum(s["multiplicity"] for s in out["support"]) == 3
+
 
 class TestRees:
     def test_family_and_limit(self, tmp_path):
@@ -262,9 +274,9 @@ class TestNonFiniteParameters:
 
 
 class TestToleranceFlags:
-    """A tolerance frame the flags cannot build (a non-positive or nan
-    tolerance, eps_eq above eps_lattice) is malformed input: exit 1 with
-    a Malformed report, no traceback."""
+    """A tolerance frame the flags cannot build (a non-positive, nan or
+    infinite tolerance, eps_eq above eps_lattice) is malformed input: exit
+    1 with a Malformed report, no traceback."""
 
     @pytest.mark.parametrize(
         "flags",
@@ -279,10 +291,23 @@ class TestToleranceFlags:
         doc = _read(tmp_path, "out.json")
         assert doc["schema"] == "abelmod/1" and doc["error"] == "Malformed"
 
+    @pytest.mark.parametrize("flag", ["--eps-rank", "--eps-lattice"])
+    def test_infinite_tolerance_is_malformed(self, tmp_path, capsys, flag):
+        # diag(1, 2) marked by (1, 1) is stable; an infinite rank
+        # tolerance would call every vector dependent and report it unstable
+        B = [[_sc("1"), _sc("0")], [_sc("0"), _sc("2")]]
+        inp = _write(tmp_path, "in.json", {"m": 1, "n": 2, "mode": "exact", "B": [B], "v": [_sc("1"), _sc("1")]})
+        rc = main(["stability", "--mode", "float", flag, "inf", "--in", inp, "--out", str(tmp_path / "out.json")])
+        assert rc == 1
+        assert capsys.readouterr().out == ""
+        doc = _read(tmp_path, "out.json")
+        assert doc["schema"] == "abelmod/1" and doc["error"] == "Malformed"
+
 
 class TestCheckUsage:
     @pytest.mark.parametrize(
-        "flags", [["--n-max", "0"], ["--n-max", "1"], ["--d-max", "0"], ["--n-max", "-3"]]
+        "flags",
+        [["--n-max", "0"], ["--n-max", "1"], ["--d-max", "0"], ["--n-max", "-3"], ["--samples", "0"], ["--samples", "-5"]],
     )
     def test_sizes_below_minimum_are_usage_errors(self, tmp_path, capsys, flags):
         rc = main(["check", "--samples", "2", "--out", str(tmp_path / "out.json")] + flags)
