@@ -1214,23 +1214,27 @@ def eigenspace(M: Matrix) -> tuple[Scalar, Matrix]:
 _EPS = float(np.finfo(np.float64).eps)
 
 
-def _eigen_groups(M: Matrix, ref: Matrix, size: float) -> list[list[Scalar]]:
-    """The eigenvalues of M, with multiplicity, in groups: one group per
-    point of the spectrum at the resolution of ref, an n x n matrix that M
-    is computed from with rounding errors of about eps size.
-
-    Exact mode: each root of the characteristic polynomial, repeated by its
-    multiplicity; ref and size play no part.  Float mode: numpy eigenvalues
-    merged transitively within max(|ref - tr(ref)/n| eps^(1/(n+1)),
-    eps_eq size).  The first radius is the scatter a defective block of
-    length up to n puts on computed eigenvalues, measured against the
-    spread of ref, so it moves with a rescaling and not with a shift; the
-    second is the frame's resolution."""
-    if M.mode == EXACT:
-        return [[lam] * k for lam, k in exact_roots(char_poly(M))]
+def _radius(ref: Matrix, size: float) -> float:
+    """The radius within which eigenvalues computed from the n x n matrix
+    ref, with rounding errors of about eps size, count as one point: 0 in
+    exact mode.  Float mode: max(|ref - tr(ref)/n| eps^(1/(n+1)),
+    eps_eq size), the scatter a defective block of length up to n puts on
+    computed eigenvalues, which moves with a rescaling and not with a
+    shift, and the frame's resolution."""
+    if ref.mode == EXACT:
+        return 0
     n = ref.rows
     spread = float(np.linalg.norm(ref._a - np.trace(ref._a) / n * np.eye(n)))
-    radius = max(spread * _EPS ** (1.0 / (n + 1)), ref.frame.eps_eq * size)
+    return max(spread * _EPS ** (1.0 / (n + 1)), ref.frame.eps_eq * size)
+
+
+def _eigen_groups(M: Matrix, radius: float) -> list[list[Scalar]]:
+    """The eigenvalues of M, with multiplicity, in groups, one per point.
+    Exact mode: each root of the characteristic polynomial, repeated by its
+    multiplicity.  Float mode: numpy eigenvalues merged transitively
+    within radius."""
+    if M.mode == EXACT:
+        return [[lam] * k for lam, k in exact_roots(char_poly(M))]
     groups: list[list[complex]] = []
     for z in np.linalg.eigvals(M._a):
         near = [g for g in groups if min(abs(z - u) for u in g) <= radius]
@@ -1239,16 +1243,17 @@ def _eigen_groups(M: Matrix, ref: Matrix, size: float) -> list[list[Scalar]]:
     return [[Scalar.from_complex(z) for z in g] for g in groups]
 
 
-def _one_point(R: Matrix, ref: Matrix, size: float) -> bool:
+def _one_point(R: Matrix, radius: float) -> bool:
     """Whether the square matrix R has a single eigenvalue.  Exact mode:
     R - tr(R)/k is nilpotent, (R - tr(R)/k)^k = 0 for R of size k.  Float
-    mode: its eigenvalues form one group at the resolution of ref (see
-    _eigen_groups), so a piece counts as one point exactly when the
-    eigenvalues it holds would merge as eigenvalues of ref."""
+    mode: its eigenvalues form one group within radius, the radius of the
+    member R is restricted from, so a piece counts as one point exactly
+    when the eigenvalues it holds would merge as eigenvalues of the
+    member."""
     if R.mode == EXACT:
         k = R.rows
         return (R - Matrix.identity(k, EXACT).scale(R.trace() / Scalar.of(EXACT, k))).power(k).is_zero()
-    return len(_eigen_groups(R, ref, size)) == 1
+    return len(_eigen_groups(R, radius)) == 1
 
 
 def _generalized_kernel(L: Matrix, group: list[Scalar]) -> tuple[Matrix, Matrix]:
@@ -1294,7 +1299,7 @@ def primary_decomposition(B: Sequence[Matrix]) -> list[tuple[tuple[Scalar, ...],
 
     This is the eigenvalue method (Cox, Little, O'Shea, Using Algebraic
     Geometry, ch. 2 sec. 4; Moeller and Stetter 1995): for t = 0, 1, 2,
-    ... split L = sum_j t^j B_j at its eigenvalues, restrict every member
+    ... split L = sum_j t^j w_j B_j at its eigenvalues, restrict every member
     to each generalized eigenspace E of L, R_j = W B_j E for a left
     inverse W of E, and read the point as p_j = tr R_j / k.  The t is
     accepted when L separates the points: when every R_j has a single
@@ -1305,32 +1310,36 @@ def primary_decomposition(B: Sequence[Matrix]) -> list[tuple[tuple[Scalar, ...],
     exact_roots, only when the spectrum of some member is not Gaussian
     rational: a separating L then does not split.
 
-    Float mode resolves what its frame resolves.  Eigenvalues of L closer
-    than eps_eq sum_j t^j |B_j| (the rounding scale of L, at least
-    eps_eq |L|), or than the scatter |L - tr(L)/n| eps^(1/(n+1)) of a
-    defective block, merge into one point.  A piece passes when B_j E is
-    within INVARIANCE_SLACK eps_eq |B_j| of E R_j and the eigenvalues of
-    each R_j merge at the radii taken from B_j.  This is the frame's
-    limit: points closer than eps_eq |L| merge, however the data is
-    scaled or shifted."""
+    Float mode resolves what its frame resolves.  The eigenvalues of B_j
+    merge within r_j, the larger of the scatter |B_j - tr(B_j)/n|
+    eps^(1/(n+1)) of a defective block and the rounding scale
+    eps_eq |B_j|, and w_j = 1 / r_j, so each member counts in units of its
+    own resolution whatever its scale beside the others (w_j = 1 in exact
+    mode and for B_j = 0).  Eigenvalues of L merge at the same two radii
+    taken from L, with the rounding scale eps_eq sum_j t^j w_j |B_j|.  A
+    piece passes when B_j E is within INVARIANCE_SLACK eps_eq |B_j| of
+    E R_j and the eigenvalues of each R_j merge within r_j.  This is the
+    frame's limit: points closer than eps_eq |L| merge."""
     B = list(B)
     first = B[0]
     n, m, mode = first.rows, len(B), first.mode
     sizes = [Bj.norm() for Bj in B]
+    radii = [_radius(Bj, s) for Bj, s in zip(B, sizes)]
+    weights = [1 / r if r else 1 for r in radii]
     for t in range(1 + (m - 1) * n * (n - 1) // 2):
-        L = first
+        L = first.scale(Scalar.of(mode, weights[0]))
         if t:
             for j, Bj in enumerate(B[1:], 1):
-                L = L + Bj.scale(Scalar.of(mode, t**j))
+                L = L + Bj.scale(Scalar.of(mode, weights[j] * t**j))
         pieces = []
-        for group in _eigen_groups(L, L, sum(s * t**j for j, s in enumerate(sizes))):
+        for group in _eigen_groups(L, _radius(L, sum(w * s * t**j for j, (w, s) in enumerate(zip(weights, sizes))))):
             k = len(group)
             E, W = _generalized_kernel(L, group)
             BE = [Bj @ E for Bj in B]
             R = [W @ X for X in BE]
             if not all((X - E @ Rj).negligible(INVARIANCE_SLACK * s) for X, Rj, s in zip(BE, R, sizes)):
                 break
-            if k > 1 and not all(_one_point(Rj, Bj, s) for Rj, Bj, s in zip(R, B, sizes)):
+            if k > 1 and not all(_one_point(Rj, r) for Rj, r in zip(R, radii)):
                 break
             p = tuple(Rj.trace() / Scalar.of(mode, k) for Rj in R)
             pieces.append((p, k, E, R))

@@ -392,6 +392,15 @@ class TestFloatSupportEquivariance:
         for (a, b), (x, y) in zip(got, [(1, 3), (2, 1), (3, 2)]):
             assert abs(a - 1e-6 * x) <= 1e-14 and abs(b - 1e-6 * y) <= 1e-14
 
+    def test_members_of_unequal_scale(self):
+        # the small (or unshifted) member alone separates the first two points
+        for big, small, shift in ((1e6, 1.0, 0.0), (1.0, 1e-6, 0.0), (1.0, 1.0, 1e6)):
+            supp = _float_support([np.diag([0.0, 0.0, big]) + shift * np.eye(3), np.diag([0.0, small, 0.0])])
+            assert [k for _, k in supp] == [1, 1, 1]
+            got = [tuple(c.cx for c in pt) for pt, _ in supp]
+            for (a, b), (x, y) in zip(got, [(shift, 0), (shift, small), (shift + big, 0)]):
+                assert abs(a - x) <= 1e-9 * (big + shift) and abs(b - y) <= 1e-9 * small
+
     def test_conjugated_scalar(self):
         supp = _float_support([np.linalg.inv(_G3) @ (2.0 * np.eye(3)) @ _G3])
         assert len(supp) == 1 and supp[0][1] == 3
@@ -498,13 +507,14 @@ class TestPrimaryDecompositionProperties:
         q1, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
         q2, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
         g = q1 @ np.diag(rng.uniform(1.0, 2.0, n)) @ q2
-        c = 10.0 ** data.draw(st.floats(-3, 3))
-        supp = _float_support([c * np.linalg.inv(g) @ np.array(A, dtype=complex) @ g for A in members])
+        # each member at its own scale
+        cs = [10.0 ** data.draw(st.floats(-6, 6)) for _ in members]
+        supp = _float_support([c * np.linalg.inv(g) @ np.array(A, dtype=complex) @ g for c, A in zip(cs, members)])
         assert sorted(k for _, k in supp) == sorted(lengths)
-        left = [(tuple(c * x for x in p), k) for p, k in zip(points, lengths)]
+        left = [(tuple(c * x for c, x in zip(cs, p)), k) for p, k in zip(points, lengths)]
         for pt, k in supp:
             hit = next(
                 i for i, (q, l) in enumerate(left)
-                if l == k and all(abs(a.cx - b) <= 1e-6 * c for a, b in zip(pt, q))
+                if l == k and all(abs(a.cx - b) <= 1e-6 * c for a, b, c in zip(pt, q, cs))
             )
             left.pop(hit)
