@@ -222,7 +222,7 @@ class MarkedTuple:
     def from_json(obj, frame: ToleranceFrame | None = None) -> "MarkedTuple":
         tup = CommutingTuple.from_json(obj, frame)
         mode = obj.get("mode", EXACT)
-        v = Matrix.column([Scalar.from_json(x, mode) for x in obj["v"]], frame)
+        v = Matrix.from_json([[x] for x in obj["v"]], mode, frame)
         return MarkedTuple(tup, v)
 
 
@@ -640,7 +640,7 @@ class PunctualData:
         pt = [Scalar.from_json(x, mode) for x in obj["point"]]
         marking = None
         if "v" in obj:
-            marking = Matrix.column([Scalar.from_json(x, mode) for x in obj["v"]], frame)
+            marking = Matrix.from_json([[x] for x in obj["v"]], mode, frame)
         return PunctualData(pt, N, marking)
 
 

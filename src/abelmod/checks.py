@@ -137,13 +137,13 @@ def _unit_column(n: int, k: int, mode: str) -> Matrix:
 
 def _shear(rng, n: int, steps: int | None = None) -> Matrix:
     """Product of elementary transvections: exact and unimodular."""
-    g = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    g = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(n + 2 if steps is None else steps):
         i = rng.randrange(n)
         j = rng.randrange(n)
         if i == j:
             continue
-        c = Fraction(rng.choice([-2, -1, 1, 2]))
+        c = rng.choice([-2, -1, 1, 2])
         for k in range(n):
             g[i][k] += c * g[j][k]
     return Matrix.exact(g)

@@ -12,6 +12,7 @@ reported as {"error": <stable code>, "detail": <text>}.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -63,13 +64,16 @@ def _parse_scalar(text: str, mode: str) -> Scalar:
     mim = re.fullmatch(rf"([+-]?)({_NUM})?[ij]", s)
     mboth = re.fullmatch(rf"({_RAT})([+-]{_NUM}?)[ij]", s)
     parts = None
-    if mre:
-        parts = Fraction(s), Fraction(0)
-    elif mim:
-        parts = Fraction(0), Fraction(mim.group(1) + (mim.group(2) or "1"))
-    elif mboth:
-        tail = mboth.group(2)
-        parts = Fraction(mboth.group(1)), Fraction(tail if len(tail) > 1 else tail + "1")
+    try:
+        if mre:
+            parts = Fraction(s), Fraction(0)
+        elif mim:
+            parts = Fraction(0), Fraction(mim.group(1) + (mim.group(2) or "1"))
+        elif mboth:
+            tail = mboth.group(2)
+            parts = Fraction(mboth.group(1)), Fraction(tail if len(tail) > 1 else tail + "1")
+    except ZeroDivisionError:
+        raise SchemaError(f"scalar {text!r} has a zero denominator") from None
     if parts is not None:
         if mode == EXACT:
             return Scalar.exact(*parts)
@@ -264,7 +268,11 @@ def _emit(doc, path: str) -> None:
             fh.write(text)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first main() call and reused
+    by every later one: parse_args leaves it unchanged, and argparse looks
+    up sys.stdout, sys.stderr and the terminal width only when it prints."""
     p = argparse.ArgumentParser(
         prog="abelmod",
         allow_abbrev=False,
@@ -309,9 +317,8 @@ def _run_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
 

@@ -27,8 +27,15 @@ a float one raises :class:`~abelmod.errors.ModeMismatchError`.
 
 This module is the only one that knows how a :class:`Matrix` is stored
 (integer grids over one denominator when exact, a numpy array when
-float); ``Fraction`` values are built only where a :class:`Scalar` leaves
-a matrix (``Matrix[i, j]``, ``entries``, ``trace``, ``to_json``).
+float).  ``Fraction`` values are built where a :class:`Scalar` leaves a
+matrix (``Matrix[i, j]``, ``entries``, ``trace``, ``exact_roots``) and in
+``Scalar.exact``.  Exact matrices are read in without them:
+``Matrix.exact``, ``Matrix.from_json``, ``Matrix.column`` and
+``Matrix.diag`` share one grid reader that takes each entry as
+(numerator, denominator) pairs.  It reads plain integer and 'p/q' text
+directly; any other scalar text (decimals, exponents, whitespace,
+underscores, non-ASCII digits) goes through ``Fraction``, so every value
+stays the one ``Fraction`` gives.  An all-int grid is stored as it is.
 Callers stay mode-blind through this surface:
 
 * construction: ``Matrix.exact``, ``Matrix.flt``, ``Matrix.identity``,
@@ -52,6 +59,7 @@ Callers stay mode-blind through this surface:
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -104,10 +112,18 @@ INVARIANCE_SLACK = 10
 SOLVE_SLACK = 100
 
 
+# an ASCII integer or 'p/q': the scalar text that skips Fraction's parser
+_PLAIN_Q = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def _to_q(x) -> Fraction:
-    """Coerce x to an exact rational.  Strings use the 'p/q' form."""
+    """Coerce x to an exact rational.  Strings take Fraction's forms
+    ('p/q', decimals, exponents); a zero denominator is a ValueError."""
     if isinstance(x, (int, str)):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
@@ -115,6 +131,23 @@ def _to_q(x) -> Fraction:
             raise ValueError(f"refusing to coerce non-integral float {x!r} to exact")
         return Fraction(int(x))
     raise TypeError(f"cannot coerce {type(x).__name__} to exact rational")
+
+
+def _q_pair(x) -> tuple[int, int]:
+    """The numerator and positive denominator of _to_q(x), in lowest
+    terms.  Plain integer and 'p/q' strings are read without Fraction."""
+    if isinstance(x, str):
+        m = _PLAIN_Q.fullmatch(x)
+        if m:
+            p, q = m.groups()
+            if q is None:
+                return int(p), 1
+            p, q = int(p), int(q)
+            if q:
+                g = gcd(p, q)
+                return p // g, q // g
+    x = _to_q(x)
+    return x.numerator, x.denominator
 
 
 class Scalar:
@@ -293,27 +326,9 @@ class Matrix:
     @staticmethod
     def exact(entries: Sequence[Sequence]) -> "Matrix":
         """Build an exact matrix.  Entries may be ints, 'p/q' strings,
-        rationals, (re, im) pairs, or exact Scalars."""
-        data = []
-        for row in entries:
-            r = []
-            for x in row:
-                if isinstance(x, Scalar):
-                    if x.mode != EXACT:
-                        raise ModeMismatchError("float scalar in exact matrix")
-                    r.append(x)
-                elif isinstance(x, tuple):
-                    r.append(Scalar.exact(x[0], x[1]))
-                elif isinstance(x, complex):
-                    r.append(Scalar.exact(x.real, x.imag))
-                else:
-                    r.append(Scalar.exact(x))
-            data.append(r)
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        if any(len(r) != cols for r in data):
-            raise ValueError("ragged rows")
-        return _from_scalars(data, rows, cols)
+        rationals, (re, im) pairs, or exact Scalars; ragged or empty
+        grids are a ValueError."""
+        return _from_grid(entries, _entry_parts)
 
     @staticmethod
     def flt(entries, frame: ToleranceFrame | None = None) -> "Matrix":
@@ -344,7 +359,7 @@ class Matrix:
             raise ValueError("empty column")
         mode = vals[0].mode
         if mode == EXACT:
-            return _from_scalars([[v] for v in vals], len(vals), 1)
+            return _from_grid([[v] for v in vals], _entry_parts)
         return Matrix.flt(np.array([[v.cx] for v in vals]), frame)
 
     @staticmethod
@@ -353,8 +368,8 @@ class Matrix:
         n = len(vals)
         mode = vals[0].mode
         if mode == EXACT:
-            z = Scalar.zero(EXACT)
-            return _from_scalars([[vals[i] if i == j else z for j in range(n)] for i in range(n)], n, n)
+            grid = [[vals[i] if i == j else 0 for j in range(n)] for i in range(n)]
+            return _from_grid(grid, _entry_parts)
         return Matrix.flt(np.diag([v.cx for v in vals]), frame)
 
     @staticmethod
@@ -662,10 +677,9 @@ class Matrix:
 
     @staticmethod
     def from_json(obj, mode: str, frame: ToleranceFrame | None = None) -> "Matrix":
-        rows = [[Scalar.from_json(x, mode) for x in row] for row in obj]
         if mode == EXACT:
-            return _from_scalars(rows, len(rows), len(rows[0]) if rows else 0)
-        return Matrix.flt([[s.cx for s in row] for row in rows], frame)
+            return _from_grid(obj, lambda x: (*_q_pair(x["re"]), *_q_pair(x["im"])))
+        return Matrix.flt([[complex(float(x["re"]), float(x["im"])) for x in row] for row in obj], frame)
 
 
 # ----------------------------------------------------------------------
@@ -696,12 +710,37 @@ def _exact(D: int, R, I, rows: int, cols: int) -> Matrix:
     return Matrix(EXACT, rows, cols, (D, R, I))
 
 
-def _from_scalars(grid, rows: int, cols: int) -> Matrix:
-    """An exact matrix from a grid of exact Scalars.  Over the lcm of the
-    entries' reduced denominators the numerators share no factor with it."""
-    D = lcm(*(q.denominator for row in grid for s in row for q in (s.re, s.im)))
-    R = [[s.re.numerator * (D // s.re.denominator) for s in row] for row in grid]
-    I = [[s.im.numerator * (D // s.im.denominator) for s in row] for row in grid]
+def _entry_parts(x) -> tuple[int, int, int, int]:
+    """An exact matrix entry (int, 'p/q' string, rational, (re, im) pair,
+    complex or exact Scalar) as (a, b, c, d) for a/b + (c/d) i."""
+    if isinstance(x, Scalar):
+        if x.mode != EXACT:
+            raise ModeMismatchError("float scalar in exact matrix")
+        return x.re.numerator, x.re.denominator, x.im.numerator, x.im.denominator
+    if isinstance(x, tuple):
+        return (*_q_pair(x[0]), *_q_pair(x[1]))
+    if isinstance(x, complex):
+        return (*_q_pair(x.real), *_q_pair(x.imag))
+    return (*_q_pair(x), 0, 1)
+
+
+def _from_grid(grid, parts) -> Matrix:
+    """An exact matrix from a grid of entries; parts(x) gives the entry x
+    as (a, b, c, d), the Gaussian rational a/b + (c/d) i with both
+    fractions in lowest terms and b, d > 0.  Over the lcm of the
+    denominators the numerators share no factor with it.  An all-int grid
+    needs no parts.  Ragged or empty grids are a ValueError."""
+    R = [list(r) for r in grid]
+    rows = len(R)
+    cols = len(R[0]) if rows else 0
+    if not cols or any(len(r) != cols for r in R):
+        raise ValueError("an exact matrix needs nonempty rows of equal length")
+    if all(type(x) is int for r in R for x in r):
+        return Matrix(EXACT, rows, cols, (1, R, _zero_grid(rows, cols)))
+    P = [[parts(x) for x in r] for r in R]
+    D = lcm(*(p[1] for r in P for p in r), *(p[3] for r in P for p in r))
+    R = [[a * (D // b) for a, b, _, _ in r] for r in P]
+    I = [[c * (D // d) for _, _, c, d in r] for r in P]
     return Matrix(EXACT, rows, cols, (D, R, I))
 
 

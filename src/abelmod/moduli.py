@@ -404,7 +404,7 @@ class HilbPoint:
             pd = pj["punctual"]
             mode = pd.get("mode", EXACT)
             N = CommutingTuple([Matrix.from_json(MJ, mode, frame) for MJ in pd["N"]])
-            v = Matrix.column([Scalar.from_json(x, mode) for x in pd["v"]], frame)
+            v = Matrix.from_json([[x] for x in pd["v"]], mode, frame)
             pieces.append(PunctualData(point, N, v))
         return HilbPoint(space, pieces)
 

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import abelmod
 from abelmod.cli import main
 
 
@@ -304,6 +309,59 @@ class TestToleranceFlags:
         assert doc["schema"] == "abelmod/1" and doc["error"] == "Malformed"
 
 
+class TestMalformedGrids:
+    """Exact JSON that cannot be a matrix (a ragged or empty grid) or a
+    scalar with a zero denominator is malformed input: exit 1 with a
+    Malformed report, no traceback."""
+
+    def _malformed(self, tmp_path, capsys, command, doc, extra=()):
+        inp = _write(tmp_path, "in.json", doc)
+        rc = main([command, "--in", inp, "--out", str(tmp_path / "out.json"), *extra])
+        assert rc == 1
+        assert capsys.readouterr().out == ""
+        out = _read(tmp_path, "out.json")
+        assert out["schema"] == "abelmod/1" and out["error"] == "Malformed"
+        return out["detail"]
+
+    @pytest.mark.parametrize(
+        "command, where, scalar",
+        [
+            ("spectrum", "B", _sc("1/0")),
+            ("spectrum", "B", _sc("0", "-3/000")),
+            ("stability", "B", _sc("1/0")),
+            ("stability", "v", _sc("0", "0/0")),
+        ],
+    )
+    def test_zero_denominator(self, tmp_path, capsys, command, where, scalar):
+        doc = _unstable_diag()
+        if where == "B":
+            doc["B"][0][1][1] = scalar
+        else:
+            doc["v"][1] = scalar
+        assert "zero denominator" in self._malformed(tmp_path, capsys, command, doc)
+
+    @pytest.mark.parametrize("flag", ["--t", "--tau"])
+    def test_zero_denominator_parameter(self, tmp_path, capsys, flag):
+        if flag == "--t":
+            detail = self._malformed(tmp_path, capsys, "rees", _rees_doc("exact"), ["--weights", "1,0", "--t", "1/0"])
+        else:
+            detail = self._malformed(tmp_path, capsys, "hodge-deform", _hilb_doc(), ["--tau", "2+1/0i"])
+        assert "zero denominator" in detail
+
+    @pytest.mark.parametrize("command", ["spectrum", "stability"])
+    def test_ragged_member(self, tmp_path, capsys, command):
+        # a 2x2 member whose second row has three entries
+        doc = _unstable_diag()
+        doc["B"][0][1].append(_sc("1"))
+        self._malformed(tmp_path, capsys, command, doc)
+
+    @pytest.mark.parametrize("member", [[], [[]]], ids=["no-rows", "empty-row"])
+    def test_empty_member(self, tmp_path, capsys, member):
+        doc = _unstable_diag()
+        doc["B"] = [member]
+        self._malformed(tmp_path, capsys, "spectrum", doc)
+
+
 class TestCheckUsage:
     @pytest.mark.parametrize(
         "flags",
@@ -358,3 +416,47 @@ class TestPlumbing:
         main(["canonicalize", "--in", inp, "--out", str(tmp_path / "a.json")])
         main(["canonicalize", "--in", inp, "--out", str(tmp_path / "b.json")])
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+_CALLS = """
+import contextlib, io, json, sys
+from abelmod.cli import main
+seen = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    seen.append([rc, out.getvalue(), err.getvalue()])
+print(json.dumps(seen))
+"""
+
+
+class TestReentrancy:
+    """main() builds its parser once per process and reuses it: every call
+    in a sequence gives the exit code and output it gives as the first
+    call of a fresh process."""
+
+    def _run(self, calls):
+        env = dict(os.environ, PYTHONPATH=str(Path(abelmod.__file__).resolve().parents[1]), COLUMNS="80")
+        done = subprocess.run(
+            [sys.executable, "-c", _CALLS, json.dumps(calls)], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path):
+        inp = _write(tmp_path, "in.json", _stable_pair())
+        calls = [
+            ["rees", "--in", inp],
+            ["--help"],
+            ["check", "--samples", "0"],
+            ["spectrum", "--eps-rank", "-1", "--mode", "float", "--in", inp],
+            ["spectrum", "--in", inp],
+        ]
+        together = self._run(calls)
+        alone = [self._run([argv])[0] for argv in calls]
+        assert together == alone
+        assert [rc for rc, _, _ in together] == [1, 0, 1, 1, 0]
+        assert together[1][1].startswith("usage: abelmod")
+        assert json.loads(together[3][1])["error"] == "Malformed"
+        assert json.loads(together[4][1])["support"][0]["multiplicity"] == 2

@@ -1,6 +1,7 @@
 """Scalar and matrix layer: exact arithmetic, float tolerances, solvers."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,6 +26,7 @@ from abelmod.linalg import (
     solve,
     solve_matrix,
 )
+from abelmod.linalg import _q_pair
 from abelmod.errors import NonSplitCharPolyError, NoSolutionError
 
 
@@ -479,3 +481,113 @@ class TestExactRootProperties:
         assert lam == roots[0][0]
         assert (M @ E - E.scale(lam)).is_zero() and rank(E) == E.cols
         assert E.cols == roots[0][1] if diagonalizable else 1 <= E.cols <= roots[0][1]
+
+
+# ----------------------------------------------------------------------
+# exact ingestion: scalar text straight to (numerator, denominator)
+
+
+@st.composite
+def _digits(draw):
+    """Decimal digits with leading zeros, sometimes a non-ASCII digit, and
+    sometimes underscores, well placed or not."""
+    d = draw(st.text(alphabet="0123456789", min_size=1, max_size=6))
+    if draw(st.integers(0, 5)) == 0:
+        k = draw(st.integers(0, len(d) - 1))
+        d = d[:k] + draw(st.sampled_from("\u0663\uff15\u0967\u09ed")) + d[k + 1 :]
+    if draw(st.integers(0, 4)) == 0:
+        k = draw(st.integers(0, len(d)))
+        d = d[:k] + draw(st.sampled_from(["_", "__"])) + d[k:]
+    return d
+
+
+@st.composite
+def _scalar_text(draw):
+    """Text in or near Fraction's forms: signs, 'p/q' (zero denominators
+    too), decimals, exponents, surrounding whitespace; now and then junk."""
+    pad = st.sampled_from(["", "", " ", "\t", " \n", "\u00a0"])
+    sign = draw(st.sampled_from(["", "", "+", "-", "+-"]))
+    kind = draw(st.sampled_from(("int", "ratio", "decimal", "exponent", "junk")))
+    if kind == "junk":
+        return draw(st.text(max_size=8))
+    body = draw(_digits())
+    if kind == "ratio":
+        body += "/" + draw(st.one_of(_digits(), st.sampled_from(["0", "00", "-2", ""])))
+    elif kind in ("decimal", "exponent"):
+        body = draw(st.sampled_from(["{}.{}", ".{1}", "{0}.", "{0}"])).format(body, draw(_digits()))
+        if kind == "exponent":
+            body += draw(st.sampled_from("eE")) + draw(st.sampled_from(["", "+", "-"])) + str(draw(st.integers(0, 40)))
+    return draw(pad) + sign + body + draw(pad)
+
+
+def _fraction_or_none(s):
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+_EXACT_TEXT = _scalar_text().filter(lambda s: _fraction_or_none(s) is not None)
+_EXACT_JSON = st.one_of(_EXACT_TEXT, st.sampled_from(["0", "1", "-1"]), st.integers(-(2**70), 2**70))
+
+
+def _from_scalars(grid):
+    """Reference: the route exact entries took before they were read into
+    integer grids directly, one Scalar per entry, then the numerators over
+    the lcm of the reduced denominators."""
+    D = lcm(*(q.denominator for row in grid for z in row for q in (z.re, z.im)))
+    R = [[z.re.numerator * (D // z.re.denominator) for z in row] for row in grid]
+    I = [[z.im.numerator * (D // z.im.denominator) for z in row] for row in grid]
+    return Matrix(EXACT, len(grid), len(grid[0]), (D, R, I))
+
+
+class TestExactIngestion:
+    @settings(max_examples=500, deadline=None)
+    @given(_scalar_text())
+    def test_pair_reader_agrees_with_fraction(self, s):
+        q = _fraction_or_none(s)
+        if q is None:
+            with pytest.raises(ValueError):
+                _q_pair(s)
+        else:
+            assert _q_pair(s) == (q.numerator, q.denominator)
+
+    @_PROPS
+    @given(st.data())
+    def test_from_json_matches_scalar_route(self, data):
+        r, c = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        obj = [[{"re": data.draw(_EXACT_JSON), "im": data.draw(_EXACT_JSON)} for _ in range(c)] for _ in range(r)]
+        M = Matrix.from_json(obj, EXACT)
+        assert M == _from_scalars([[Scalar.from_json(x, EXACT) for x in row] for row in obj])
+        assert Matrix.from_json(M.to_json(), EXACT) == M
+
+    @_PROPS
+    @given(st.data())
+    def test_exact_matches_scalar_route(self, data):
+        r, c = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        entry = st.one_of(
+            st.integers(-(2**70), 2**70),
+            _EXACT_TEXT,
+            _RAT,
+            st.tuples(st.integers(-9, 9), _EXACT_TEXT),
+            st.builds(Scalar.exact, _RAT, _RAT),
+        )
+        if data.draw(st.booleans()):
+            entry = st.integers(-9, 9)
+        grid = [[data.draw(entry) for _ in range(c)] for _ in range(r)]
+
+        def scalar(x):
+            if isinstance(x, Scalar):
+                return x
+            return Scalar.exact(*x) if isinstance(x, tuple) else Scalar.exact(x)
+
+        assert Matrix.exact(grid) == _from_scalars([[scalar(x) for x in row] for row in grid])
+
+    @pytest.mark.parametrize(
+        "grid", [[], [[]], [[1, 2], [3]], [[1], [2, 3]]], ids=["no-rows", "empty-row", "short-row", "long-row"]
+    )
+    def test_ragged_or_empty_grid_is_refused(self, grid):
+        with pytest.raises(ValueError):
+            Matrix.exact(grid)
+        with pytest.raises(ValueError):
+            Matrix.from_json([[{"re": str(x), "im": "0"} for x in row] for row in grid], EXACT)
