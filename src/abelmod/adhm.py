@@ -61,6 +61,7 @@ from .linalg import (
     complete_basis,
     eigenspace,
     inverse,
+    parse_mode,
     primary_decomposition,
     rank,
     solve_matrix,
@@ -179,8 +180,14 @@ class CommutingTuple:
 
     @staticmethod
     def from_json(obj, frame: ToleranceFrame | None = None) -> "CommutingTuple":
-        mode = obj.get("mode", EXACT)
-        return CommutingTuple([Matrix.from_json(MJ, mode, frame) for MJ in obj["B"]])
+        """The tuple of a document's members "B"; the sizes "m" and "n",
+        when given, must be the members' count and size."""
+        mode = parse_mode(obj.get("mode", EXACT))
+        T = CommutingTuple([Matrix.from_json(MJ, mode, frame) for MJ in obj["B"]])
+        for key, size in (("m", T.m), ("n", T.n)):
+            if key in obj and obj[key] != size:
+                raise ValueError(f"declared {key} = {obj[key]!r}, but the members give {size}")
+        return T
 
 
 class MarkedTuple:
@@ -221,8 +228,7 @@ class MarkedTuple:
     @staticmethod
     def from_json(obj, frame: ToleranceFrame | None = None) -> "MarkedTuple":
         tup = CommutingTuple.from_json(obj, frame)
-        mode = obj.get("mode", EXACT)
-        v = Matrix.from_json([[x] for x in obj["v"]], mode, frame)
+        v = Matrix.from_json([[x] for x in obj["v"]], tup.mode, frame)
         return MarkedTuple(tup, v)
 
 
@@ -635,7 +641,7 @@ class PunctualData:
 
     @staticmethod
     def from_json(obj, frame: ToleranceFrame | None = None) -> "PunctualData":
-        mode = obj.get("mode", EXACT)
+        mode = parse_mode(obj.get("mode", EXACT))
         N = CommutingTuple([Matrix.from_json(MJ, mode, frame) for MJ in obj["N"]])
         pt = [Scalar.from_json(x, mode) for x in obj["point"]]
         marking = None

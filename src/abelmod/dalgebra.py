@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ModeMismatchError, SingularGroupElementError
-from .linalg import DEFAULT_FRAME, EXACT, Matrix, Scalar, inverse, rank
+from .linalg import DEFAULT_FRAME, EXACT, Matrix, Scalar, inverse, parse_mode, rank
 
 __all__ = [
     "Poly",
@@ -179,7 +179,7 @@ class UtaiTriple:
 
     @staticmethod
     def from_json(obj) -> "UtaiTriple":
-        mode = obj.get("mode", EXACT)
+        mode = parse_mode(obj.get("mode", EXACT))
         return UtaiTriple(
             Matrix.from_json(obj["alpha"], mode),
             Matrix.from_json(obj["beta"], mode),

@@ -28,15 +28,24 @@ a float one raises :class:`~abelmod.errors.ModeMismatchError`.
 This module is the only one that knows how a :class:`Matrix` is stored
 (integer grids over one denominator when exact, a numpy array when
 float).  ``Fraction`` values are built where a :class:`Scalar` leaves a
-matrix (``Matrix[i, j]``, ``entries``, ``trace``, ``exact_roots``) and in
-``Scalar.exact``.  Exact matrices are read in without them:
+matrix (``Matrix[i, j]``, ``entries``, ``trace``, the coefficients of
+``char_poly``, the roots of ``exact_roots``, the points of
+``primary_decomposition``) and in ``Scalar.exact``.  Exact matrices are
+read in without them:
 ``Matrix.exact``, ``Matrix.from_json``, ``Matrix.column`` and
 ``Matrix.diag`` share one grid reader that takes each entry as
 (numerator, denominator) pairs.  It reads plain integer and 'p/q' text
 directly; any other scalar text (decimals, exponents, whitespace,
 underscores, non-ASCII digits) goes through ``Fraction``, so every value
 stays the one ``Fraction`` gives.  An all-int grid is stored as it is.
-Callers stay mode-blind through this surface:
+The exact spectral kernel works on the integer grids too: ``char_poly``
+runs Faddeev-LeVerrier on the Gaussian-integer numerators, where each
+division is exact over Z[i], and ``primary_decomposition`` forms its
+shifted powers, restrictions, invariance test and separation test on
+numerators.
+A document's ``"mode"`` is read by ``parse_mode``, which refuses
+anything but ``"exact"`` and ``"float"``.  Callers stay mode-blind
+through this surface:
 
 * construction: ``Matrix.exact``, ``Matrix.flt``, ``Matrix.identity``,
   ``Matrix.zeros``, ``Matrix.column`` and ``Matrix.diag`` (both taking a
@@ -84,6 +93,7 @@ _Q1 = Fraction(1)
 __all__ = [
     "EXACT",
     "FLOAT",
+    "parse_mode",
     "Scalar",
     "ToleranceFrame",
     "Matrix",
@@ -110,6 +120,14 @@ __all__ = [
 # SOLVE_SLACK.
 INVARIANCE_SLACK = 10
 SOLVE_SLACK = 100
+
+
+def parse_mode(value) -> str:
+    """The arithmetic mode an input document names, "exact" or "float";
+    any other value is a ValueError."""
+    if value == EXACT or value == FLOAT:
+        return value
+    raise ValueError(f"unknown mode {value!r} (expected {EXACT!r} or {FLOAT!r})")
 
 
 # an ASCII integer or 'p/q': the scalar text that skips Fraction's parser
@@ -271,7 +289,7 @@ class Scalar:
 
     @staticmethod
     def from_json(obj, mode: str) -> "Scalar":
-        if mode == EXACT:
+        if parse_mode(mode) == EXACT:
             return Scalar.exact(obj["re"], obj["im"])
         return Scalar.flt(float(obj["re"]), float(obj["im"]))
 
@@ -489,24 +507,8 @@ class Matrix:
             return Matrix(FLOAT, self.rows, other.cols, self._a @ other._a, self.frame)
         Da, AR, AI = self._a
         Db, BR, BI = other._a
-        m = other.cols
-        # columns of B, and of its imaginary part only when it has one;
-        # a vanishing row of A (real or imaginary part) costs no products
-        bre = list(zip(*BR)) or [()] * m
-        bim = list(zip(*BI)) if any(map(any, BI)) else None
-        R, I = [], []
-        for ar, ai in zip(AR, AI):
-            nr, ni = any(ar), any(ai)
-            rr = [sum(map(mul, ar, c)) for c in bre] if nr else [0] * m
-            ri = [sum(map(mul, ai, c)) for c in bre] if ni else [0] * m
-            if bim is not None:
-                if ni:
-                    rr = [s - sum(map(mul, ai, c)) for s, c in zip(rr, bim)]
-                if nr:
-                    ri = [s + sum(map(mul, ar, c)) for s, c in zip(ri, bim)]
-            R.append(rr)
-            I.append(ri)
-        return _exact(Da * Db, R, I, self.rows, m)
+        R, I = _grid_mul(AR, AI, BR, BI, other.cols)
+        return _exact(Da * Db, R, I, self.rows, other.cols)
 
     def scale(self, c: Scalar) -> "Matrix":
         if self.mode != c.mode:
@@ -545,21 +547,21 @@ class Matrix:
             z = complex(np.trace(self._a))
             return Scalar(FLOAT, z.real, z.imag)
         D, R, I = self._a
-        n = self.rows
-        return Scalar(EXACT, Fraction(sum(R[i][i] for i in range(n)), D), Fraction(sum(I[i][i] for i in range(n)), D))
+        return Scalar(EXACT, Fraction(_diag_sum(R), D), Fraction(_diag_sum(I), D))
 
     def power(self, k: int) -> "Matrix":
         if self.rows != self.cols:
             raise ValueError("power of non-square matrix")
-        out = Matrix.identity(self.rows, self.mode, self.frame)
-        base = self
-        while k:
+        if not k:
+            return Matrix.identity(self.rows, self.mode, self.frame)
+        out, base = None, self
+        while True:
             if k & 1:
-                out = out @ base
+                out = base if out is None else out @ base
             k >>= 1
-            if k:
-                base = base @ base
-        return out
+            if not k:
+                return out
+            base = base @ base
 
     def hstack(self, *others: "Matrix") -> "Matrix":
         for o in others:
@@ -677,7 +679,7 @@ class Matrix:
 
     @staticmethod
     def from_json(obj, mode: str, frame: ToleranceFrame | None = None) -> "Matrix":
-        if mode == EXACT:
+        if parse_mode(mode) == EXACT:
             return _from_grid(obj, lambda x: (*_q_pair(x["re"]), *_q_pair(x["im"])))
         return Matrix.flt([[complex(float(x["re"]), float(x["im"])) for x in row] for row in obj], frame)
 
@@ -708,6 +710,47 @@ def _exact(D: int, R, I, rows: int, cols: int) -> Matrix:
             R = [[x // g for x in r] for r in R]
             I = [[y // g for y in r] for r in I]
     return Matrix(EXACT, rows, cols, (D, R, I))
+
+
+def _grid_mul(AR, AI, BR, BI, m: int):
+    """(R, I): the product of the Gaussian-integer grids A = AR + AI i and
+    B = BR + BI i, B with m columns."""
+    # columns of B, and of its imaginary part only when it has one;
+    # a vanishing row of A (real or imaginary part) costs no products
+    bre = list(zip(*BR)) or [()] * m
+    bim = list(zip(*BI)) if any(map(any, BI)) else None
+    R, I = [], []
+    for ar, ai in zip(AR, AI):
+        nr, ni = any(ar), any(ai)
+        rr = [sum(map(mul, ar, c)) for c in bre] if nr else [0] * m
+        ri = [sum(map(mul, ai, c)) for c in bre] if ni else [0] * m
+        if bim is not None:
+            if ni:
+                rr = [s - sum(map(mul, ai, c)) for s, c in zip(rr, bim)]
+            if nr:
+                ri = [s + sum(map(mul, ar, c)) for s, c in zip(ri, bim)]
+        R.append(rr)
+        I.append(ri)
+    return R, I
+
+
+def _diag_sum(G) -> int:
+    return sum(G[i][i] for i in range(len(G)))
+
+
+def _minus_scalar(M: Matrix, lam: Scalar) -> Matrix:
+    """M - lam Id for a square exact M, formed on its numerators:
+    N / D - (x + y i) / q = (q N - D (x + y i)) / (D q)."""
+    D, R, I = M._a
+    q = lcm(lam.re.denominator, lam.im.denominator)
+    x = lam.re.numerator * (q // lam.re.denominator) * D
+    y = lam.im.numerator * (q // lam.im.denominator) * D
+    R = [[q * u for u in r] for r in R]
+    I = [[q * v for v in r] for r in I]
+    for i in range(M.rows):
+        R[i][i] -= x
+        I[i][i] -= y
+    return _exact(D * q, R, I, M.rows, M.cols)
 
 
 def _entry_parts(x) -> tuple[int, int, int, int]:
@@ -1072,17 +1115,23 @@ def char_poly(M: Matrix) -> list[Scalar]:
     n = M.rows
     if n != M.cols:
         raise ValueError("characteristic polynomial of non-square matrix")
-    # Faddeev-LeVerrier; divisions are by integers only
-    coeffs = [Scalar.one(EXACT)]
-    Ak = M
-    cs = []
+    # Faddeev-LeVerrier on the Gaussian-integer numerators N = D M:
+    # A_1 = N, A_k = N (A_(k-1) + c_(n-k+1) Id) and c_(n-k) = -tr(A_k) / k,
+    # a division that is exact over Z[i] because every c is a Gaussian
+    # integer.  p_M(x) = D^-n p_N(D x), so c_(n-k) of M is that of N / D^k.
+    D, NR, NI = M._a
+    AR, AI = NR, NI
+    cs = []  # (re, im) of c_(n-1), ..., c_0 of N
     for k in range(1, n + 1):
         if k > 1:
-            Ak = M @ (Ak + Matrix.identity(n, EXACT).scale(cs[-1]))
-        t = Ak.trace()
-        ck = Scalar(EXACT, -t.re / k, -t.im / k)
-        cs.append(ck)
-    return cs[::-1] + coeffs  # [c0..c_{n-1}, 1]
+            a, b = cs[-1]
+            AR = [r[:i] + [r[i] + a] + r[i + 1 :] for i, r in enumerate(AR)]
+            if b:
+                AI = [r[:i] + [r[i] + b] + r[i + 1 :] for i, r in enumerate(AI)]
+            AR, AI = _grid_mul(NR, NI, AR, AI, n)
+        cs.append((-_diag_sum(AR) // k, -_diag_sum(AI) // k))
+    out = [Scalar(EXACT, Fraction(a, D**k), Fraction(b, D**k)) for k, (a, b) in enumerate(cs, 1)]
+    return out[::-1] + [Scalar.one(EXACT)]  # [c0..c_{n-1}, 1]
 
 
 def _divide(P, y):
@@ -1238,7 +1287,7 @@ def eigenspace(M: Matrix) -> tuple[Scalar, Matrix]:
     n = M.rows
     if M.mode == EXACT:
         lam = exact_roots(char_poly(M))[0][0]
-        ker = kernel_basis(M - Matrix.identity(n, EXACT).scale(lam))
+        ker = kernel_basis(_minus_scalar(M, lam))
         return lam, ker[0].hstack(*ker[1:])
     z, spread = _float_eig_clusters(M)[0]
     _, s, vh = np.linalg.svd(M._a - z * np.eye(n))
@@ -1284,48 +1333,89 @@ def _eigen_groups(M: Matrix, radius: float) -> list[list[Scalar]]:
 
 def _one_point(R: Matrix, radius: float) -> bool:
     """Whether the square matrix R has a single eigenvalue.  Exact mode:
-    R - tr(R)/k is nilpotent, (R - tr(R)/k)^k = 0 for R of size k.  Float
-    mode: its eigenvalues form one group within radius, the radius of the
-    member R is restricted from, so a piece counts as one point exactly
-    when the eigenvalues it holds would merge as eigenvalues of the
-    member."""
+    k R - tr(R) is nilpotent, (k R - tr(R))^k = 0 for R of size k, formed
+    on R's numerators, where no denominator or gcd is needed.  Float mode:
+    its eigenvalues form one group within radius, the radius of the member
+    R is restricted from, so a piece counts as one point exactly when the
+    eigenvalues it holds would merge as eigenvalues of the member."""
     if R.mode == EXACT:
+        _, RR, RI = R._a
         k = R.rows
-        return (R - Matrix.identity(k, EXACT).scale(R.trace() / Scalar.of(EXACT, k))).power(k).is_zero()
+        tr, ti = _diag_sum(RR), _diag_sum(RI)
+        NR = [[k * x for x in r] for r in RR]
+        NI = [[k * y for y in r] for r in RI]
+        for i in range(k):
+            NR[i][i] -= tr
+            NI[i][i] -= ti
+        return Matrix(EXACT, k, k, (1, NR, NI)).power(k).is_zero()
     return len(_eigen_groups(R, radius)) == 1
 
 
-def _generalized_kernel(L: Matrix, group: list[Scalar]) -> tuple[Matrix, Matrix]:
-    """(E, W): a basis E, as columns, of the kernel of the product of
-    L - w over the eigenvalues w of one group, and a left inverse W of it
-    (W E = Id).  E spans the generalized eigenspace of that point, and is
-    the identity when the group holds every eigenvalue.
+def _trace_mean(R: Matrix) -> Scalar:
+    """tr(R) / k for R of size k; exact mode reads it off R's numerators."""
+    k = R.rows
+    if R.mode == EXACT:
+        D, RR, RI = R._a
+        return Scalar(EXACT, Fraction(_diag_sum(RR), k * D), Fraction(_diag_sum(RI), k * D))
+    return R.trace() / Scalar.flt(k)
+
+
+def _restrict(B: list[Matrix], sizes: list[float], L: Matrix, group: list[Scalar]):
+    """(E, R): a basis E, as columns, of the kernel of the product of
+    L - w over the eigenvalues w of one group, and the restrictions R_j of
+    the members, B_j E = E R_j; None when some B_j does not keep that
+    space invariant.  E spans the generalized eigenspace of that point,
+    and is the identity when the group holds every eigenvalue.
 
     Exact mode: E is the canonical reduced-echelon kernel of
-    (L - lam)^k, whose row at each free coordinate is a unit row, so W
-    selects those rows.  Float mode grows E one factor at a time,
+    (L - lam)^k, the identity at its free coordinates, so R_j is the rows
+    of B_j E there, and B_j E = E R_j holds at those rows by construction:
+    the test compares the pivot rows.  All of it runs on the numerators.
+    Float mode grows E one factor at a time,
     V_i = {x : (L - w_i) x in V_(i-1)}, as the i smallest right singular
-    vectors of the projected operator (Id - V V^H)(L - w_i), and
-    W = E^H.  Each w_i is an eigenvalue of a matrix within rounding of L,
-    so the count, not a threshold, fixes the dimension, and a step
-    compares the new direction with the rest of the spectrum at a gap
-    that stays linear: a k-th power would compress it like gap^k."""
+    vectors of the projected operator (Id - V V^H)(L - w_i), restricts by
+    R_j = E^H B_j E and takes B_j E within INVARIANCE_SLACK eps_eq |B_j|
+    of E R_j as invariant.  Each w_i is an eigenvalue of a matrix within
+    rounding of L, so the count, not a threshold, fixes the dimension, and
+    a step compares the new direction with the rest of the spectrum at a
+    gap that stays linear: a k-th power would compress it like gap^k."""
     n, k = L.rows, len(group)
-    eye = Matrix.identity(n, L.mode, L.frame)
-    if k == n:
-        return eye, eye
     if L.mode == EXACT:
-        rows, pivots = _rref_exact((L - eye.scale(group[0])).power(k))
+        if k == n:
+            return Matrix.identity(n, EXACT), list(B)
+        rows, pivots = _rref_exact(_minus_scalar(L, group[0]).power(k))
+        E = _kernel(rows, pivots, n)
+        DE, ER, EI = E._a
         free = [c for c in range(n) if c not in set(pivots)]
-        W = Matrix(EXACT, k, n, (1, [[int(c == f) for c in range(n)] for f in free], _zero_grid(k, n)))
-        return _kernel(rows, pivots, n), W
-    V = np.zeros((n, 0), dtype=np.complex128)
-    for i, w in enumerate(group, 1):
-        A = L._a - w.cx * eye._a
-        _, _, vh = np.linalg.svd(A - V @ (V.conj().T @ A))
-        V = vh[n - i :].conj().T
-    E = Matrix(FLOAT, n, k, V, L.frame)
-    return E, E.conj_transpose()
+        PR, PI = [ER[p] for p in pivots], [EI[p] for p in pivots]
+        R = []
+        for Bj in B:
+            D, BR, BI = Bj._a
+            # B_j E = X / (D DE) and R_j = X_free / (D DE), so at the pivot
+            # rows E R_j = E_piv X_free / (D DE^2)
+            XR, XI = _grid_mul(BR, BI, ER, EI, k)
+            FR, FI = [XR[f] for f in free], [XI[f] for f in free]
+            YR, YI = _grid_mul(PR, PI, FR, FI, k)
+            if (YR, YI) != ([[DE * x for x in XR[p]] for p in pivots], [[DE * y for y in XI[p]] for p in pivots]):
+                return None
+            R.append(_exact(D * DE, FR, FI, k, k))
+        return E, R
+    eye = Matrix.identity(n, FLOAT, L.frame)
+    if k == n:
+        E = W = eye
+    else:
+        V = np.zeros((n, 0), dtype=np.complex128)
+        for i, w in enumerate(group, 1):
+            A = L._a - w.cx * eye._a
+            _, _, vh = np.linalg.svd(A - V @ (V.conj().T @ A))
+            V = vh[n - i :].conj().T
+        E = Matrix(FLOAT, n, k, V, L.frame)
+        W = E.conj_transpose()
+    BE = [Bj @ E for Bj in B]
+    R = [W @ X for X in BE]
+    if not all((X - E @ Rj).negligible(INVARIANCE_SLACK * s) for X, Rj, s in zip(BE, R, sizes)):
+        return None
+    return E, R
 
 
 def primary_decomposition(B: Sequence[Matrix]) -> list[tuple[tuple[Scalar, ...], int, Matrix, list[Matrix]]]:
@@ -1338,11 +1428,11 @@ def primary_decomposition(B: Sequence[Matrix]) -> list[tuple[tuple[Scalar, ...],
 
     This is the eigenvalue method (Cox, Little, O'Shea, Using Algebraic
     Geometry, ch. 2 sec. 4; Moeller and Stetter 1995): for t = 0, 1, 2,
-    ... split L = sum_j t^j w_j B_j at its eigenvalues, restrict every member
-    to each generalized eigenspace E of L, R_j = W B_j E for a left
-    inverse W of E, and read the point as p_j = tr R_j / k.  The t is
-    accepted when L separates the points: when every R_j has a single
-    eigenvalue, that is when every (R_j - p_j) is nilpotent.  Two
+    ... split L = sum_j t^j w_j B_j at its eigenvalues, restrict every
+    member to each generalized eigenspace E of L (:func:`_restrict`), and
+    read the point as p_j = tr R_j / k.  The t is accepted when L
+    separates the points: when every R_j has a single eigenvalue, that is
+    when every (R_j - p_j) is nilpotent.  Two
     distinct points collide under at most m - 1 values of t, so some t up
     to (m - 1) n (n - 1) / 2 separates them all.  Past that bound
     NonSplitCharPoly is raised.  Exact mode raises it, there or from
@@ -1366,22 +1456,20 @@ def primary_decomposition(B: Sequence[Matrix]) -> list[tuple[tuple[Scalar, ...],
     radii = [_radius(Bj, s) for Bj, s in zip(B, sizes)]
     weights = [1 / r if r else 1 for r in radii]
     for t in range(1 + (m - 1) * n * (n - 1) // 2):
-        L = first.scale(Scalar.of(mode, weights[0]))
+        L = first if weights[0] == 1 else first.scale(Scalar.of(mode, weights[0]))
         if t:
             for j, Bj in enumerate(B[1:], 1):
                 L = L + Bj.scale(Scalar.of(mode, weights[j] * t**j))
         pieces = []
         for group in _eigen_groups(L, _radius(L, sum(w * s * t**j for j, (w, s) in enumerate(zip(weights, sizes))))):
             k = len(group)
-            E, W = _generalized_kernel(L, group)
-            BE = [Bj @ E for Bj in B]
-            R = [W @ X for X in BE]
-            if not all((X - E @ Rj).negligible(INVARIANCE_SLACK * s) for X, Rj, s in zip(BE, R, sizes)):
+            piece = _restrict(B, sizes, L, group)
+            if piece is None:
                 break
+            E, R = piece
             if k > 1 and not all(_one_point(Rj, r) for Rj, r in zip(R, radii)):
                 break
-            p = tuple(Rj.trace() / Scalar.of(mode, k) for Rj in R)
-            pieces.append((p, k, E, R))
+            pieces.append((tuple(_trace_mean(Rj) for Rj in R), k, E, R))
         else:
             pieces.sort(key=lambda piece: tuple(c.sort_key() for c in piece[0]))
             return pieces

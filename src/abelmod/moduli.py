@@ -49,7 +49,7 @@ from .errors import (
     TauZeroError,
     ZeroEigenvalueError,
 )
-from .linalg import DEFAULT_FRAME, EXACT, FLOAT, Matrix, Scalar, ToleranceFrame
+from .linalg import DEFAULT_FRAME, EXACT, FLOAT, Matrix, Scalar, ToleranceFrame, parse_mode
 from .torus import (
     AbelianVarietyModel,
     DualPoint,
@@ -402,7 +402,7 @@ class HilbPoint:
         for pj in obj["pieces"]:
             point = _point_from_json(pj["point"])
             pd = pj["punctual"]
-            mode = pd.get("mode", EXACT)
+            mode = parse_mode(pd.get("mode", EXACT))
             N = CommutingTuple([Matrix.from_json(MJ, mode, frame) for MJ in pd["N"]])
             v = Matrix.from_json([[x] for x in pd["v"]], mode, frame)
             pieces.append(PunctualData(point, N, v))

@@ -44,7 +44,7 @@ from abelmod.errors import (
     NotStableError,
     WeightsNotDecreasingError,
 )
-from abelmod.linalg import EXACT, FLOAT, Matrix, Scalar, kernel_basis, primary_decomposition
+from abelmod.linalg import EXACT, FLOAT, Matrix, Scalar, kernel_basis, primary_decomposition, rank
 
 
 def _e(rows):
@@ -469,6 +469,9 @@ def _shear(data, n):
 
 _SUPPORT_PROPS = settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
+# Gaussian rationals: real, or with an imaginary part of its own denominator
+_GQS = st.tuples(_QS, st.just(Fraction(0)) | _QS)
+
 
 class TestPrimaryDecompositionProperties:
     @_SUPPORT_PROPS
@@ -495,6 +498,23 @@ class TestPrimaryDecompositionProperties:
             assert E == _stacked_power_kernel(T, pt) and E.cols == k
             for Bj, Rj in zip(T.B, R):
                 assert Bj @ E == E @ Rj
+
+    @_SUPPORT_PROPS
+    @given(st.data())
+    def test_exact_pieces_are_invariant_at_planted_points(self, data):
+        points, lengths, members = data.draw(_jordan_plant(_GQS))
+        S = _shear(data, len(members[0]))
+        T = CommutingTuple([Matrix.exact(A) for A in members]).conjugate(S)
+        pieces = primary_decomposition(T.B)
+        planted = sorted(
+            ((tuple(Scalar.exact(*c) for c in p), k) for p, k in zip(points, lengths)),
+            key=lambda e: tuple(c.sort_key() for c in e[0]),
+        )
+        assert [(pt, k) for pt, k, _, _ in pieces] == planted
+        for _, k, E, R in pieces:
+            assert (E.rows, E.cols) == (T.n, k) and rank(E) == k
+            for Bj, Rj in zip(T.B, R):
+                assert (Rj.rows, Rj.cols) == (k, k) and Bj @ E == E @ Rj
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.data())

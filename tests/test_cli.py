@@ -361,6 +361,34 @@ class TestMalformedGrids:
         doc["B"] = [member]
         self._malformed(tmp_path, capsys, "spectrum", doc)
 
+    @pytest.mark.parametrize("command", ["spectrum", "stability", "classify-dalgebra", "hilbert-chow"])
+    @pytest.mark.parametrize("mode", ["exakt", "Exact", None])
+    def test_unknown_mode(self, tmp_path, capsys, command, mode):
+        # a misspelt mode is not float mode
+        if command == "classify-dalgebra":
+            eye = [[_sc("1"), _sc("0")], [_sc("0"), _sc("1")]]
+            doc = {"d": 2, "v": 2, "mode": mode, "alpha": eye, "beta": eye, "gamma": eye}
+        elif command == "hilbert-chow":
+            doc = _hilb_doc()
+            doc["pieces"][0]["punctual"]["mode"] = mode
+        else:
+            doc = _unstable_diag()
+            doc["mode"] = mode
+        assert "unknown mode" in self._malformed(tmp_path, capsys, command, doc)
+
+    @pytest.mark.parametrize("command", ["spectrum", "stability"])
+    @pytest.mark.parametrize("sizes", [{"m": 4, "n": 3}, {"m": 2}, {"n": 1}, {"n": "2"}])
+    def test_declared_sizes_disagree(self, tmp_path, capsys, command, sizes):
+        doc = _unstable_diag()  # one 2 x 2 member
+        doc.update(sizes)
+        assert "declared" in self._malformed(tmp_path, capsys, command, doc)
+
+    def test_declared_sizes_may_be_left_out(self, tmp_path):
+        doc = _unstable_diag()
+        del doc["m"], doc["n"]
+        rc = main(["stability", "--in", _write(tmp_path, "in.json", doc), "--out", str(tmp_path / "out.json")])
+        assert rc == 0 and _read(tmp_path, "out.json")["stable"] is False
+
 
 class TestCheckUsage:
     @pytest.mark.parametrize(

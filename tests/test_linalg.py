@@ -347,6 +347,27 @@ def _grids(draw, rows=None, cols=None):
 _PROPS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
+def _ref_char_poly(A):
+    """Faddeev-LeVerrier on the Gaussian-rational entries themselves:
+    [c0, ..., c_(n-1), 1] as (re, im) pairs."""
+    n = len(A)
+    Ak, cs = A, []
+    for k in range(1, n + 1):
+        if k > 1:
+            c = cs[-1]
+            shifted = [[(x[0] + c[0], x[1] + c[1]) if i == j else x for j, x in enumerate(row)] for i, row in enumerate(Ak)]
+            Ak = _ref_matmul(A, shifted)
+        cs.append((-sum(Ak[i][i][0] for i in range(n)) / k, -sum(Ak[i][i][1] for i in range(n)) / k))
+    return cs[::-1] + [_G1]
+
+
+class TestCharPolyProperties:
+    @_PROPS
+    @given(st.integers(1, 6).flatmap(lambda n: _grids(n, n)))
+    def test_matches_fraction_reference(self, A):
+        assert [(c.re, c.im) for c in char_poly(Matrix.exact(A))] == _ref_char_poly(A)
+
+
 class TestExactKernelProperties:
     @_PROPS
     @given(st.data())
