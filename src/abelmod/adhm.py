@@ -24,8 +24,9 @@ pictures downstream:
   decomposition (linalg.primary_decomposition): the support points with
   their multiplicities, and a stable tuple split along its joint
   generalized eigenspaces into local pieces (base point, commuting
-  nilpotents, cyclic marking); local pieces transport through analytic
-  germs by finite nilpotent series.
+  nilpotents, cyclic marking);
+* the finite series exp(N) - Id and log(Id + N) of a nilpotent N, which
+  the chart maps in moduli apply to the nilpotent parts of pieces.
 
 Exact mode keeps every decision bit-reproducible; float mode thresholds
 every rank decision through the tuple's ToleranceFrame.
@@ -33,16 +34,13 @@ every rank decision through the tuple's ToleranceFrame.
 
 from __future__ import annotations
 
-import cmath
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
     DuplicatePointError,
     FlagNotInvariantError,
-    LogAtZeroError,
     ModeMismatchError,
     NonSplitCharPolyError,
     NotCommutingError,
@@ -52,7 +50,6 @@ from .errors import (
 from .linalg import (
     DEFAULT_FRAME,
     EXACT,
-    FLOAT,
     INVARIANCE_SLACK,
     Matrix,
     Scalar,
@@ -73,11 +70,6 @@ __all__ = [
     "InvariantFlag",
     "PunctualData",
     "IdealNormalForm",
-    "GermExp",
-    "GermLog",
-    "GermScale",
-    "GermSeries",
-    "GermId",
     "krylov_span",
     "is_stable",
     "common_eigenvector",
@@ -92,7 +84,6 @@ __all__ = [
     "ideal_normal_form",
     "from_points",
     "decompose_punctual",
-    "punctual_transport",
     "expm1_matrix",
     "log1p_matrix",
 ]
@@ -249,10 +240,6 @@ class InvariantFlag:
     @property
     def n(self):
         return self.basis.rows
-
-    @staticmethod
-    def coordinate(n: int, mode: str, frame: ToleranceFrame | None = None) -> "InvariantFlag":
-        return InvariantFlag(Matrix.identity(n, mode, frame))
 
 
 def krylov_span(M: MarkedTuple) -> Matrix:
@@ -617,37 +604,8 @@ class PunctualData:
     def length(self):
         return self.N.n
 
-    def operators(self) -> CommutingTuple:
-        """The affine operators point_j * Id + N_j (modes must agree)."""
-        mats = []
-        for pj, Nj in zip(self.point, self.N.B):
-            if pj.mode != Nj.mode:
-                raise ModeMismatchError("point and nilpotent parts in different modes")
-            mats.append(Nj + Matrix.identity(Nj.rows, Nj.mode, Nj.frame).scale(pj))
-        return CommutingTuple(mats)
-
     def __repr__(self):
         return f"<PunctualData length={self.length} at {[c.cx for c in self.point]}>"
-
-    def to_json(self):
-        out = {
-            "point": [c.to_json() for c in self.point],
-            "mode": self.N.mode,
-            "N": [M.to_json() for M in self.N.B],
-        }
-        if self.marking is not None:
-            out["v"] = [self.marking[i, 0].to_json() for i in range(self.length)]
-        return out
-
-    @staticmethod
-    def from_json(obj, frame: ToleranceFrame | None = None) -> "PunctualData":
-        mode = parse_mode(obj.get("mode", EXACT))
-        N = CommutingTuple([Matrix.from_json(MJ, mode, frame) for MJ in obj["N"]])
-        pt = [Scalar.from_json(x, mode) for x in obj["point"]]
-        marking = None
-        if "v" in obj:
-            marking = Matrix.from_json([[x] for x in obj["v"]], mode, frame)
-        return PunctualData(pt, N, marking)
 
 
 def decompose_punctual(M: MarkedTuple) -> list[PunctualData]:
@@ -670,32 +628,7 @@ def decompose_punctual(M: MarkedTuple) -> list[PunctualData]:
 
 
 # ----------------------------------------------------------------------
-# analytic germs on punctual pieces
-
-
-@dataclass(frozen=True)
-class GermId:
-    pass
-
-
-@dataclass(frozen=True)
-class GermExp:
-    pass
-
-
-@dataclass(frozen=True)
-class GermLog:
-    pass
-
-
-@dataclass(frozen=True)
-class GermScale:
-    c: Scalar
-
-
-@dataclass(frozen=True)
-class GermSeries:
-    coeffs: tuple  # (c_0, c_1, ...) Scalars, truncation at least the length
+# nilpotent series
 
 
 def expm1_matrix(N: Matrix) -> Matrix:
@@ -720,102 +653,3 @@ def log1p_matrix(N: Matrix) -> Matrix:
         term = term @ N
         out = out + term.scale(Scalar.of(N.mode, Fraction(1 if k % 2 else -1, k)))
     return out
-
-
-def _exp_scalar(p: Scalar) -> Scalar:
-    if p.mode == EXACT and p.is_zero():
-        return Scalar.one(EXACT)
-    z = cmath.exp(p.cx)
-    return Scalar(FLOAT, z.real, z.imag)
-
-
-def _log_scalar(p: Scalar, eps: float) -> Scalar:
-    if p.negligible(eps):
-        raise LogAtZeroError("log of zero base point")
-    if p.mode == EXACT and p == Scalar.one(EXACT):
-        return Scalar.zero(EXACT)
-    z = cmath.log(p.cx)
-    return Scalar(FLOAT, z.real, z.imag)
-
-
-def _scale_pair(x: Scalar, c: Scalar) -> Scalar:
-    """c * x, dropping to float unless both factors are exact."""
-    if x.mode != c.mode:
-        x, c = x.to_float(), c.to_float()
-    return x * c
-
-
-def _scale_matrix(N: Matrix, c: Scalar) -> Matrix:
-    """c * N, dropping to float unless both factors are exact."""
-    if N.mode != c.mode:
-        N, c = N.to_float(), c.to_float()
-    return N.scale(c)
-
-
-def punctual_transport(P: PunctualData, germs) -> PunctualData:
-    """Move a local piece through per-coordinate analytic germs.
-
-    ``germs`` is one germ (applied to every coordinate) or a list with one
-    germ per coordinate.  The operator p Id + N maps to g(p Id + N),
-    expanded as the germ's finite Taylor series around p (the nilpotent
-    truncates it):
-
-    * GermExp: e^p (Id + expm1(N)), so base e^p, nilpotent e^p expm1(N);
-    * GermLog: log(p) Id + log1p(N / p), principal branch, LogAtZero at
-      p = 0; with exact data the nilpotent stays exact for any exact p;
-    * GermScale(c): base c p, nilpotent c N;
-    * GermSeries(c_0..c_t): the polynomial evaluated at p Id + N, with
-      t + 1 at least the piece length.
-
-    Mutually inverse germs compose to the identity on the nilpotent data
-    up to the scalar prefactors they introduce; transcendental base values
-    are floating point (only exp at 0 and log at 1 stay exact)."""
-    m = P.N.m
-    if isinstance(germs, (GermId, GermExp, GermLog, GermScale, GermSeries)):
-        germs = [germs] * m
-    germs = list(germs)
-    if len(germs) != m:
-        raise ValueError("need one germ per coordinate")
-    eps = (P.N.frame or DEFAULT_FRAME).eps_eq
-    new_point = []
-    new_N = []
-    for j, g in enumerate(germs):
-        p = P.point[j]
-        N = P.N.B[j]
-        if isinstance(g, GermId):
-            new_point.append(p)
-            new_N.append(N)
-        elif isinstance(g, GermExp):
-            ep = _exp_scalar(p)
-            new_point.append(ep)
-            new_N.append(_scale_matrix(expm1_matrix(N), ep))
-        elif isinstance(g, GermLog):
-            lp = _log_scalar(p, eps)
-            new_point.append(lp)
-            inv_p = Scalar.one(p.mode) / p
-            new_N.append(log1p_matrix(_scale_matrix(N, inv_p)))
-        elif isinstance(g, GermScale):
-            new_point.append(_scale_pair(p, g.c))
-            new_N.append(_scale_matrix(N, g.c))
-        elif isinstance(g, GermSeries):
-            coeffs = list(g.coeffs)
-            if len(coeffs) < P.length:
-                raise ValueError("series truncated below the piece length")
-            if len({p.mode, N.mode, *(c.mode for c in coeffs)}) > 1:
-                p, N, coeffs = p.to_float(), N.to_float(), [c.to_float() for c in coeffs]
-            A = N + Matrix.identity(P.length, N.mode, N.frame).scale(p)
-            acc = Matrix.zeros(P.length, P.length, N.mode, N.frame)
-            pw = Matrix.identity(P.length, N.mode, N.frame)
-            base = Scalar.zero(p.mode)
-            ppow = Scalar.one(p.mode)
-            for k, ck in enumerate(coeffs):
-                if k:
-                    pw = pw @ A
-                    ppow = ppow * p
-                acc = acc + pw.scale(ck)
-                base = base + ppow * ck
-            new_point.append(base)
-            new_N.append(acc - Matrix.identity(P.length, acc.mode, acc.frame).scale(base))
-        else:
-            raise TypeError(f"unknown germ {g!r}")
-    return PunctualData(new_point, CommutingTuple(new_N), P.marking)

@@ -1363,14 +1363,14 @@ def _trace_mean(R: Matrix) -> Scalar:
 def _restrict(B: list[Matrix], sizes: list[float], L: Matrix, group: list[Scalar]):
     """(E, R): a basis E, as columns, of the kernel of the product of
     L - w over the eigenvalues w of one group, and the restrictions R_j of
-    the members, B_j E = E R_j; None when some B_j does not keep that
-    space invariant.  E spans the generalized eigenspace of that point,
-    and is the identity when the group holds every eigenvalue.
+    the members, B_j E = E R_j; None when some float B_j does not keep
+    that space invariant.  E spans the generalized eigenspace of that
+    point, and is the identity when the group holds every eigenvalue.
 
     Exact mode: E is the canonical reduced-echelon kernel of
     (L - lam)^k, the identity at its free coordinates, so R_j is the rows
-    of B_j E there, and B_j E = E R_j holds at those rows by construction:
-    the test compares the pivot rows.  All of it runs on the numerators.
+    of B_j E there, formed on the numerators.  Members that commute with
+    L keep its generalized eigenspaces invariant, so nothing is tested.
     Float mode grows E one factor at a time,
     V_i = {x : (L - w_i) x in V_(i-1)}, as the i smallest right singular
     vectors of the projected operator (Id - V V^H)(L - w_i), restricts by
@@ -1387,17 +1387,11 @@ def _restrict(B: list[Matrix], sizes: list[float], L: Matrix, group: list[Scalar
         E = _kernel(rows, pivots, n)
         DE, ER, EI = E._a
         free = [c for c in range(n) if c not in set(pivots)]
-        PR, PI = [ER[p] for p in pivots], [EI[p] for p in pivots]
         R = []
         for Bj in B:
             D, BR, BI = Bj._a
-            # B_j E = X / (D DE) and R_j = X_free / (D DE), so at the pivot
-            # rows E R_j = E_piv X_free / (D DE^2)
-            XR, XI = _grid_mul(BR, BI, ER, EI, k)
-            FR, FI = [XR[f] for f in free], [XI[f] for f in free]
-            YR, YI = _grid_mul(PR, PI, FR, FI, k)
-            if (YR, YI) != ([[DE * x for x in XR[p]] for p in pivots], [[DE * y for y in XI[p]] for p in pivots]):
-                return None
+            # R_j = (B_j E)_free = (B_j)_free E, over D DE
+            FR, FI = _grid_mul([BR[f] for f in free], [BI[f] for f in free], ER, EI, k)
             R.append(_exact(D * DE, FR, FI, k, k))
         return E, R
     eye = Matrix.identity(n, FLOAT, L.frame)
@@ -1420,6 +1414,12 @@ def _restrict(B: list[Matrix], sizes: list[float], L: Matrix, group: list[Scalar
 
 def primary_decomposition(B: Sequence[Matrix]) -> list[tuple[tuple[Scalar, ...], int, Matrix, list[Matrix]]]:
     """The joint generalized eigenspaces of commuting n x n matrices B_j.
+
+    Exact members must commute exactly: their restrictions are read off
+    without testing that each member keeps the eigenspaces of L
+    invariant.  CommutingTuple checks this on construction, and the
+    multiplication matrices of an ideal normal form commute by
+    construction.  Float members are tested (see below).
 
     One entry (p, k, E, R) per support point p, the joint eigenvalue
     tuple: its multiplicity k, a basis E of its joint generalized

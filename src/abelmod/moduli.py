@@ -12,7 +12,8 @@ scheme of points.  This module represents those points concretely:
 * betti_marked / betti_unmarked read the two off a matrix tuple, and
   betti_assemble inverts the marked direction up to base change;
 * rh_to_derham / rh_to_betti move Hilbert points between holonomy and
-  exponent charts by substituting nilpotents into log / exp germs;
+  exponent charts: log / exp on base points, the finite log / exp series
+  on nilpotents;
 * hodge_deform / hodge_rescale / hodge_undeform run the tau-scaling
   family connecting exponent data with cotangent data.
 
@@ -28,16 +29,14 @@ quotiented out on the natural and dual-torus sides).
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 from .adhm import (
     CommutingTuple,
     MarkedTuple,
     PunctualData,
-    _exp_scalar,
-    _log_scalar,
-    _scale_matrix,
-    _scale_pair,
     decompose_punctual,
     expm1_matrix,
     is_stable,
@@ -45,6 +44,7 @@ from .adhm import (
     spectrum_support,
 )
 from .errors import (
+    LogAtZeroError,
     PieceCollisionError,
     TauZeroError,
     ZeroEigenvalueError,
@@ -91,6 +91,36 @@ def _coord_from_json(obj) -> Scalar:
     # exact scalars serialize re/im as strings, float ones as numbers
     mode = EXACT if isinstance(obj["re"], str) else FLOAT
     return Scalar.from_json(obj, mode)
+
+
+def _exp_scalar(p: Scalar) -> Scalar:
+    if p.mode == EXACT and p.is_zero():
+        return Scalar.one(EXACT)
+    z = cmath.exp(p.cx)
+    return Scalar(FLOAT, z.real, z.imag)
+
+
+def _log_scalar(p: Scalar, eps: float) -> Scalar:
+    if p.negligible(eps):
+        raise LogAtZeroError("log of zero base point")
+    if p.mode == EXACT and p == Scalar.one(EXACT):
+        return Scalar.zero(EXACT)
+    z = cmath.log(p.cx)
+    return Scalar(FLOAT, z.real, z.imag)
+
+
+def _scale_pair(x: Scalar, c: Scalar) -> Scalar:
+    """c * x, dropping to float unless both factors are exact."""
+    if x.mode != c.mode:
+        x, c = x.to_float(), c.to_float()
+    return x * c
+
+
+def _scale_matrix(N: Matrix, c: Scalar) -> Matrix:
+    """c * N, dropping to float unless both factors are exact."""
+    if N.mode != c.mode:
+        N, c = N.to_float(), c.to_float()
+    return N.scale(c)
 
 
 class FiberSpace:
@@ -169,10 +199,6 @@ class FiberSpace:
         if self.kind == PRODUCT_ALPHA_ZERO:
             return self.vdim + self.d
         return 2 * self.d
-
-    @property
-    def multiplicative(self) -> bool:
-        return self.kind == BETTI
 
     def __eq__(self, other):
         if not isinstance(other, FiberSpace):
@@ -461,7 +487,7 @@ def _direct_sum(space: FiberSpace, group: list[PunctualData]) -> PunctualData:
     raise PieceCollisionError("merged pieces admit no cyclic marking")
 
 
-def assemble_pieces(space: FiberSpace, pieces, tol: float | None = None) -> HilbPoint:
+def assemble_pieces(space: FiberSpace, pieces) -> HilbPoint:
     """Canonicalize a list of pieces into a HilbPoint: chart points are
     canonicalized, colliding base points are merged (direct sum), and the
     result is ordered."""
@@ -471,7 +497,7 @@ def assemble_pieces(space: FiberSpace, pieces, tol: float | None = None) -> Hilb
     groups: list[list[PunctualData]] = []
     for P in staged:
         for g in groups:
-            if space.points_equal(g[0].point, P.point, tol):
+            if space.points_equal(g[0].point, P.point):
                 g.append(P)
                 break
         else:
@@ -729,24 +755,18 @@ def rank1_identify(space: FiberSpace, point) -> dict:
     }
 
 
-def diagram_check(
-    M: MarkedTuple,
-    model: AbelianVarietyModel | None = None,
-    tol: float | None = None,
-) -> bool:
+def diagram_check(M: MarkedTuple, tol: float | None = None) -> bool:
     """The marked square commutes: forgetting the marking and taking the
     weighted support equals passing to the Hilbert point and applying
     Hilbert-Chow, on both sides of the Riemann-Hilbert transform.  The
-    natural chart does not depend on the model, so any model of the
-    right dimension (default: the square one) verifies the second
-    square."""
+    natural chart does not depend on the model, so the square model of
+    the right dimension verifies the second square."""
     h = betti_marked(M)
     s_marked = hilbert_chow(h)
     s_plain = betti_unmarked(M.tuple)
     if not s_marked.close_to(s_plain, tol):
         return False
-    if model is None:
-        model = square_model(M.m // 2)
+    model = square_model(M.m // 2)
     n = rh_to_derham(h, model)
     s_rh = hilbert_chow(n)
     eps = model.frame.eps_eq

@@ -11,11 +11,6 @@ from hypothesis import strategies as st
 
 from abelmod.adhm import (
     CommutingTuple,
-    GermExp,
-    GermId,
-    GermLog,
-    GermScale,
-    GermSeries,
     InvariantFlag,
     MarkedTuple,
     PunctualData,
@@ -30,7 +25,6 @@ from abelmod.adhm import (
     krylov_span,
     log1p_matrix,
     marked_automorphisms_trivial,
-    punctual_transport,
     rees_family,
     rees_limit,
     sequiv_normal_form,
@@ -39,7 +33,6 @@ from abelmod.adhm import (
 )
 from abelmod.errors import (
     DuplicatePointError,
-    LogAtZeroError,
     NotCommutingError,
     NotStableError,
     WeightsNotDecreasingError,
@@ -283,60 +276,9 @@ class TestPunctual:
 
 
 class TestGerms:
-    def _piece(self):
-        N = CommutingTuple([_e([[0, 1, 0], [0, 0, 1], [0, 0, 0]])])
-        return PunctualData((Scalar.exact(2),), N, _col(1, 0, 0))
-
     def test_series_matrix_roundtrip(self):
         N = _e([[0, "1/3", 5], [0, 0, -2], [0, 0, 0]])
         assert log1p_matrix(expm1_matrix(N)) == N
-
-    def test_exp_log_inverse_bitwise_at_zero(self):
-        # e^0 = 1 keeps the prefactor exact, so the nilpotent returns
-        # bit for bit
-        N = CommutingTuple([_e([[0, "1/3", 5], [0, 0, -2], [0, 0, 0]])])
-        P = PunctualData((Scalar.exact(0),), N)
-        Q = punctual_transport(punctual_transport(P, GermExp()), GermLog())
-        assert Q.N.B[0] == P.N.B[0]
-        assert Q.point[0].is_zero()
-
-    def test_exp_log_inverse_float_elsewhere(self):
-        P = self._piece()
-        Q = punctual_transport(punctual_transport(P, GermExp()), GermLog())
-        # base 2 turns transcendental, so the roundtrip is float-close
-        assert Q.N.B[0].close_to(P.N.B[0].to_float(), 1e-12)
-        assert abs(Q.point[0].cx - 2.0) <= 1e-12
-
-    def test_log_at_zero(self):
-        N = CommutingTuple([SHIFT2])
-        P = PunctualData((Scalar.exact(0),), N)
-        with pytest.raises(LogAtZeroError):
-            punctual_transport(P, GermLog())
-
-    def test_scale_germ(self):
-        P = self._piece()
-        Q = punctual_transport(P, GermScale(Scalar.exact("1/2")))
-        assert Q.point[0] == Scalar.exact(1)
-        assert Q.N.B[0] == P.N.B[0].scale(Scalar.exact("1/2"))
-
-    def test_series_germ_evaluates(self):
-        P = self._piece()
-        # g(x) = x^2 via coefficients (0, 0, 1, 0): p = 4, N' = 4N + N^2
-        c = [Scalar.exact(0), Scalar.exact(0), Scalar.exact(1), Scalar.exact(0)]
-        Q = punctual_transport(P, GermSeries(tuple(c)))
-        A = P.N.B[0]
-        assert Q.point[0] == Scalar.exact(4)
-        assert Q.N.B[0] == A.scale(Scalar.exact(4)) + A @ A
-
-    def test_series_too_short(self):
-        P = self._piece()
-        with pytest.raises(ValueError):
-            punctual_transport(P, GermSeries((Scalar.exact(1),)))
-
-    def test_identity_germ(self):
-        P = self._piece()
-        Q = punctual_transport(P, GermId())
-        assert Q.N.B[0] == P.N.B[0] and Q.point == P.point
 
 
 class TestCentralizer:

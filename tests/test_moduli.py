@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from abelmod.adhm import CommutingTuple, MarkedTuple, PunctualData, from_points
+from abelmod.adhm import CommutingTuple, MarkedTuple, PunctualData, from_points, log1p_matrix
 from abelmod.errors import (
     LogAtZeroError,
     PieceCollisionError,
@@ -179,6 +179,22 @@ class TestRiemannHilbert:
         assert got == list(want.cx())  # bitwise: same log on both paths
         back = exp_rh(want)
         assert [c.cx for c in rh_to_betti(mid).pieces[0].point] == list(back.cx())
+
+    def test_unit_holonomy_and_zero_exponent_stay_exact(self):
+        # log 1 = 0 and exp 0 = 1 are the base values that stay exact;
+        # the other coordinate, log 2, turns float
+        N = Matrix.exact([[0, "1/3", 5], [0, 0, -2], [0, 0, 0]])
+        parts = CommutingTuple([N, Matrix.zeros(3, 3, EXACT)])
+        mark = Matrix.column([Scalar.exact(0), Scalar.exact(0), Scalar.exact(1)])
+        h = HilbPoint(FiberSpace.betti(1), [PunctualData(_exact_pt(1, 2), parts, mark)])
+        mid = rh_to_derham(h, square_model(1))
+        P = mid.pieces[0]
+        assert P.point[0] == Scalar.exact(0) and P.point[1].mode == FLOAT
+        assert mid.to_json()["pieces"][0]["point"]["coords"][0] == {"re": "0", "im": "0"}
+        assert P.N.mode == EXACT and P.N[0] == log1p_matrix(N)
+        Q = rh_to_betti(mid).pieces[0]
+        assert Q.point[0] == Scalar.exact(1)
+        assert Q.N.mode == EXACT and Q.N[0] == N and Q.N[1].is_zero()
 
     def test_zero_holonomy_rejected(self):
         sp = FiberSpace.betti(1)

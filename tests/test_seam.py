@@ -1,9 +1,12 @@
-"""Only linalg knows how a Matrix is stored.
+"""Only linalg knows how a Matrix is stored, and no module reaches into
+another's private names.
 
 Parses the modules above linalg and fails on any read of the storage
 attribute ``_a`` and on any call of the raw ``Matrix(mode, rows, cols,
 data)`` constructor; those modules build matrices through the public
 constructors (``Matrix.exact``, ``Matrix.flt``, ``Matrix.column``, ...).
+Parses every module of the package and fails on any import of an
+underscore name from a sibling module.
 """
 
 import ast
@@ -38,3 +41,27 @@ def test_no_storage_access_outside_linalg(module):
 def test_guard_sees_both_patterns():
     src = "M._a\nMatrix(EXACT, 1, 1, [[x]])\nlinalg.Matrix(FLOAT, 1, 1, a)\nMatrix.flt(a)\n"
     assert len(_violations(src)) == 3
+
+
+def _private_imports(source: str) -> list[str]:
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "abelmod"):
+            out += [f"line {node.lineno}: {a.name}" for a in node.names if a.name.startswith("_")]
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(Path(abelmod.__file__).parent.glob("*.py")), ids=lambda p: p.stem)
+def test_no_private_imports_between_modules(path):
+    assert _private_imports(path.read_text()) == []
+
+
+def test_guard_sees_private_imports():
+    src = (
+        "from __future__ import annotations\n"
+        "from .adhm import _exp_scalar, expm1_matrix\n"
+        "from abelmod.linalg import _EPS\n"
+        "from . import _helpers\n"
+        "from .linalg import Matrix\n"
+    )
+    assert len(_private_imports(src)) == 3
