@@ -12,17 +12,17 @@ pictures downstream:
 * triangularization: commuting matrices over C always share a complete
   invariant flag, found deterministically by intersecting eigenspaces
   member by member;
-* joint spectrum (the diagonal of a triangularization) and the
-  semisimple (direct sum of joint eigenlines) normal form, reached along
-  a one-parameter Rees degeneration attached to an invariant flag and
-  nonincreasing integer weights;
+* the semisimple (direct sum of joint eigenlines) normal form, reached
+  along a one-parameter Rees degeneration attached to an invariant flag
+  and nonincreasing integer weights;
 * the canonical form of the defining ideal: the staircase of standard
   monomials in graded lexicographic order together with the
   multiplication matrices in the staircase basis, an invariant of the
   marked isomorphism class (identical after any base change);
-* support and punctual decomposition, both read off one primary
-  decomposition (linalg.primary_decomposition): the support points with
-  their multiplicities, and a stable tuple split along its joint
+* support, joint spectrum and punctual decomposition, all read off one
+  primary decomposition (linalg.primary_decomposition): the support
+  points with their multiplicities, the joint spectrum as each point
+  repeated by its multiplicity, and a stable tuple split along its joint
   generalized eigenspaces into local pieces (base point, commuting
   nilpotents, cyclic marking);
 * the finite series exp(N) - Id and log(Id + N) of a nilpotent N, which
@@ -112,9 +112,8 @@ class CommutingTuple:
                 raise ModeMismatchError("tuple members in different modes")
         for i in range(len(B)):
             for j in range(i + 1, len(B)):
-                comm = B[i] @ B[j] - B[j] @ B[i]
-                if not comm.negligible(max(B[i].norm() * B[j].norm(), 1e-300)):
-                    raise NotCommutingError(i, j, comm.norm())
+                if not B[i].commutes_with(B[j]):
+                    raise NotCommutingError(i, j, (B[i] @ B[j] - B[j] @ B[i]).norm())
         self.B = tuple(B)
         self.m = len(B)
         self.n = n
@@ -320,13 +319,20 @@ def triangularize(T: CommutingTuple):
 
 
 def joint_spectrum(T: CommutingTuple) -> list[tuple[Scalar, ...]]:
-    """The multiset of joint eigenvalue m-tuples, read off the diagonal of
-    a simultaneous triangularization and sorted by coordinatewise
-    (Re, Im).  In float mode a defective block's entries keep the scatter
-    of computed eigenvalues; spectrum_support reports its point."""
-    _, _, upper = triangularize(T)
-    tuples = [tuple(U[k, k] for U in upper) for k in range(T.n)]
-    return sorted(tuples, key=lambda t: tuple(s.sort_key() for s in t))
+    """The multiset of joint eigenvalue m-tuples, sorted by coordinatewise
+    (Re, Im): each point of spectrum_support repeated by its multiplicity,
+    the tuple's point of the symmetric product.  A defective block gives
+    its support point, not the scatter of computed eigenvalues.  Raises
+    NonSplitCharPoly when the support does not split (in exact mode: when
+    some member's spectrum is not Gaussian rational), with the error
+    triangularize gives where it fails too, which names the degree of the
+    member block that does not split."""
+    try:
+        support = spectrum_support(T)
+    except NonSplitCharPolyError:
+        triangularize(T)
+        raise
+    return [p for p, k in support for _ in range(k)]
 
 
 def spectrum_support(T: CommutingTuple) -> list[tuple[tuple[Scalar, ...], int]]:
@@ -590,11 +596,9 @@ class PunctualData:
         pt = tuple(Scalar.of(N.mode, c) for c in point)
         if len(pt) != N.m:
             raise ValueError("point dimension differs from tuple arity")
-        ell = N.n
-        for Nj in N.B:
-            if not Nj.power(ell).negligible(max(1.0, Nj.norm()) ** ell):
-                raise ValueError("parts are not nilpotent")
-        if marking is not None and (marking.cols != 1 or marking.rows != ell):
+        if not all(Nj.is_nilpotent() for Nj in N.B):
+            raise ValueError("parts are not nilpotent")
+        if marking is not None and (marking.cols != 1 or marking.rows != N.n):
             raise ValueError("marking must be an ell x 1 column")
         self.point = pt
         self.N = N
@@ -621,7 +625,7 @@ def decompose_punctual(M: MarkedTuple) -> list[PunctualData]:
     offset = 0
     for pt, ell, _, R in parts:
         eye = Matrix.identity(ell, T.mode, T.frame)
-        N = CommutingTuple([Rj - eye.scale(p) for Rj, p in zip(R, pt)])
+        N = CommutingTuple._derived([Rj - eye.scale(p) for Rj, p in zip(R, pt)])
         pieces.append(PunctualData(pt, N, coeffs.submatrix(offset, offset + ell, 0, 1)))
         offset += ell
     return pieces

@@ -34,7 +34,7 @@ from .adhm import (
 )
 from .checks import SCHEMA, run_all
 from .dalgebra import UtaiTriple, classify, fm_dual, orbit_invariants
-from .errors import AbelmodError, SchemaError
+from .errors import AbelmodError, NonSplitCharPolyError, SchemaError
 from .linalg import DEFAULT_FRAME, EXACT, FLOAT, Matrix, Scalar, ToleranceFrame
 from .moduli import BETTI, NATURAL, HilbPoint, hilbert_chow, hodge_deform, rh_to_betti, rh_to_derham
 from .torus import square_model
@@ -167,13 +167,18 @@ def _cmd_stability(obj, ctx: _Ctx):
 
 
 def _cmd_spectrum(obj, ctx: _Ctx):
+    # the joint spectrum is the support with each point repeated by its
+    # multiplicity (adhm.joint_spectrum), so the support is computed once;
+    # when it does not split, joint_spectrum raises the error reported
     T = _tuple(obj, ctx)
+    try:
+        support = [([c.to_json() for c in p], k) for p, k in spectrum_support(T)]
+    except NonSplitCharPolyError:
+        joint_spectrum(T)
+        raise
     return {
-        "joint_spectrum": [[c.to_json() for c in row] for row in joint_spectrum(T)],
-        "support": [
-            {"point": [c.to_json() for c in p], "multiplicity": k}
-            for p, k in spectrum_support(T)
-        ],
+        "joint_spectrum": [p for p, k in support for _ in range(k)],
+        "support": [{"point": p, "multiplicity": k} for p, k in support],
     }
 
 

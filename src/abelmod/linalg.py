@@ -639,6 +639,23 @@ class Matrix:
             return self.is_zero()
         return self.norm() <= self.frame.eps_eq * scale
 
+    def commutes_with(self, other: "Matrix") -> bool:
+        """Exact mode: the two products are equal.  Float mode: the
+        commutator's Frobenius norm is at most eps_eq |self| |other|."""
+        AB, BA = self @ other, other @ self
+        if self.mode == EXACT:
+            return AB == BA
+        return (AB - BA).negligible(max(self.norm() * other.norm(), 1e-300))
+
+    def is_nilpotent(self) -> bool:
+        """Whether M^n vanishes for n x n M: exactly in exact mode, within
+        eps_eq max(1, |M|)^n (Frobenius) in float mode."""
+        n = self.rows
+        P = self.power(n)
+        if self.mode == EXACT:
+            return P.is_zero()
+        return P.negligible(max(1.0, self.norm()) ** n)
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -1303,12 +1320,13 @@ _EPS = float(np.finfo(np.float64).eps)
 
 
 def _radius(ref: Matrix, size: float) -> float:
-    """The radius within which eigenvalues computed from the n x n matrix
-    ref, with rounding errors of about eps size, count as one point: 0 in
-    exact mode.  Float mode: max(|ref - tr(ref)/n| eps^(1/(n+1)),
-    eps_eq size), the scatter a defective block of length up to n puts on
-    computed eigenvalues, which moves with a rescaling and not with a
-    shift, and the frame's resolution."""
+    """The widest radius within which eigenvalues computed from the n x n
+    matrix ref, with rounding errors of about eps size, count as one
+    point: 0 in exact mode.  Float mode: max(|ref - tr(ref)/n|
+    eps^(1/(n+1)), eps_eq size), the scatter a defective block of length
+    up to n puts on computed eigenvalues, which moves with a rescaling and
+    not with a shift, and the frame's resolution.  :func:`_eigen_groups`
+    narrows it for each eigenvalue to that eigenvalue's own error."""
     if ref.mode == EXACT:
         return 0
     n = ref.rows
@@ -1316,28 +1334,49 @@ def _radius(ref: Matrix, size: float) -> float:
     return max(spread * _EPS ** (1.0 / (n + 1)), ref.frame.eps_eq * size)
 
 
-def _eigen_groups(M: Matrix, radius: float) -> list[list[Scalar]]:
+def _eigen_groups(M: Matrix, radius: float, size: float, error: float) -> list[list[Scalar]]:
     """The eigenvalues of M, with multiplicity, in groups, one per point.
     Exact mode: each root of the characteristic polynomial, repeated by its
-    multiplicity.  Float mode: numpy eigenvalues merged transitively
-    within radius."""
+    multiplicity.  Float mode: numpy eigenvalues merged transitively, z
+    with u when |z - u| <= max(r_z, r_u).  M is within error of the
+    matrix it stands for, and each r_z is 8 n error kappa_z,
+    kappa_z = |x| |y| / |y^H x| the condition number of z from its right
+    and left eigenvectors, clipped to [eps_eq size, radius].  A simple
+    eigenvalue of a far-from-normal matrix so keeps a radius of its own
+    first-order error, while the k computed eigenvalues of a defective
+    block, on a ring of radius rho with kappa about rho / (k error),
+    merge: neighbours on the ring are at most 2 rho sin(pi / k) apart."""
     if M.mode == EXACT:
         return [[lam] * k for lam, k in exact_roots(char_poly(M))]
-    groups: list[list[complex]] = []
-    for z in np.linalg.eigvals(M._a):
-        near = [g for g in groups if min(abs(z - u) for u in g) <= radius]
+    w, X = np.linalg.eig(M._a)
+    n = M.rows
+    try:
+        with np.errstate(all="ignore"):
+            # numpy's eigenvectors have unit length, and the rows of X^-1
+            # are the left eigenvectors scaled to y^H x = 1
+            kappa = np.linalg.norm(np.linalg.inv(X), axis=1)
+    except np.linalg.LinAlgError:
+        kappa = np.full(n, np.inf)
+    kappa = np.where(np.isfinite(kappa), kappa, np.inf)
+    floor = M.frame.eps_eq * size
+    radii = np.clip(8 * n * error * kappa, floor, radius)
+    groups: list[list[tuple[complex, float]]] = []
+    for z, r in zip(w, radii):
+        near = [g for g in groups if min(abs(z - u) - max(r, s) for u, s in g) <= 0]
         groups = [g for g in groups if all(g is not h for h in near)]
-        groups.append([z] + [u for g in near for u in g])
-    return [[Scalar.from_complex(z) for z in g] for g in groups]
+        groups.append([(z, r)] + [e for g in near for e in g])
+    return [[Scalar.from_complex(z) for z, _ in g] for g in groups]
 
 
-def _one_point(R: Matrix, radius: float) -> bool:
+def _one_point(R: Matrix, radius: float, size: float, error: float) -> bool:
     """Whether the square matrix R has a single eigenvalue.  Exact mode:
     k R - tr(R) is nilpotent, (k R - tr(R))^k = 0 for R of size k, formed
     on R's numerators, where no denominator or gcd is needed.  Float mode:
-    its eigenvalues form one group within radius, the radius of the member
-    R is restricted from, so a piece counts as one point exactly when the
-    eigenvalues it holds would merge as eigenvalues of the member."""
+    its eigenvalues form one group (:func:`_eigen_groups`) within the
+    radius and at the size of the member R is restricted from, R being
+    within error of that member's exact restriction, so a piece counts as
+    one point exactly when the eigenvalues it holds would merge as
+    eigenvalues of the member."""
     if R.mode == EXACT:
         _, RR, RI = R._a
         k = R.rows
@@ -1347,8 +1386,8 @@ def _one_point(R: Matrix, radius: float) -> bool:
         for i in range(k):
             NR[i][i] -= tr
             NI[i][i] -= ti
-        return Matrix(EXACT, k, k, (1, NR, NI)).power(k).is_zero()
-    return len(_eigen_groups(R, radius)) == 1
+        return Matrix(EXACT, k, k, (1, NR, NI)).is_nilpotent()
+    return len(_eigen_groups(R, radius, size, error)) == 1
 
 
 def _trace_mean(R: Matrix) -> Scalar:
@@ -1361,28 +1400,31 @@ def _trace_mean(R: Matrix) -> Scalar:
 
 
 def _restrict(B: list[Matrix], sizes: list[float], L: Matrix, group: list[Scalar]):
-    """(E, R): a basis E, as columns, of the kernel of the product of
-    L - w over the eigenvalues w of one group, and the restrictions R_j of
-    the members, B_j E = E R_j; None when some float B_j does not keep
-    that space invariant.  E spans the generalized eigenspace of that
-    point, and is the identity when the group holds every eigenvalue.
+    """(E, R, e): a basis E, as columns, of the kernel of the product of
+    L - w over the eigenvalues w of one group, the restrictions R_j of
+    the members, B_j E = E R_j, and the errors e_j of the R_j; None when
+    some float B_j does not keep that space invariant.  E spans the
+    generalized eigenspace of that point, and is the identity when the
+    group holds every eigenvalue.
 
     Exact mode: E is the canonical reduced-echelon kernel of
     (L - lam)^k, the identity at its free coordinates, so R_j is the rows
-    of B_j E there, formed on the numerators.  Members that commute with
-    L keep its generalized eigenspaces invariant, so nothing is tested.
-    Float mode grows E one factor at a time,
+    of B_j E there, formed on the numerators, and e_j = 0.  Members that
+    commute with L keep its generalized eigenspaces invariant, so nothing
+    is tested.  Float mode grows E one factor at a time,
     V_i = {x : (L - w_i) x in V_(i-1)}, as the i smallest right singular
     vectors of the projected operator (Id - V V^H)(L - w_i), restricts by
     R_j = E^H B_j E and takes B_j E within INVARIANCE_SLACK eps_eq |B_j|
-    of E R_j as invariant.  Each w_i is an eigenvalue of a matrix within
+    of E R_j as invariant.  R_j is an exact restriction of
+    B_j - (B_j E - E R_j) E^H, so e_j = eps |B_j| + |B_j E - E R_j|.
+    Each w_i is an eigenvalue of a matrix within
     rounding of L, so the count, not a threshold, fixes the dimension, and
     a step compares the new direction with the rest of the spectrum at a
     gap that stays linear: a k-th power would compress it like gap^k."""
     n, k = L.rows, len(group)
     if L.mode == EXACT:
         if k == n:
-            return Matrix.identity(n, EXACT), list(B)
+            return Matrix.identity(n, EXACT), list(B), [0] * len(B)
         rows, pivots = _rref_exact(_minus_scalar(L, group[0]).power(k))
         E = _kernel(rows, pivots, n)
         DE, ER, EI = E._a
@@ -1393,7 +1435,7 @@ def _restrict(B: list[Matrix], sizes: list[float], L: Matrix, group: list[Scalar
             # R_j = (B_j E)_free = (B_j)_free E, over D DE
             FR, FI = _grid_mul([BR[f] for f in free], [BI[f] for f in free], ER, EI, k)
             R.append(_exact(D * DE, FR, FI, k, k))
-        return E, R
+        return E, R, [0] * len(B)
     eye = Matrix.identity(n, FLOAT, L.frame)
     if k == n:
         E = W = eye
@@ -1407,9 +1449,10 @@ def _restrict(B: list[Matrix], sizes: list[float], L: Matrix, group: list[Scalar
         W = E.conj_transpose()
     BE = [Bj @ E for Bj in B]
     R = [W @ X for X in BE]
-    if not all((X - E @ Rj).negligible(INVARIANCE_SLACK * s) for X, Rj, s in zip(BE, R, sizes)):
+    res = [(X - E @ Rj).norm() for X, Rj in zip(BE, R)]
+    if any(e > L.frame.eps_eq * (INVARIANCE_SLACK * s) for e, s in zip(res, sizes)):
         return None
-    return E, R
+    return E, R, [_EPS * s + e for e, s in zip(res, sizes)]
 
 
 def primary_decomposition(B: Sequence[Matrix]) -> list[tuple[tuple[Scalar, ...], int, Matrix, list[Matrix]]]:
@@ -1440,15 +1483,17 @@ def primary_decomposition(B: Sequence[Matrix]) -> list[tuple[tuple[Scalar, ...],
     rational: a separating L then does not split.
 
     Float mode resolves what its frame resolves.  The eigenvalues of B_j
-    merge within r_j, the larger of the scatter |B_j - tr(B_j)/n|
+    merge within at most r_j, the larger of the scatter |B_j - tr(B_j)/n|
     eps^(1/(n+1)) of a defective block and the rounding scale
-    eps_eq |B_j|, and w_j = 1 / r_j, so each member counts in units of its
-    own resolution whatever its scale beside the others (w_j = 1 in exact
-    mode and for B_j = 0).  Eigenvalues of L merge at the same two radii
-    taken from L, with the rounding scale eps_eq sum_j t^j w_j |B_j|.  A
-    piece passes when B_j E is within INVARIANCE_SLACK eps_eq |B_j| of
-    E R_j and the eigenvalues of each R_j merge within r_j.  This is the
-    frame's limit: points closer than eps_eq |L| merge."""
+    eps_eq |B_j|, and within less where their condition numbers bound
+    their error more tightly (:func:`_eigen_groups`).  w_j = 1 / r_j, so
+    each member counts in units of its own resolution whatever its scale
+    beside the others (w_j = 1 in exact mode and for B_j = 0).
+    Eigenvalues of L merge by the same rule taken from L, with the size
+    sum_j t^j w_j |B_j|.  A piece passes when B_j E is within
+    INVARIANCE_SLACK eps_eq |B_j| of E R_j and the eigenvalues of each R_j
+    merge by the rule of B_j.  This is the frame's limit: points closer
+    than eps_eq |L| merge."""
     B = list(B)
     first = B[0]
     n, m, mode = first.rows, len(B), first.mode
@@ -1461,13 +1506,14 @@ def primary_decomposition(B: Sequence[Matrix]) -> list[tuple[tuple[Scalar, ...],
             for j, Bj in enumerate(B[1:], 1):
                 L = L + Bj.scale(Scalar.of(mode, weights[j] * t**j))
         pieces = []
-        for group in _eigen_groups(L, _radius(L, sum(w * s * t**j for j, (w, s) in enumerate(zip(weights, sizes))))):
+        size = sum(w * s * t**j for j, (w, s) in enumerate(zip(weights, sizes)))
+        for group in _eigen_groups(L, _radius(L, size), size, _EPS * size):
             k = len(group)
             piece = _restrict(B, sizes, L, group)
             if piece is None:
                 break
-            E, R = piece
-            if k > 1 and not all(_one_point(Rj, r) for Rj, r in zip(R, radii)):
+            E, R, errors = piece
+            if k > 1 and not all(_one_point(*args) for args in zip(R, radii, sizes, errors)):
                 break
             pieces.append((tuple(_trace_mean(Rj) for Rj in R), k, E, R))
         else:

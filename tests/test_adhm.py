@@ -343,10 +343,66 @@ class TestFloatSupportEquivariance:
             for (a, b), (x, y) in zip(got, [(shift, 0), (shift, small), (shift + big, 0)]):
                 assert abs(a - x) <= 1e-9 * (big + shift) and abs(b - y) <= 1e-9 * small
 
+    def test_small_conjugated_spectrum(self):
+        # eigenvalues clustered at an absolute eps_eq would merge these points
+        c = 1e-10
+        T = CommutingTuple([Matrix.flt(c * np.linalg.inv(_G3) @ np.diag([1.0, 2.0, 3.0]) @ _G3)])
+        D = sequiv_normal_form(T).B[0]
+        for got in ([pt[0].cx for pt in joint_spectrum(T)], [D[k, k].cx for k in range(3)]):
+            assert len(got) == 3
+            for z, want in zip(got, (1, 2, 3)):
+                assert abs(z - c * want) <= 1e-6 * c * want
+
     def test_conjugated_scalar(self):
         supp = _float_support([np.linalg.inv(_G3) @ (2.0 * np.eye(3)) @ _G3])
         assert len(supp) == 1 and supp[0][1] == 3
         assert abs(supp[0][0][0].cx - 2.0) <= 1e-12
+
+
+def _non_normal_plants(n, count=12):
+    """(points, tuple) pairs: m = 1 + n mod 3 members D, 2D + D^2,
+    3D + D^2 with D a diagonal of n standard normal reals, conjugated by a
+    complex Gaussian g (condition numbers about 10 to 100), so the members
+    are diagonalizable and far from normal."""
+    rng = np.random.default_rng(n)
+    for _ in range(count):
+        d = rng.normal(size=n)
+        diagonals = [d, 2 * d + d**2, 3 * d + d**2][: 1 + n % 3]
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        gi = np.linalg.inv(g)
+        points = [tuple(e[i] for e in diagonals) for i in range(n)]
+        yield points, CommutingTuple([Matrix.flt(gi @ np.diag(e) @ g) for e in diagonals])
+
+
+def _take_each(got, points, tol):
+    """Match the computed points to the planted ones as multisets."""
+    left = list(points)
+    for p in got:
+        q = min(left, key=lambda q: max(abs(a - b) for a, b in zip(p, q)))
+        assert max(abs(a - b) for a, b in zip(p, q)) <= tol
+        left.remove(q)
+    assert not left
+
+
+class TestNonNormalSpectrum:
+    """Simple eigenvalues of a far-from-normal member are told apart from
+    the scatter of a defective block by their condition numbers, so a
+    point is not merged with its neighbours at the Jordan radius
+    |B - tr B/n| eps^(1/(n+1))."""
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_joint_spectrum_and_semisimple_form(self, n):
+        for points, T in _non_normal_plants(n):
+            _take_each([tuple(c.cx for c in p) for p in joint_spectrum(T)], points, 1e-8)
+            S = sequiv_normal_form(T)
+            _take_each([tuple(D[k, k].cx for D in S.B) for k in range(n)], points, 1e-8)
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_support_points_are_simple(self, n):
+        for points, T in _non_normal_plants(n):
+            supp = spectrum_support(T)
+            assert [k for _, k in supp] == [1] * n
+            _take_each([tuple(c.cx for c in p) for p, _ in supp], points, 1e-8)
 
 
 def _run_length(spec):
@@ -415,6 +471,14 @@ _SUPPORT_PROPS = settings(max_examples=40, deadline=None, suppress_health_check=
 _GQS = st.tuples(_QS, st.just(Fraction(0)) | _QS)
 
 
+def _well_conditioned(n, seed):
+    """A complex n x n matrix: unitary, singular values in [1, 2], unitary."""
+    rng = np.random.default_rng(seed)
+    q1, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    q2, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q1 @ np.diag(rng.uniform(1.0, 2.0, n)) @ q2
+
+
 class TestPrimaryDecompositionProperties:
     @_SUPPORT_PROPS
     @given(st.data())
@@ -423,7 +487,13 @@ class TestPrimaryDecompositionProperties:
         S = _shear(data, len(members[0]))
         T = CommutingTuple([Matrix.exact(A) for A in members]).conjugate(S)
         supp = spectrum_support(T)
-        assert supp == _run_length(joint_spectrum(T))
+        # a second algorithm: the diagonal of a deflation triangularization
+        _, _, upper = triangularize(T)
+        diagonal = sorted(
+            (tuple(U[k, k] for U in upper) for k in range(T.n)), key=lambda t: tuple(c.sort_key() for c in t)
+        )
+        assert supp == _run_length(diagonal)
+        assert joint_spectrum(T) == diagonal
         planted = sorted(
             ((tuple(Scalar.exact(c) for c in p), k) for p, k in zip(points, lengths)),
             key=lambda e: tuple(c.sort_key() for c in e[0]),
@@ -463,12 +533,7 @@ class TestPrimaryDecompositionProperties:
     def test_float_planted_points_come_back(self, data):
         values = st.integers(-6, 6).map(lambda x: x / 2)
         points, lengths, members = data.draw(_jordan_plant(values))
-        n = len(members[0])
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        # well-conditioned: unitary, singular values in [1, 2], unitary
-        q1, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-        q2, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-        g = q1 @ np.diag(rng.uniform(1.0, 2.0, n)) @ q2
+        g = _well_conditioned(len(members[0]), data.draw(st.integers(0, 2**32 - 1)))
         # each member at its own scale
         cs = [10.0 ** data.draw(st.floats(-6, 6)) for _ in members]
         supp = _float_support([c * np.linalg.inv(g) @ np.array(A, dtype=complex) @ g for c, A in zip(cs, members)])
@@ -480,3 +545,20 @@ class TestPrimaryDecompositionProperties:
                 if l == k and all(abs(a.cx - b) <= 1e-6 * c for a, b, c in zip(pt, q, cs))
             )
             left.pop(hit)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_float_joint_spectrum_moves_with_scale(self, data):
+        values = st.integers(-6, 6).map(lambda x: x / 2)
+        _, _, members = data.draw(_jordan_plant(values))
+        g = _well_conditioned(len(members[0]), data.draw(st.integers(0, 2**32 - 1)))
+        mats = [np.linalg.inv(g) @ np.array(A, dtype=complex) @ g for A in members]
+        c = 10.0 ** data.draw(st.floats(-8, 8))
+        base = joint_spectrum(CommutingTuple([Matrix.flt(A) for A in mats]))
+        scaled = joint_spectrum(CommutingTuple([Matrix.flt(c * A) for A in mats]))
+        # matched as multisets: coordinates that tie up to rounding may sort
+        # differently at another scale
+        left = [tuple(c * x.cx for x in q) for q in base]
+        for p in scaled:
+            left.remove(next(q for q in left if all(abs(a.cx - b) <= 1e-6 * c for a, b in zip(p, q))))
+        assert not left

@@ -117,6 +117,19 @@ class TestCanonicalizeAndSpectrum:
         out = _read(tmp_path, "out.json")
         assert sum(s["multiplicity"] for s in out["support"]) == 3
 
+    def test_non_split_names_the_member_block(self, tmp_path):
+        # diag(8, 8, 1, 1) and a second member with eigenvalues +-sqrt 2 on
+        # the first block and +-sqrt 3 on the second: the support's
+        # combination L does not split at degree 4, but the error reported
+        # names the first 2 x 2 block of the member that does not split
+        rows = [[[8, 0, 0, 0], [0, 8, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], [[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 3], [0, 0, 1, 0]]]
+        doc = {"m": 2, "n": 4, "mode": "exact", "B": [[[_sc(str(x)) for x in r] for r in A] for A in rows]}
+        inp = _write(tmp_path, "in.json", doc)
+        rc = main(["spectrum", "--in", inp, "--out", str(tmp_path / "out.json")])
+        assert rc == 2
+        out = _read(tmp_path, "out.json")
+        assert (out["error"], out["detail"]) == ("NonSplitCharPoly", "no Gaussian-rational root found at degree 2")
+
 
 class TestRees:
     def test_family_and_limit(self, tmp_path):

@@ -200,11 +200,11 @@ GOLDEN = {
     ),
     'spectrum-float': (
         0,
-        '{"results":[{"joint_spectrum":[[{"im":0.0,"re":0.0},{"im":0.0,"re":0.5}],[{"im":0.0,"re":0.0},{"im":0.0,"re":0.5}]],"support":[{"multiplicity":2,"point":[{"im":0.0,"re":0.0},{"im":0.0,"re":0.5}]}]},{"joint_spectrum":[[{"im":0.0,"re":1.0}],[{"im":0.0,"re":2.0}]],"support":[{"multiplicity":1,"point":[{"im":0.0,"re":1.0}]},{"multiplicity":1,"point":[{"im":0.0,"re":2.0}]}]},{"joint_spectrum":[[{"im":0.0,"re":0.9999999741904319},{"im":1.0,"re":-1.2904784230425765e-08}],[{"im":0.0,"re":1.0000000258095683},{"im":0.9999999999999998,"re":1.2904784161448799e-08}],[{"im":0.0,"re":3.0000000000000004},{"im":-1.0,"re":1.0000000000000002}]],"support":[{"multiplicity":2,"point":[{"im":3.3306690738754696e-16,"re":1.0000000000000004},{"im":0.9999999999999999,"re":2.220446049250313e-16}]},{"multiplicity":1,"point":[{"im":1.81838795517425e-16,"re":3.0000000000000004},{"im":-1.0,"re":1.0000000000000002}]}]}],"schema":"abelmod/1"}\n',
+        '{"results":[{"joint_spectrum":[[{"im":0.0,"re":0.0},{"im":0.0,"re":0.5}],[{"im":0.0,"re":0.0},{"im":0.0,"re":0.5}]],"support":[{"multiplicity":2,"point":[{"im":0.0,"re":0.0},{"im":0.0,"re":0.5}]}]},{"joint_spectrum":[[{"im":0.0,"re":1.0}],[{"im":0.0,"re":2.0}]],"support":[{"multiplicity":1,"point":[{"im":0.0,"re":1.0}]},{"multiplicity":1,"point":[{"im":0.0,"re":2.0}]}]},{"joint_spectrum":[[{"im":-3.0357660829594124e-18,"re":0.9999999999999998},{"im":1.0000000000000004,"re":-1.8041124150158794e-16}],[{"im":-3.0357660829594124e-18,"re":0.9999999999999998},{"im":1.0000000000000004,"re":-1.8041124150158794e-16}],[{"im":0.0,"re":3.0},{"im":-1.0,"re":1.0}]],"support":[{"multiplicity":2,"point":[{"im":3.3306690738754696e-16,"re":1.0000000000000004},{"im":0.9999999999999999,"re":2.220446049250313e-16}]},{"multiplicity":1,"point":[{"im":1.81838795517425e-16,"re":3.0000000000000004},{"im":-1.0,"re":1.0000000000000002}]}]}],"schema":"abelmod/1"}\n',
     ),
     'spectrum-native-float': (
         0,
-        '{"results":[{"joint_spectrum":[[{"im":0.0,"re":0.0},{"im":0.0,"re":0.5}],[{"im":0.0,"re":0.0},{"im":0.0,"re":0.5}]],"support":[{"multiplicity":2,"point":[{"im":0.0,"re":0.0},{"im":0.0,"re":0.5}]}]},{"joint_spectrum":[[{"im":0.0,"re":0.9999999741904319},{"im":1.0,"re":-1.2904784230425765e-08}],[{"im":0.0,"re":1.0000000258095683},{"im":0.9999999999999998,"re":1.2904784161448799e-08}],[{"im":0.0,"re":3.0000000000000004},{"im":-1.0,"re":1.0000000000000002}]],"support":[{"multiplicity":2,"point":[{"im":3.3306690738754696e-16,"re":1.0000000000000004},{"im":0.9999999999999999,"re":2.220446049250313e-16}]},{"multiplicity":1,"point":[{"im":1.81838795517425e-16,"re":3.0000000000000004},{"im":-1.0,"re":1.0000000000000002}]}]}],"schema":"abelmod/1"}\n',
+        '{"results":[{"joint_spectrum":[[{"im":0.0,"re":0.0},{"im":0.0,"re":0.5}],[{"im":0.0,"re":0.0},{"im":0.0,"re":0.5}]],"support":[{"multiplicity":2,"point":[{"im":0.0,"re":0.0},{"im":0.0,"re":0.5}]}]},{"joint_spectrum":[[{"im":-3.0357660829594124e-18,"re":0.9999999999999998},{"im":1.0000000000000004,"re":-1.8041124150158794e-16}],[{"im":-3.0357660829594124e-18,"re":0.9999999999999998},{"im":1.0000000000000004,"re":-1.8041124150158794e-16}],[{"im":0.0,"re":3.0},{"im":-1.0,"re":1.0}]],"support":[{"multiplicity":2,"point":[{"im":3.3306690738754696e-16,"re":1.0000000000000004},{"im":0.9999999999999999,"re":2.220446049250313e-16}]},{"multiplicity":1,"point":[{"im":1.81838795517425e-16,"re":3.0000000000000004},{"im":-1.0,"re":1.0000000000000002}]}]}],"schema":"abelmod/1"}\n',
     ),
     'canonicalize': (
         2,

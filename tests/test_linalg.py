@@ -120,6 +120,21 @@ class TestMatrix:
         assert N.power(2).is_zero()
         assert Matrix.exact([[3, 9], [0, 4]]).trace() == Scalar.exact(7)
 
+    def test_commutes_with(self):
+        A = Matrix.exact([[1, "1/2"], [0, 3]])
+        S = Matrix.exact([[0, 1], [0, 0]])
+        assert A.commutes_with(A @ A) and not A.commutes_with(S)
+        # float: the commutator against the product of the norms, at any scale
+        for c in (1e-20, 1.0, 1e20):
+            F, G = Matrix.flt([[c, c], [0.0, 3 * c]]), Matrix.flt([[0.0, c], [0.0, 0.0]])
+            assert F.commutes_with(F @ F) and not F.commutes_with(G)
+
+    def test_is_nilpotent(self):
+        assert Matrix.exact([[0, 1, 2], [0, 0, "1/3"], [0, 0, 0]]).is_nilpotent()
+        assert not Matrix.exact([[0, 1], [1, 0]]).is_nilpotent()
+        assert Matrix.flt([[0.0, 1e6], [0.0, 0.0]]).is_nilpotent()
+        assert not Matrix.flt([[0.0, 1.0], [1.0, 0.0]]).is_nilpotent()
+
     def test_json_roundtrip_both_modes(self):
         A = Matrix.exact([["1/3", (0, 2)], [5, 0]])
         assert Matrix.from_json(A.to_json(), EXACT) == A

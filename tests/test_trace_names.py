@@ -7,10 +7,14 @@ so this reads the lists (the file is executed, not imported, so nothing
 is written beside it) and checks that every name still exists.
 """
 
+import json
 import runpy
+import sys
 from pathlib import Path
 
-from abelmod import adhm, linalg
+import pytest
+
+from abelmod import adhm, cli, linalg
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -28,18 +32,29 @@ def test_traced_names_exist():
     assert all(names for _, names, _ in lists["FUNCTIONS"])
 
 
+def _count_calls(monkeypatch, *functions):
+    """Replace each function, given as (module, name), in its module and in
+    every abelmod module that imported it (as the traced run does) by a
+    wrapper counting its calls; returns the counts by name."""
+    calls = {name: 0 for _, name in functions}
+    for module, name in functions:
+        fn = getattr(module, name)
+
+        def counting(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for key, mod in list(sys.modules.items()):
+            if (key == "abelmod" or key.startswith("abelmod.")) and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
 def test_exact_support_calls_the_traced_spectral_names(monkeypatch):
     """The traced run's linalg.char_poly and linalg.exact_roots rows count
     calls made through those module names; an exact support that split
     its members some other way would leave the rows at zero."""
-    calls = dict.fromkeys(("char_poly", "exact_roots"), 0)
-    for name in calls:
-
-        def counting(*args, _fn=getattr(linalg, name), _name=name):
-            calls[_name] += 1
-            return _fn(*args)
-
-        monkeypatch.setattr(linalg, name, counting)
+    calls = _count_calls(monkeypatch, (linalg, "char_poly"), (linalg, "exact_roots"))
     # the first member alone does not separate the two points, so the
     # support is found at t = 1, after one split of L at each t
     B = [linalg.Matrix.exact([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), linalg.Matrix.exact([[2, 0, 0], [0, 2, 0], [0, 0, "1/2"]])]
@@ -47,3 +62,16 @@ def test_exact_support_calls_the_traced_spectral_names(monkeypatch):
     q = linalg.Scalar.exact
     assert support == [((q(1), q("1/2")), 1), ((q(1), q(2)), 2)]
     assert calls == {"char_poly": 2, "exact_roots": 2}
+
+
+@pytest.mark.parametrize("mode", [[], ["--mode", "float"]], ids=["exact", "float"])
+def test_spectrum_command_reads_one_primary_decomposition(monkeypatch, tmp_path, mode):
+    """abelmod spectrum writes the joint spectrum and the support from one
+    primary decomposition, with no triangularization."""
+    calls = _count_calls(monkeypatch, (linalg, "primary_decomposition"), (adhm, "triangularize"))
+    doc = tmp_path / "in.json"
+    B = [linalg.Matrix.exact([[1, 1, 0], [0, 1, 0], [0, 0, 2]]), linalg.Matrix.exact([[0, 1, 0], [0, 0, 0], [0, 0, "1/2"]])]
+    T = adhm.CommutingTuple(B)
+    doc.write_text(json.dumps(T.to_json()))
+    assert cli.main(["spectrum", "--in", str(doc), "--out", str(tmp_path / "out.json"), *mode]) == 0
+    assert calls == {"primary_decomposition": 1, "triangularize": 0}
