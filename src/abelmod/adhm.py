@@ -359,7 +359,9 @@ def sequiv_normal_form(T: CommutingTuple) -> CommutingTuple:
 
 
 def _adapted(T: CommutingTuple, F: InvariantFlag) -> list[Matrix]:
-    """Tuple in the flag basis; FlagNotInvariant unless upper triangular."""
+    """Tuple in the flag basis; FlagNotInvariant unless upper triangular
+    (in float mode: unless each strict lower part is within
+    INVARIANCE_SLACK eps_eq of its member's norm)."""
     if F.basis.mode != T.mode:
         raise ModeMismatchError("flag mode differs from tuple")
     if F.n != T.n:
@@ -367,7 +369,7 @@ def _adapted(T: CommutingTuple, F: InvariantFlag) -> list[Matrix]:
     gi = inverse(F.basis)
     adapted = [gi @ M @ F.basis for M in T.B]
     for A in adapted:
-        if not A.strict_lower().negligible(INVARIANCE_SLACK * max(1.0, A.norm())):
+        if not A.strict_lower().negligible(INVARIANCE_SLACK * A.norm()):
             raise FlagNotInvariantError("flag is not invariant for the tuple")
     return adapted
 

@@ -150,7 +150,7 @@ class UtaiTriple:
             raise ValueError("beta shape differs from alpha")
         if (gamma.rows, gamma.cols) != (v, v):
             raise ValueError("gamma must be v x v")
-        if not (gamma + gamma.transpose()).negligible(max(1.0, gamma.norm())):
+        if not (gamma + gamma.transpose()).negligible(gamma.norm()):
             raise ValueError("gamma is not alternating")
         self.d, self.v = d, v
         self.alpha, self.beta, self.gamma = alpha, beta, gamma
@@ -238,12 +238,12 @@ def orbit_invariants(t: UtaiTriple) -> dict:
 
 def _scalar_multiple_of_id(M: Matrix) -> Scalar | None:
     """If M = tau * Id, return tau, else None.  Float mode compares within
-    eps_eq relative to the matrix scale."""
+    eps_eq of |M|."""
     if M.rows != M.cols:
         return None
     tau = M[0, 0]
     target = Matrix.identity(M.rows, M.mode, M.frame).scale(tau)
-    return tau if (M - target).negligible(max(1.0, M.norm())) else None
+    return tau if (M - target).negligible(M.norm()) else None
 
 
 def classify(t: UtaiTriple, coefficients: str = "tangent") -> DAlgebraLabel:

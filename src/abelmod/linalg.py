@@ -59,7 +59,10 @@ through this surface:
   ``inverse``, and the incremental :class:`Span`;
 * spectra: ``char_poly`` and ``exact_roots`` (exact only),
   ``eigenvalues``, ``eigenspace`` (the canonically smallest eigenvalue
-  and its eigenspace) and ``complete_basis``;
+  and its eigenspace) and ``complete_basis``; in float mode every
+  decision that two computed eigenvalues are one point is taken by
+  ``_eigen_groups``, relative to the matrix's own scale and to each
+  eigenvalue's condition number;
 * joint spectra: ``primary_decomposition``, the support points of a
   commuting tuple with their multiplicities, joint generalized
   eigenspaces and restrictions, by one algorithm in both modes.
@@ -1260,62 +1263,6 @@ def exact_roots(coeffs: list[Scalar]) -> list[tuple[Scalar, int]]:
     return roots
 
 
-def _float_eig_clusters(M: Matrix) -> list[tuple[complex, float]]:
-    """Cluster numpy eigenvalues within eps_eq; returns (mean, spread)
-    sorted by (Re, Im)."""
-    w = np.linalg.eig(M._a)[0]
-    scale = 1.0 + float(np.abs(w).max())
-    tol = M.frame.eps_eq * scale
-    clusters: list[list[complex]] = []
-    for z in sorted(w, key=lambda x: (x.real, x.imag)):
-        for cl in clusters:
-            if abs(z - cl[0]) <= tol:
-                cl.append(z)
-                break
-        else:
-            clusters.append([z])
-    out = []
-    for cl in clusters:
-        mean = sum(cl) / len(cl)
-        out.append((mean, max(abs(z - mean) for z in cl)))
-    out.sort(key=lambda t: (t[0].real, t[0].imag))
-    return out
-
-
-def eigenvalues(M: Matrix) -> list[Scalar]:
-    """Distinct eigenvalues sorted by (Re, Im): exact roots of the
-    characteristic polynomial (NonSplitCharPoly when it does not split
-    over the Gaussian rationals), or numpy eigenvalues clustered within
-    eps_eq."""
-    if M.mode == EXACT:
-        return [lam for lam, _ in exact_roots(char_poly(M))]
-    return [Scalar(FLOAT, z.real, z.imag) for z, _ in _float_eig_clusters(M)]
-
-
-def eigenspace(M: Matrix) -> tuple[Scalar, Matrix]:
-    """The canonically smallest eigenvalue (by (Re, Im)) and a basis of
-    its eigenspace as columns.
-
-    Exact mode: the reduced-echelon kernel of M - lambda.  Float mode:
-    right singular vectors of M - lambda at singular values within
-    max(eps_rank * sigma_max, twice the cluster spread), falling back to
-    the single best vector when thresholding rejects all (defective
-    eigenvalues split by roughly sqrt(machine eps))."""
-    n = M.rows
-    if M.mode == EXACT:
-        lam = exact_roots(char_poly(M))[0][0]
-        ker = kernel_basis(_minus_scalar(M, lam))
-        return lam, ker[0].hstack(*ker[1:])
-    z, spread = _float_eig_clusters(M)[0]
-    _, s, vh = np.linalg.svd(M._a - z * np.eye(n))
-    smax = s[0] if s[0] > 0 else 1.0
-    thresh = max(M.frame.eps_rank * smax, 2.0 * spread)
-    cols = [vh[i].conj() for i in range(n) if s[i] <= thresh]
-    if not cols:
-        cols = [vh[n - 1].conj()]
-    return Scalar(FLOAT, z.real, z.imag), Matrix(FLOAT, n, len(cols), np.array(cols).T, M.frame)
-
-
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -1366,6 +1313,50 @@ def _eigen_groups(M: Matrix, radius: float, size: float, error: float) -> list[l
         groups = [g for g in groups if all(g is not h for h in near)]
         groups.append([(z, r)] + [e for g in near for e in g])
     return [[Scalar.from_complex(z) for z, _ in g] for g in groups]
+
+
+def eigenvalues(M: Matrix) -> list[Scalar]:
+    """Distinct eigenvalues sorted by (Re, Im): exact roots of the
+    characteristic polynomial (NonSplitCharPoly when it does not split
+    over the Gaussian rationals), or the mean of each group of numpy
+    eigenvalues that :func:`_eigen_groups` counts as one point, at M's own
+    scale."""
+    if M.mode == EXACT:
+        return [lam for lam, _ in exact_roots(char_poly(M))]
+    size = M.norm()
+    groups = _eigen_groups(M, _radius(M, size), size, _EPS * size)
+    return sorted((Scalar.from_complex(sum(z.cx for z in g) / len(g)) for g in groups), key=Scalar.sort_key)
+
+
+def eigenspace(M: Matrix) -> tuple[Scalar, Matrix]:
+    """The canonically smallest eigenvalue (by (Re, Im)) and a basis of
+    its eigenspace as columns; a 1 x 1 M gives its entry and the identity.
+
+    Exact mode: the reduced-echelon kernel of M - lambda.  Float mode:
+    lambda is the smallest mean of a group of numpy eigenvalues
+    (:func:`_eigen_groups`, as in :func:`eigenvalues`), and the basis the
+    right singular vectors of M - lambda at singular values within
+    max(eps_rank * sigma_max, twice the group's spread), falling back to
+    the single best vector when thresholding rejects all (defective
+    eigenvalues split by roughly sqrt(machine eps))."""
+    n = M.rows
+    if n == 1:
+        return M[0, 0], Matrix.identity(1, M.mode, M.frame)
+    if M.mode == EXACT:
+        lam = exact_roots(char_poly(M))[0][0]
+        ker = kernel_basis(_minus_scalar(M, lam))
+        return lam, ker[0].hstack(*ker[1:])
+    size = M.norm()
+    groups = _eigen_groups(M, _radius(M, size), size, _EPS * size)
+    z, group = min(((sum(u.cx for u in g) / len(g), g) for g in groups), key=lambda t: (t[0].real, t[0].imag))
+    spread = max(abs(u.cx - z) for u in group)
+    _, s, vh = np.linalg.svd(M._a - z * np.eye(n))
+    smax = s[0] if s[0] > 0 else 1.0
+    thresh = max(M.frame.eps_rank * smax, 2.0 * spread)
+    cols = [vh[i].conj() for i in range(n) if s[i] <= thresh]
+    if not cols:
+        cols = [vh[n - 1].conj()]
+    return Scalar(FLOAT, z.real, z.imag), Matrix(FLOAT, n, len(cols), np.array(cols).T, M.frame)
 
 
 def _one_point(R: Matrix, radius: float, size: float, error: float) -> bool:

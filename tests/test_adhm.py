@@ -359,6 +359,33 @@ class TestFloatSupportEquivariance:
         assert abs(supp[0][0][0].cx - 2.0) <= 1e-12
 
 
+class TestFloatTriangularizeScale:
+    """Float triangularization moves with a rescaling: c g^-1 diag(1, 2, 3) g
+    is brought to upper triangular form with the diagonal c (1, 2, 3), and
+    the Rees limit along its flag, what ``abelmod rees`` takes without a
+    flag, is that diagonal, at every scale c."""
+
+    SCALES = [10.0**e for e in range(-14, 11, 2)]
+
+    @staticmethod
+    def _tuple(c):
+        return CommutingTuple([Matrix.flt(c * np.linalg.inv(_G3) @ np.diag([1.0, 2.0, 3.0]) @ _G3)])
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_upper_and_diagonal(self, c):
+        _, _, upper = triangularize(self._tuple(c))
+        a = upper.B[0].to_numpy()
+        assert np.abs(np.tril(a, -1)).max() <= 1e-12 * np.linalg.norm(a)
+        assert np.abs(np.diag(a) - c * np.array([1.0, 2.0, 3.0])).max() <= 1e-12 * c
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_rees_limit_along_computed_flag(self, c):
+        T = self._tuple(c)
+        _, F, _ = triangularize(T)
+        a = rees_limit(T, F, [2, 1, 0]).B[0].to_numpy()
+        assert np.abs(a - c * np.diag([1.0, 2.0, 3.0])).max() <= 1e-12 * c
+
+
 def _non_normal_plants(n, count=12):
     """(points, tuple) pairs: m = 1 + n mod 3 members D, 2D + D^2,
     3D + D^2 with D a diagonal of n standard normal reals, conjugated by a

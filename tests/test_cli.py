@@ -83,6 +83,16 @@ class TestClassify:
         assert out["fm_dual"]["beta"] == eye
         assert out["invariants"]["rank_alpha"] == 2
 
+    def test_small_float_gamma_that_is_not_alternating(self, tmp_path):
+        # gamma = 1e-12 Id is symmetric, not alternating, however small
+        eye, zero = ([[_sc(x), _sc(0.0)], [_sc(0.0), _sc(x)]] for x in (1.0, 0.0))
+        gamma = [[_sc(1e-12), _sc(0.0)], [_sc(0.0), _sc(1e-12)]]
+        doc = {"d": 2, "v": 2, "mode": "float", "alpha": eye, "beta": zero, "gamma": gamma}
+        inp = _write(tmp_path, "in.json", doc)
+        rc = main(["classify-dalgebra", "--in", inp, "--out", str(tmp_path / "out.json")])
+        assert rc == 1
+        assert _read(tmp_path, "out.json")["error"] == "Malformed"
+
 
 class TestCanonicalizeAndSpectrum:
     def test_canonicalize_staircase(self, tmp_path):
@@ -176,6 +186,22 @@ class TestRees:
         rc = main(["rees", "--weights", "0,1", "--in", inp, "--out", str(tmp_path / "out.json")])
         assert rc == 2
         assert _read(tmp_path, "out.json")["error"] == "WeightsNotDecreasing"
+
+    @pytest.mark.parametrize("c,c2", [("1e-10", "2e-10"), ("1", "2"), ("1e10", "2e10")])
+    def test_float_flag_that_is_not_invariant(self, tmp_path, c, c2):
+        # in the basis g = [[1, 0], [1, 1]] the member c diag(1, 2) has the
+        # strict lower entry c: far above rounding at every scale
+        doc = {
+            "m": 1,
+            "n": 2,
+            "mode": "exact",
+            "B": [[[_sc(c), _sc("0")], [_sc("0"), _sc(c2)]]],
+            "g": [[_sc("1"), _sc("0")], [_sc("1"), _sc("1")]],
+        }
+        inp = _write(tmp_path, "in.json", doc)
+        rc = main(["rees", "--mode", "float", "--weights", "1,0", "--in", inp, "--out", str(tmp_path / "out.json")])
+        assert rc == 2
+        assert _read(tmp_path, "out.json")["error"] == "FlagNotInvariant"
 
 
 def _hilb_doc():

@@ -33,6 +33,13 @@ class TestTripleValidation:
         with pytest.raises(ValueError):
             _triple([[1, 0]], [[0, 0]], [[0, 1], [1, 0]])
 
+    @pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+    def test_float_alternating_test_is_relative(self, c):
+        z = Matrix.flt([[0.0, 0.0], [0.0, 0.0]])
+        UtaiTriple(z, z, Matrix.flt([[0.0, c], [-c, 0.0]]))
+        with pytest.raises(ValueError):
+            UtaiTriple(z, z, Matrix.flt([[c, 0.0], [0.0, c]]))
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             _triple([[1, 0]], [[0]], _zeros(2, 2))
@@ -92,6 +99,13 @@ class TestClassify:
     def test_generic(self):
         t = _triple([[1, 2], [0, 1]], [[1, 0], [0, 0]], _zeros(2, 2))
         assert classify(t).kind == "generic"
+
+    @pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+    def test_float_scalar_test_is_relative(self, c):
+        z = Matrix.flt([[0.0, 0.0], [0.0, 0.0]])
+        assert classify(UtaiTriple(Matrix.flt([[c, 0.0], [0.0, 2 * c]]), z, z)).kind == "generic"
+        lab = classify(UtaiTriple(Matrix.flt([[3 * c, 0.0], [0.0, 3 * c]]), z, z))
+        assert lab.kind == "tau-connection" and lab.tau.cx == 3 * c
 
     def test_float_tolerant_de_rham(self):
         eye = Matrix.flt([[1.0, 0.0], [0.0, 1.0 + 1e-12]])

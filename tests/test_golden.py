@@ -173,6 +173,21 @@ def test_golden(tmp_path, name, argv, doc, exact):
         _close(json.loads(text), json.loads(want_text))
 
 
+def test_float_triangularization_has_the_exact_diagonal(tmp_path):
+    # DENSE3's Jordan block at 1 is one point of the float spectrum, so the
+    # float family carries the diagonal of the exact triangularization (the
+    # family at t keeps the diagonal of its limit), not the eps^(1/2)
+    # scatter of the block's computed eigenvalues
+    want = json.loads(GOLDEN["rees-triangularized"][1])["B"]
+    name, argv, doc, _ = next(c for c in CASES if c[0] == "rees-triangularized-float")
+    for got in (json.loads(GOLDEN[name][1])["B"], json.loads(_run(tmp_path, argv, doc)[1])["B"]):
+        for A, W in zip(got, want):
+            for k in range(3):
+                z = complex(A[k][k]["re"], A[k][k]["im"])
+                w = complex(Fraction(W[k][k]["re"]), Fraction(W[k][k]["im"]))
+                assert abs(z - w) <= 1e-12
+
+
 GOLDEN = {
     'classify': (
         0,
@@ -244,7 +259,7 @@ GOLDEN = {
     ),
     'rees-triangularized-float': (
         0,
-        '{"B":[[[{"im":0.0,"re":0.9999999741904319},{"im":-4.242640687119283,"re":-0.0},{"im":-5.71547609459198,"re":-0.0}],[{"im":-1.0447786757298074e-16,"re":0.0},{"im":0.0,"re":1.0000000258095683},{"im":0.0,"re":-1.1547005036098754}],[{"im":1.177747336895536e-16,"re":0.0},{"im":0.0,"re":-9.080176241480612e-17},{"im":0.0,"re":3.0000000000000004}]],[[{"im":1.0,"re":-1.2904784230425765e-08},{"im":-2.1213203435596415,"re":-6.523034301715628e-17},{"im":-2.8577380472959906,"re":-3.2659863518088033}],[{"im":-7.789058686993385e-17,"re":-8.501647830861565e-18},{"im":0.9999999999999998,"re":1.2904784161448799e-08},{"im":1.1547005185110364,"re":-0.5773502518049376}],[{"im":-8.432315718360552e-18,"re":-3.6187891333989466e-17},{"im":1.8169248636410532e-16,"re":-1.515903267033185e-17},{"im":-1.0,"re":1.0000000000000002}]]],"m":2,"mode":"float","n":3,"schema":"abelmod/1"}\n',
+        '{"B":[[[{"im":0.0,"re":1.0},{"im":-4.242640687119283,"re":-0.0},{"im":-5.71547606649408,"re":-0.0}],[{"im":-1.0447786757298074e-16,"re":0.0},{"im":0.0,"re":0.9999999999999993},{"im":0.0,"re":-1.1547005383792521}],[{"im":1.177747336895536e-16,"re":0.0},{"im":0.0,"re":-9.080176241480612e-17},{"im":0.0,"re":3.0000000000000004}]],[[{"im":1.0,"re":1.847480548603901e-16},{"im":-2.1213203435596415,"re":-6.523034301715628e-17},{"im":-2.8577380332470397,"re":-3.265986323710903}],[{"im":-7.789058686993385e-17,"re":-8.501647830861565e-18},{"im":0.9999999999999998,"re":-3.0044740567428424e-16},{"im":1.154700538379252,"re":-0.5773502691896261}],[{"im":-8.432315718360552e-18,"re":-3.6187891333989466e-17},{"im":1.8169248636410532e-16,"re":-1.515903267033185e-17},{"im":-1.0,"re":1.0000000000000002}]]],"m":2,"mode":"float","n":3,"schema":"abelmod/1"}\n',
     ),
     'hilbert-chow': (
         0,

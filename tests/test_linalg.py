@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import lcm
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -517,6 +518,44 @@ class TestExactRootProperties:
         assert lam == roots[0][0]
         assert (M @ E - E.scale(lam)).is_zero() and rank(E) == E.cols
         assert E.cols == roots[0][1] if diagonalizable else 1 <= E.cols <= roots[0][1]
+
+
+# ----------------------------------------------------------------------
+# float spectra move with a rescaling
+
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _float_planted(draw):
+    """(A, points): A = g J g^-1 with J upper bidiagonal, the sorted
+    integer points from [-3, 3] on its diagonal (repeats allowed, equal
+    neighbours sometimes joined into a Jordan block), and g = I + X with
+    every entry of X at most 0.3 / n in modulus, so that cond(g) < 2."""
+    n = draw(st.integers(1, 4))
+    points = sorted(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    J = np.diag(np.array(points, dtype=complex))
+    for i in range(n - 1):
+        if points[i] == points[i + 1] and draw(st.booleans()):
+            J[i, i + 1] = 1.0
+    U = np.array([[complex(draw(_UNIT), draw(_UNIT)) for _ in range(n)] for _ in range(n)])
+    g = np.eye(n) + 0.2 / n * U
+    return g @ J @ np.linalg.inv(g), points
+
+
+class TestFloatEigenvalueProperties:
+    @_PROPS
+    @given(_float_planted(), st.integers(-12, 12))
+    def test_eigenvalues_scale_with_the_matrix(self, planted, e):
+        A, points = planted
+        c = 10.0**e
+        base = eigenvalues(Matrix.flt(A))
+        scaled = eigenvalues(Matrix.flt(c * A))
+        assert len(scaled) == len(base) == len(set(points))
+        tol = 1e-9 * np.linalg.norm(A)
+        for z, w, p in zip(scaled, base, sorted(set(points))):
+            assert abs(w.cx - p) <= tol
+            assert abs(z.cx - c * w.cx) <= tol * c
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,9 @@ attribute ``_a`` and on any call of the raw ``Matrix(mode, rows, cols,
 data)`` constructor; those modules build matrices through the public
 constructors (``Matrix.exact``, ``Matrix.flt``, ``Matrix.column``, ...).
 Parses every module of the package and fails on any import of an
-underscore name from a sibling module.
+underscore name from a sibling module, and on any call of a numpy
+eigenvalue solver outside ``linalg._eigen_groups``: in float mode that
+function alone decides which computed eigenvalues are one point.
 """
 
 import ast
@@ -65,3 +67,47 @@ def test_guard_sees_private_imports():
         "from .linalg import Matrix\n"
     )
     assert len(_private_imports(src)) == 3
+
+
+_EIGEN_SOLVERS = {"eig", "eigvals", "eigh", "eigvalsh"}
+
+
+def _eigen_solver_sites(source: str) -> list[str | None]:
+    """The innermost enclosing function (None at module level) of each call
+    of a numpy eigenvalue solver, however it was imported."""
+    out = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+                if name in _EIGEN_SOLVERS:
+                    out.append(fn)
+            visit(child, fn)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def test_one_eigenvalue_solver_site():
+    paths = sorted(Path(abelmod.__file__).parent.glob("*.py"))
+    sites = [(p.stem, fn) for p in paths for fn in _eigen_solver_sites(p.read_text())]
+    assert sites == [("linalg", "_eigen_groups")]
+
+
+def test_guard_sees_eigen_solvers():
+    src = (
+        "from numpy.linalg import eigh\n"
+        "def f(a):\n"
+        "    return np.linalg.eig(a)\n"
+        "w = numpy.linalg.eigvals(b)\n"
+        "def g(a):\n"
+        "    def h():\n"
+        "        return eigh(a)\n"
+        "    return np.linalg.svd(a), np.linalg.eigvalsh(a)\n"
+    )
+    assert _eigen_solver_sites(src) == ["f", None, "h", "g"]
