@@ -10,8 +10,9 @@ pictures downstream:
   proper invariant subspace contains it; for commuting tuples this is
   also equivalent to the marked automorphism group being trivial;
 * triangularization: commuting matrices over C always share a complete
-  invariant flag, found deterministically by intersecting eigenspaces
-  member by member;
+  invariant flag, found deterministically by deflating along the sorted
+  joint spectrum, one joint eigenvector (a null vector of the stacked
+  B_j - p_j) per step;
 * the semisimple (direct sum of joint eigenlines) normal form, reached
   along a one-parameter Rees degeneration attached to an invariant flag
   and nonincreasing integer weights;
@@ -56,8 +57,8 @@ from .linalg import (
     Span,
     ToleranceFrame,
     complete_basis,
-    eigenspace,
     inverse,
+    null_vector,
     parse_mode,
     primary_decomposition,
     rank,
@@ -72,7 +73,6 @@ __all__ = [
     "IdealNormalForm",
     "krylov_span",
     "is_stable",
-    "common_eigenvector",
     "triangularize",
     "joint_spectrum",
     "spectrum_support",
@@ -269,42 +269,29 @@ def is_stable(M: MarkedTuple) -> bool:
 
 
 # ----------------------------------------------------------------------
-# eigen machinery
-
-
-def common_eigenvector(T: CommutingTuple):
-    """A simultaneous eigenvector with its eigenvalue tuple.
-
-    Walks the members in order, holding a subspace on which all processed
-    members act as scalars: a member acting non-scalarly is restricted to
-    the eigenspace of its canonically smallest eigenvalue (ordered by
-    (Re, Im)).  Exact mode raises NonSplitCharPoly when some restricted
-    spectrum is not Gaussian rational.
-    """
-    n = T.n
-    S = Matrix.identity(n, T.mode, T.frame)
-    lams = []
-    for Bj in T.B:
-        R = solve_matrix(S, Bj @ S) if S.cols < n else Bj
-        lam, E = eigenspace(R)
-        lams.append(lam)
-        if E.cols < R.rows:
-            S = S @ E
-    return S.col(0), tuple(lams)
+# flags and spectra
 
 
 def triangularize(T: CommutingTuple):
     """Simultaneous triangularization: returns (g, flag, upper) with
     g^{-1} B_j g upper triangular and the flag spanned by the leading
-    columns of g.  Deflation is by common eigenvectors, so the result is
-    deterministic; float mode accumulates unitary deflation steps."""
+    columns of g.  The diagonal is the joint spectrum, sorted by the
+    exact (Re, Im) of each coordinate in turn; each deflation step takes
+    a null vector (linalg.null_vector) of the stacked B_j - p_j of the
+    trailing block at the next point p, so the result is deterministic
+    and no step solves an eigenproblem.  In exact mode that vector is the
+    first of the canonical reduced-echelon joint eigenspace; float mode
+    accumulates unitary deflation steps.  Raises NonSplitCharPoly where
+    joint_spectrum does."""
     n = T.n
+    spectrum = sorted(joint_spectrum(T), key=lambda p: [(c.re, c.im) for c in p])
     g = Matrix.identity(n, T.mode, T.frame)
     current = list(T.B)
     for offset in range(n - 1):
         k = n - offset
-        w, _ = common_eigenvector(CommutingTuple._unchecked(current))
-        P = complete_basis(w)
+        eye = Matrix.identity(k, T.mode, T.frame)
+        shifted = [M - eye.scale(c) for M, c in zip(current, spectrum[offset])]
+        P = complete_basis(null_vector(shifted[0].vstack(*shifted[1:])))
         Pi = inverse(P)
         current = [(Pi @ M @ P) for M in current]
         # embed P into the ambient space at the current offset
@@ -321,18 +308,13 @@ def triangularize(T: CommutingTuple):
 def joint_spectrum(T: CommutingTuple) -> list[tuple[Scalar, ...]]:
     """The multiset of joint eigenvalue m-tuples, sorted by coordinatewise
     (Re, Im): each point of spectrum_support repeated by its multiplicity,
-    the tuple's point of the symmetric product.  A defective block gives
-    its support point, not the scatter of computed eigenvalues.  Raises
-    NonSplitCharPoly when the support does not split (in exact mode: when
-    some member's spectrum is not Gaussian rational), with the error
-    triangularize gives where it fails too, which names the degree of the
-    member block that does not split."""
-    try:
-        support = spectrum_support(T)
-    except NonSplitCharPolyError:
-        triangularize(T)
-        raise
-    return [p for p, k in support for _ in range(k)]
+    the tuple's point of the symmetric product, along which triangularize
+    deflates.  A defective block gives its support point, not the
+    scatter of computed eigenvalues.  Raises NonSplitCharPoly when the
+    support does not split (in exact mode: when some member's spectrum is
+    not Gaussian rational), naming the degree at which the primary
+    decomposition stopped."""
+    return [p for p, k in spectrum_support(T) for _ in range(k)]
 
 
 def spectrum_support(T: CommutingTuple) -> list[tuple[tuple[Scalar, ...], int]]:

@@ -25,7 +25,6 @@ from .adhm import (
     MarkedTuple,
     ideal_normal_form,
     is_stable,
-    joint_spectrum,
     krylov_span,
     rees_family,
     rees_limit,
@@ -34,7 +33,7 @@ from .adhm import (
 )
 from .checks import SCHEMA, run_all
 from .dalgebra import UtaiTriple, classify, fm_dual, orbit_invariants
-from .errors import AbelmodError, NonSplitCharPolyError, SchemaError
+from .errors import AbelmodError, SchemaError
 from .linalg import DEFAULT_FRAME, EXACT, FLOAT, Matrix, Scalar, ToleranceFrame
 from .moduli import BETTI, NATURAL, HilbPoint, hilbert_chow, hodge_deform, rh_to_betti, rh_to_derham
 from .torus import square_model
@@ -109,29 +108,28 @@ class _Ctx:
         self.frame = _frame(args) if hasattr(args, "eps_rank") else None
 
 
-def _coerce_tuple(T: CommutingTuple, ctx: _Ctx) -> CommutingTuple:
+def _in_mode(data, ctx: _Ctx, to_float):
+    """data in the mode --mode asks for: kept as it is without --mode or
+    in its own mode, to_float(frame) under --mode float; float data is
+    never promoted to exact."""
     want = ctx.args.mode
-    if want is None or want == T.mode:
-        return T
+    if want is None or want == data.mode:
+        return data
     if want == FLOAT:
-        return T.to_float(ctx.frame)
+        return to_float(ctx.frame)
     raise SchemaError("cannot promote float data to exact mode")
 
 
 def _tuple(obj, ctx: _Ctx) -> CommutingTuple:
-    return _coerce_tuple(CommutingTuple.from_json(obj, ctx.frame), ctx)
+    T = CommutingTuple.from_json(obj, ctx.frame)
+    return _in_mode(T, ctx, T.to_float)
 
 
 def _marked(obj, ctx: _Ctx) -> MarkedTuple:
     if "v" not in obj:
         raise SchemaError("instance carries no marking vector 'v'")
     M = MarkedTuple.from_json(obj, ctx.frame)
-    want = ctx.args.mode
-    if want is None or want == M.mode:
-        return M
-    if want == FLOAT:
-        return MarkedTuple(M.tuple.to_float(ctx.frame), M.v.to_float(ctx.frame))
-    raise SchemaError("cannot promote float data to exact mode")
+    return _in_mode(M, ctx, lambda frame: MarkedTuple(M.tuple.to_float(frame), M.v.to_float(frame)))
 
 
 # ----------------------------------------------------------------------
@@ -140,12 +138,7 @@ def _marked(obj, ctx: _Ctx) -> MarkedTuple:
 
 def _cmd_classify(obj, ctx: _Ctx):
     t = UtaiTriple.from_json(obj)
-    if ctx.args.mode == FLOAT and t.mode == EXACT:
-        t = UtaiTriple(
-            t.alpha.to_float(ctx.frame), t.beta.to_float(ctx.frame), t.gamma.to_float(ctx.frame)
-        )
-    elif ctx.args.mode == EXACT and t.mode == FLOAT:
-        raise SchemaError("cannot promote float data to exact mode")
+    t = _in_mode(t, ctx, lambda frame: UtaiTriple(*(X.to_float(frame) for X in (t.alpha, t.beta, t.gamma))))
     lab = classify(t)
     body = {
         "label": _LABELS[lab.kind],
@@ -168,14 +161,8 @@ def _cmd_stability(obj, ctx: _Ctx):
 
 def _cmd_spectrum(obj, ctx: _Ctx):
     # the joint spectrum is the support with each point repeated by its
-    # multiplicity (adhm.joint_spectrum), so the support is computed once;
-    # when it does not split, joint_spectrum raises the error reported
-    T = _tuple(obj, ctx)
-    try:
-        support = [([c.to_json() for c in p], k) for p, k in spectrum_support(T)]
-    except NonSplitCharPolyError:
-        joint_spectrum(T)
-        raise
+    # multiplicity (adhm.joint_spectrum), so the support is computed once
+    support = [([c.to_json() for c in p], k) for p, k in spectrum_support(_tuple(obj, ctx))]
     return {
         "joint_spectrum": [p for p, k in support for _ in range(k)],
         "support": [{"point": p, "multiplicity": k} for p, k in support],

@@ -58,11 +58,11 @@ through this surface:
 * elimination: ``rank``, ``kernel_basis``, ``solve``, ``solve_matrix``,
   ``inverse``, and the incremental :class:`Span`;
 * spectra: ``char_poly`` and ``exact_roots`` (exact only),
-  ``eigenvalues``, ``eigenspace`` (the canonically smallest eigenvalue
-  and its eigenspace) and ``complete_basis``; in float mode every
-  decision that two computed eigenvalues are one point is taken by
-  ``_eigen_groups``, relative to the matrix's own scale and to each
-  eigenvalue's condition number;
+  ``eigenvalues``; in float mode every decision that two computed
+  eigenvalues are one point is taken by ``_eigen_groups``, relative to
+  the matrix's own scale and to each eigenvalue's condition number;
+* flags: ``null_vector`` (one vector of a kernel, with no threshold in
+  float mode) and ``complete_basis``;
 * joint spectra: ``primary_decomposition``, the support points of a
   commuting tuple with their multiplicities, joint generalized
   eigenspaces and restrictions, by one algorithm in both modes.
@@ -105,13 +105,13 @@ __all__ = [
     "SOLVE_SLACK",
     "rank",
     "kernel_basis",
+    "null_vector",
     "solve",
     "solve_matrix",
     "inverse",
     "char_poly",
     "exact_roots",
     "eigenvalues",
-    "eigenspace",
     "primary_decomposition",
     "complete_basis",
 ]
@@ -1056,6 +1056,21 @@ def kernel_basis(M: Matrix) -> list[Matrix]:
     return [Matrix(FLOAT, M.cols, 1, vh[i].conj().reshape(-1, 1), M.frame) for i in range(r, M.cols)]
 
 
+def null_vector(M: Matrix) -> Matrix:
+    """One column x with M x = 0, or as near as M allows.  Exact mode: the
+    first vector of the canonical reduced-echelon kernel basis (ValueError
+    when M has full column rank).  Float mode: the right singular vector
+    of the least singular value, with no threshold, so a matrix within
+    rounding of a singular one gives that one's null vector."""
+    if M.mode == EXACT:
+        K = _kernel(*_rref_exact(M), M.cols)
+        if K is None:
+            raise ValueError("matrix has full column rank")
+        return K.col(0)
+    vh = np.linalg.svd(M._a)[2]
+    return Matrix(FLOAT, M.cols, 1, vh[-1].conj().reshape(-1, 1), M.frame)
+
+
 def solve(A: Matrix, b: Matrix) -> Matrix:
     """Solve A x = b (b a column).  Raises NoSolution when b is outside
     the column space; returns the least-norm solution when the system is
@@ -1328,37 +1343,6 @@ def eigenvalues(M: Matrix) -> list[Scalar]:
     return sorted((Scalar.from_complex(sum(z.cx for z in g) / len(g)) for g in groups), key=Scalar.sort_key)
 
 
-def eigenspace(M: Matrix) -> tuple[Scalar, Matrix]:
-    """The canonically smallest eigenvalue (by (Re, Im)) and a basis of
-    its eigenspace as columns; a 1 x 1 M gives its entry and the identity.
-
-    Exact mode: the reduced-echelon kernel of M - lambda.  Float mode:
-    lambda is the smallest mean of a group of numpy eigenvalues
-    (:func:`_eigen_groups`, as in :func:`eigenvalues`), and the basis the
-    right singular vectors of M - lambda at singular values within
-    max(eps_rank * sigma_max, twice the group's spread), falling back to
-    the single best vector when thresholding rejects all (defective
-    eigenvalues split by roughly sqrt(machine eps))."""
-    n = M.rows
-    if n == 1:
-        return M[0, 0], Matrix.identity(1, M.mode, M.frame)
-    if M.mode == EXACT:
-        lam = exact_roots(char_poly(M))[0][0]
-        ker = kernel_basis(_minus_scalar(M, lam))
-        return lam, ker[0].hstack(*ker[1:])
-    size = M.norm()
-    groups = _eigen_groups(M, _radius(M, size), size, _EPS * size)
-    z, group = min(((sum(u.cx for u in g) / len(g), g) for g in groups), key=lambda t: (t[0].real, t[0].imag))
-    spread = max(abs(u.cx - z) for u in group)
-    _, s, vh = np.linalg.svd(M._a - z * np.eye(n))
-    smax = s[0] if s[0] > 0 else 1.0
-    thresh = max(M.frame.eps_rank * smax, 2.0 * spread)
-    cols = [vh[i].conj() for i in range(n) if s[i] <= thresh]
-    if not cols:
-        cols = [vh[n - 1].conj()]
-    return Scalar(FLOAT, z.real, z.imag), Matrix(FLOAT, n, len(cols), np.array(cols).T, M.frame)
-
-
 def _one_point(R: Matrix, radius: float, size: float, error: float) -> bool:
     """Whether the square matrix R has a single eigenvalue.  Exact mode:
     k R - tr(R) is nilpotent, (k R - tr(R))^k = 0 for R of size k, formed
@@ -1402,9 +1386,13 @@ def _restrict(B: list[Matrix], sizes: list[float], L: Matrix, group: list[Scalar
     (L - lam)^k, the identity at its free coordinates, so R_j is the rows
     of B_j E there, formed on the numerators, and e_j = 0.  Members that
     commute with L keep its generalized eigenspaces invariant, so nothing
-    is tested.  Float mode grows E one factor at a time,
-    V_i = {x : (L - w_i) x in V_(i-1)}, as the i smallest right singular
-    vectors of the projected operator (Id - V V^H)(L - w_i), restricts by
+    is tested.  Float mode grows an invariant V one direction at a time:
+    step i < k adds the least right singular vector of the projected
+    operator (Id - V V^H)(L - w_i) on the orthogonal complement of V, so
+    no step drops a direction V holds where L - w_i has a kernel of more
+    than one dimension (Jordan blocks of different lengths at one
+    point).  E is {x : (L - w_k) x in V}, the k smallest right singular
+    vectors of that operator over the whole space.  It restricts by
     R_j = E^H B_j E and takes B_j E within INVARIANCE_SLACK eps_eq |B_j|
     of E R_j as invariant.  R_j is an exact restriction of
     B_j - (B_j E - E R_j) E^H, so e_j = eps |B_j| + |B_j E - E R_j|.
@@ -1431,11 +1419,14 @@ def _restrict(B: list[Matrix], sizes: list[float], L: Matrix, group: list[Scalar
     if k == n:
         E = W = eye
     else:
-        V = np.zeros((n, 0), dtype=np.complex128)
-        for i, w in enumerate(group, 1):
+        V, Q = np.zeros((n, 0), dtype=np.complex128), eye._a
+        for w in group[:-1]:
             A = L._a - w.cx * eye._a
-            _, _, vh = np.linalg.svd(A - V @ (V.conj().T @ A))
-            V = vh[n - i :].conj().T
+            vh = np.linalg.svd((A - V @ (V.conj().T @ A)) @ Q)[2]
+            V = np.column_stack([V, Q @ vh[-1].conj()])
+            Q = Q @ vh[:-1].conj().T
+        A = L._a - group[-1].cx * eye._a
+        V = np.linalg.svd(A - V @ (V.conj().T @ A))[2][n - k :].conj().T
         E = Matrix(FLOAT, n, k, V, L.frame)
         W = E.conj_transpose()
     BE = [Bj @ E for Bj in B]

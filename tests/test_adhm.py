@@ -15,7 +15,6 @@ from abelmod.adhm import (
     MarkedTuple,
     PunctualData,
     centralizer_dim,
-    common_eigenvector,
     decompose_punctual,
     expm1_matrix,
     from_points,
@@ -140,12 +139,29 @@ class TestTriangularize:
             low = np.tril(X, -1)
             assert np.abs(low).max() <= 1e-8 * max(1.0, np.abs(X).max())
 
-    def test_common_eigenvector_property(self):
+    def test_first_flag_vector_is_joint_eigenvector(self):
         A = _e([[3, 1], [0, 3]])
         T = CommutingTuple([A, A.scale(Scalar.exact(2))])
-        w, vals = common_eigenvector(T)
-        for Bj, lam in zip(T.B, vals):
-            assert (Bj @ w - w.scale(lam)).is_zero()
+        g, _, upper = triangularize(T)
+        w = g.col(0)
+        for Bj, U in zip(T.B, upper.B):
+            assert (Bj @ w - w.scale(U[0, 0])).is_zero()
+
+    def test_float_tuple_with_repeated_first_coordinate(self):
+        # the first member is a conjugated Jordan block at -7 beside the
+        # point -7, and the second separates (-7, -7) from (-7, 6 - 8/3 i):
+        # the float deflation follows the joint spectrum to the exact
+        # diagonal, with no threshold on the first member's eigenspace
+        B = [
+            [[-14, 7, 14], [-7, 0, 14], [0, 0, -7]],
+            [[-16 - 6j, 9 + 6j, 18 + 12j], [-9 - 6j, 2 + 6j, -8 + 52j / 3], [0, 0, 6 - 8j / 3]],
+        ]
+        T = CommutingTuple([Matrix.flt(np.array(Bj)) for Bj in B])
+        _, _, upper = triangularize(T)
+        for Bj, U, want in zip(T.B, upper.B, ([-7, -7, -7], [-7, -7, 6 - 8j / 3])):
+            a = U.to_numpy()
+            assert np.abs(np.tril(a, -1)).max() <= 1e-12 * np.linalg.norm(a)
+            assert np.abs(np.diag(a) - want).max() <= 1e-12 * Bj.norm()
 
 
 class TestSpectrum:
@@ -160,6 +176,20 @@ class TestSpectrum:
         T = CommutingTuple([_e([[3, 1], [0, 3]]), EYE2])
         supp = spectrum_support(T)
         assert supp == [((Scalar.exact(3), Scalar.exact(1)), 2)]
+
+    @pytest.mark.parametrize("c", [1e-8, 1.0, 1e8])
+    def test_float_jordan_blocks_of_different_lengths_at_one_point(self, c):
+        # c (J_3(0) + 0 + 1): the kernel at 0 has two dimensions, and the
+        # generalized eigenspace there is the first four coordinates
+        A = np.diag([0.0, 0.0, 0.0, 0.0, c])
+        A[0, 1] = A[1, 2] = c
+        T = CommutingTuple([Matrix.flt(A)])
+        supp = spectrum_support(T)
+        assert [k for _, k in supp] == [4, 1]
+        assert abs(supp[0][0][0].cx) <= 1e-12 * c and abs(supp[1][0][0].cx - c) <= 1e-12 * c
+        _, _, upper = triangularize(T)
+        a = upper.B[0].to_numpy()
+        assert np.abs(np.tril(a, -1)).max() <= 1e-12 * np.linalg.norm(a)
 
     def test_sequiv_forgets_nilpotents(self):
         T = CommutingTuple([_e([[3, 1], [0, 3]])])

@@ -127,18 +127,18 @@ class TestCanonicalizeAndSpectrum:
         out = _read(tmp_path, "out.json")
         assert sum(s["multiplicity"] for s in out["support"]) == 3
 
-    def test_non_split_names_the_member_block(self, tmp_path):
+    def test_non_split_names_the_decomposition_degree(self, tmp_path):
         # diag(8, 8, 1, 1) and a second member with eigenvalues +-sqrt 2 on
-        # the first block and +-sqrt 3 on the second: the support's
-        # combination L does not split at degree 4, but the error reported
-        # names the first 2 x 2 block of the member that does not split
+        # the first block and +-sqrt 3 on the second: the first member does
+        # not separate the points, and the combination L of both does not
+        # split at degree 4, where the primary decomposition stops
         rows = [[[8, 0, 0, 0], [0, 8, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], [[0, 2, 0, 0], [1, 0, 0, 0], [0, 0, 0, 3], [0, 0, 1, 0]]]
         doc = {"m": 2, "n": 4, "mode": "exact", "B": [[[_sc(str(x)) for x in r] for r in A] for A in rows]}
         inp = _write(tmp_path, "in.json", doc)
         rc = main(["spectrum", "--in", inp, "--out", str(tmp_path / "out.json")])
         assert rc == 2
         out = _read(tmp_path, "out.json")
-        assert (out["error"], out["detail"]) == ("NonSplitCharPoly", "no Gaussian-rational root found at degree 2")
+        assert (out["error"], out["detail"]) == ("NonSplitCharPoly", "no Gaussian-rational root found at degree 4")
 
 
 class TestRees:
@@ -186,6 +186,21 @@ class TestRees:
         rc = main(["rees", "--weights", "0,1", "--in", inp, "--out", str(tmp_path / "out.json")])
         assert rc == 2
         assert _read(tmp_path, "out.json")["error"] == "WeightsNotDecreasing"
+
+    def test_float_limit_without_flag(self, tmp_path):
+        # the tuple of tests/test_adhm.py::TestTriangularize::
+        # test_float_tuple_with_repeated_first_coordinate: its flag is
+        # computed in float mode as in exact mode
+        B = [
+            [["-14", "7", "14"], ["-7", "0", "14"], ["0", "0", "-7"]],
+            [[("-16", "-6"), ("9", "6"), ("18", "12")], [("-9", "-6"), ("2", "6"), ("-8", "52/3")], ["0", "0", ("6", "-8/3")]],
+        ]
+        rows = [[[_sc(*x) if isinstance(x, tuple) else _sc(x) for x in r] for r in Bj] for Bj in B]
+        inp = _write(tmp_path, "in.json", {"m": 2, "n": 3, "mode": "exact", "B": rows})
+        for mode in ([], ["--mode", "float"]):
+            rc = main(["rees", *mode, "--weights", "1,0,0", "--in", inp, "--out", str(tmp_path / "out.json")])
+            assert rc == 0
+            assert "error" not in _read(tmp_path, "out.json")
 
     @pytest.mark.parametrize("c,c2", [("1e-10", "2e-10"), ("1", "2"), ("1e10", "2e10")])
     def test_float_flag_that_is_not_invariant(self, tmp_path, c, c2):
@@ -475,8 +490,13 @@ class TestPlumbing:
 
     def test_float_to_exact_refused(self, tmp_path):
         doc = {"m": 1, "n": 1, "mode": "float", "B": [[[{"re": 0.5, "im": 0.0}]]], "v": [{"re": 1.0, "im": 0.0}]}
-        inp = _write(tmp_path, "in.json", doc)
-        assert main(["stability", "--mode", "exact", "--in", inp, "--out", str(tmp_path / "o.json")]) == 1
+        eye, zero = ([[_sc(x, 0.0), _sc(0.0, 0.0)], [_sc(0.0, 0.0), _sc(x, 0.0)]] for x in (1.0, 0.0))
+        triple = {"d": 2, "v": 2, "mode": "float", "alpha": eye, "beta": zero, "gamma": zero}
+        want = {"schema": "abelmod/1", "error": "Malformed", "detail": "cannot promote float data to exact mode"}
+        for command, body in (("stability", doc), ("spectrum", doc), ("classify-dalgebra", triple)):
+            inp = _write(tmp_path, "in.json", body)
+            assert main([command, "--mode", "exact", "--in", inp, "--out", str(tmp_path / "o.json")]) == 1
+            assert _read(tmp_path, "o.json") == want
 
     def test_byte_determinism(self, tmp_path):
         inp = _write(tmp_path, "in.json", _stable_pair())

@@ -18,7 +18,6 @@ from abelmod.linalg import (
     ToleranceFrame,
     char_poly,
     complete_basis,
-    eigenspace,
     eigenvalues,
     exact_roots,
     inverse,
@@ -28,6 +27,7 @@ from abelmod.linalg import (
     solve_matrix,
 )
 from abelmod.linalg import _q_pair
+from abelmod.adhm import CommutingTuple, triangularize
 from abelmod.errors import NonSplitCharPolyError, NoSolutionError
 
 
@@ -204,11 +204,12 @@ class TestSeam:
         assert tiny.negligible() and not tiny.negligible(1e-4)
         assert not Matrix.exact([[0, "1/1000000000000"]]).negligible(1e9)
 
-    def test_eigenspace_smallest_eigenvalue(self):
+    def test_flag_starts_at_smallest_eigenvalue(self):
         for B in (Matrix.exact([[3, 1], [0, 2]]), Matrix.flt([[3.0, 1.0], [0.0, 2.0]])):
-            lam, E = eigenspace(B)
-            assert abs(lam.cx - 2.0) < 1e-12 and E.cols == 1
-            assert (B @ E - E.scale(lam)).norm() < 1e-12
+            g, _, upper = triangularize(CommutingTuple([B]))
+            lam, w = upper.B[0][0, 0], g.col(0)
+            assert abs(lam.cx - 2.0) < 1e-12
+            assert (B @ w - w.scale(lam)).norm() < 1e-12
         assert eigenvalues(Matrix.exact([[3, 1], [0, 2]])) == [Scalar.exact(2), Scalar.exact(3)]
         assert [z.cx for z in eigenvalues(Matrix.flt([[2.0, 0.0], [0.0, 2.0]]))] == [2.0]
 
@@ -512,12 +513,12 @@ class TestExactRootProperties:
 
     @_PROPS
     @given(_planted())
-    def test_eigenspace_of_smallest_root(self, planted):
-        M, roots, diagonalizable = planted
-        lam, E = eigenspace(M)
-        assert lam == roots[0][0]
-        assert (M @ E - E.scale(lam)).is_zero() and rank(E) == E.cols
-        assert E.cols == roots[0][1] if diagonalizable else 1 <= E.cols <= roots[0][1]
+    def test_triangularize_diagonal_is_the_planted_roots(self, planted):
+        M, roots, _ = planted
+        _, _, upper = triangularize(CommutingTuple([M]))
+        U = upper.B[0]
+        assert U.strict_lower().is_zero()
+        assert [U[k, k] for k in range(U.rows)] == [lam for lam, k in roots for _ in range(k)]
 
 
 # ----------------------------------------------------------------------

@@ -75,3 +75,19 @@ def test_spectrum_command_reads_one_primary_decomposition(monkeypatch, tmp_path,
     doc.write_text(json.dumps(T.to_json()))
     assert cli.main(["spectrum", "--in", str(doc), "--out", str(tmp_path / "out.json"), *mode]) == 0
     assert calls == {"primary_decomposition": 1, "triangularize": 0}
+
+
+@pytest.mark.parametrize("mode", [[], ["--mode", "float"]], ids=["exact", "float"])
+def test_rees_without_flag_reads_one_primary_decomposition(monkeypatch, tmp_path, mode):
+    """abelmod rees without "g" triangularizes along the joint spectrum of
+    one primary decomposition; no step solves an eigenproblem of its own."""
+    calls = _count_calls(monkeypatch, (linalg, "primary_decomposition"))
+    q = linalg.Scalar.exact
+    B0 = [[2, 1, 0], [-1, 0, 0], [1, 3, 3]]
+    B1 = [[q("1/2", 1), q("1/2"), q(0)], [q("-1/2"), q("-1/2", 1), q(0)], [q("1/2"), q("3/2", -2), q(1, -1)]]
+    T = adhm.CommutingTuple([linalg.Matrix.exact(B0), linalg.Matrix.exact(B1)])
+    doc = tmp_path / "in.json"
+    doc.write_text(json.dumps(T.to_json()))
+    argv = ["rees", "--weights", "1,0,0", "--in", str(doc), "--out", str(tmp_path / "out.json"), *mode]
+    assert cli.main(argv) == 0
+    assert calls == {"primary_decomposition": 1}
