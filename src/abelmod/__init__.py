@@ -4,10 +4,11 @@ algebras on complex tori.
 The package has two scalar regimes, exact Gaussian rationals and complex
 floating point, shared by every layer: linear algebra (``linalg``),
 differential-algebra classification triples (``dalgebra``), period
-lattices and their chart maps (``torus``), commuting-tuple models of the
+lattices and their dual tori (``torus``), commuting-tuple models of the
 punctual moduli (``adhm``), the assembled length-n moduli with their
-transforms (``moduli``), and the seeded property battery (``checks``)
-behind the ``abelmod check`` command line.
+charts and transforms (``moduli``), where a rank-1 module is a length-1
+chart point, and the seeded property battery (``checks``) behind the
+``abelmod check`` command line.
 """
 
 from .adhm import (
@@ -16,7 +17,6 @@ from .adhm import (
     InvariantFlag,
     MarkedTuple,
     PunctualData,
-    centralizer_dim,
     decompose_punctual,
     expm1_matrix,
     from_points,
@@ -43,7 +43,6 @@ from .dalgebra import (
     gl_act,
     jacobi_check,
     orbit_invariants,
-    truncated_cohomology_dim,
 )
 from .errors import AbelmodError, SchemaError
 from .linalg import EXACT, FLOAT, Matrix, Scalar, ToleranceFrame
@@ -64,25 +63,13 @@ from .moduli import (
     rh_to_betti,
     rh_to_derham,
 )
-from .torus import (
-    AbelianVarietyModel,
-    BettiPoint,
-    NaturalPoint,
-    dual_lattice,
-    exp_rh,
-    gstar_act,
-    log_rh,
-    natural_project,
-    natural_split,
-    square_model,
-)
+from .torus import AbelianVarietyModel, square_model
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AbelianVarietyModel",
     "AbelmodError",
-    "BettiPoint",
     "CommutingTuple",
     "DAlgebraLabel",
     "EXACT",
@@ -93,7 +80,6 @@ __all__ = [
     "InvariantFlag",
     "MarkedTuple",
     "Matrix",
-    "NaturalPoint",
     "Poly",
     "PunctualData",
     "Scalar",
@@ -106,18 +92,14 @@ __all__ = [
     "betti_marked",
     "betti_unmarked",
     "bracket_sections",
-    "centralizer_dim",
     "classify",
     "cohomology_dim",
     "decompose_punctual",
     "diagram_check",
-    "dual_lattice",
-    "exp_rh",
     "expm1_matrix",
     "fm_dual",
     "from_points",
     "gl_act",
-    "gstar_act",
     "hilbert_chow",
     "hodge_deform",
     "hodge_rescale",
@@ -128,10 +110,7 @@ __all__ = [
     "joint_spectrum",
     "krylov_span",
     "log1p_matrix",
-    "log_rh",
     "marked_automorphisms_trivial",
-    "natural_project",
-    "natural_split",
     "orbit_invariants",
     "rank1_identify",
     "rees_family",
@@ -142,6 +121,5 @@ __all__ = [
     "spectrum_support",
     "square_model",
     "triangularize",
-    "truncated_cohomology_dim",
     "__version__",
 ]

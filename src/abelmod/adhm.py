@@ -79,7 +79,6 @@ __all__ = [
     "sequiv_normal_form",
     "rees_family",
     "rees_limit",
-    "centralizer_dim",
     "marked_automorphisms_trivial",
     "ideal_normal_form",
     "from_points",
@@ -124,7 +123,10 @@ class CommutingTuple:
     def _unchecked(B) -> "CommutingTuple":
         """Wrap without the commutativity check.  Internal: for tuples
         derived from validated ones by operations that preserve
-        commutativity exactly (invariant restriction, similarity)."""
+        commutativity (conjugation, invariant restriction, multiplication
+        matrices).  Float members are not re-checked: their commutators
+        carry only the rounding of the derivation, and the members they
+        came from were checked on input."""
         self = object.__new__(CommutingTuple)
         B = tuple(B)
         self.B = B
@@ -133,15 +135,6 @@ class CommutingTuple:
         self.mode = B[0].mode
         self.frame = B[0].frame
         return self
-
-    @staticmethod
-    def _derived(B) -> "CommutingTuple":
-        """Wrap members computed from a commuting tuple by operations that
-        keep commutativity (conjugation, multiplication matrices).  Exact
-        members commute exactly, so only float members are re-checked:
-        their rounding is what the check reports."""
-        B = list(B)
-        return CommutingTuple._unchecked(B) if B[0].mode == EXACT else CommutingTuple(B)
 
     def __iter__(self):
         return iter(self.B)
@@ -160,7 +153,7 @@ class CommutingTuple:
     def conjugate(self, g: Matrix) -> "CommutingTuple":
         """g^{-1} B g for invertible g."""
         gi = inverse(g)
-        return CommutingTuple._derived([gi @ M @ g for M in self.B])
+        return CommutingTuple._unchecked([gi @ M @ g for M in self.B])
 
     def to_float(self, frame: ToleranceFrame | None = None) -> "CommutingTuple":
         return CommutingTuple([M.to_float(frame) for M in self.B])
@@ -427,11 +420,6 @@ def _commutant_system(T: CommutingTuple) -> Matrix:
     return blocks[0].vstack(*blocks[1:])
 
 
-def centralizer_dim(T: CommutingTuple) -> int:
-    """Dimension of the algebra of matrices commuting with every member."""
-    return T.n * T.n - rank(_commutant_system(T))
-
-
 def marked_automorphisms_trivial(M: MarkedTuple) -> bool:
     """True iff the only g commuting with the tuple and fixing the marking
     is the identity: writing g = Id + h, iff no nonzero h commutes with
@@ -471,7 +459,7 @@ class IdealNormalForm:
         """Joint spectrum of the multiplication matrices (computed on
         first use; exact mode may raise NonSplitCharPoly)."""
         if self._support is None:
-            self._support = spectrum_support(CommutingTuple._derived(self.mult_matrices))
+            self._support = spectrum_support(CommutingTuple._unchecked(self.mult_matrices))
         return self._support
 
     def __eq__(self, other):
@@ -609,7 +597,7 @@ def decompose_punctual(M: MarkedTuple) -> list[PunctualData]:
     offset = 0
     for pt, ell, _, R in parts:
         eye = Matrix.identity(ell, T.mode, T.frame)
-        N = CommutingTuple._derived([Rj - eye.scale(p) for Rj, p in zip(R, pt)])
+        N = CommutingTuple._unchecked([Rj - eye.scale(p) for Rj, p in zip(R, pt)])
         pieces.append(PunctualData(pt, N, coeffs.submatrix(offset, offset + ell, 0, 1)))
         offset += ell
     return pieces

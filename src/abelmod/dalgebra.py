@@ -46,7 +46,6 @@ __all__ = [
     "bracket_sections",
     "jacobi_check",
     "cohomology_dim",
-    "truncated_cohomology_dim",
 ]
 
 
@@ -348,14 +347,3 @@ def cohomology_dim(d: int, v: int, k: int) -> int:
     if d < 0 or v < 0 or k < 0:
         raise ValueError("arguments must be nonnegative")
     return sum(math.comb(d, k - p) * math.comb(v, p) for p in range(0, k + 1))
-
-
-def truncated_cohomology_dim(d: int, v: int, k: int, r: int) -> int:
-    """Same sum restricted to coefficient degree p >= r (the brutally
-    truncated subcomplex).  With k = 2, r = 1 this counts the deformation
-    space: d*v + v*(v-1)/2."""
-    if r < 0:
-        raise ValueError("truncation degree must be nonnegative")
-    if d < 0 or v < 0 or k < 0:
-        raise ValueError("arguments must be nonnegative")
-    return sum(math.comb(d, k - p) * math.comb(v, p) for p in range(r, k + 1))

@@ -35,10 +35,6 @@ class SingularGroupElementError(AbelmodError):
     code = "SingularGroupElement"
 
 
-class ZeroHolonomyError(AbelmodError):
-    code = "ZeroHolonomy"
-
-
 class DegeneratePeriodMatrixError(AbelmodError):
     code = "DegeneratePeriodMatrix"
 

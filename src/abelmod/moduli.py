@@ -15,7 +15,10 @@ scheme of points.  This module represents those points concretely:
   exponent charts: log / exp on base points, the finite log / exp series
   on nilpotents;
 * hodge_deform / hodge_rescale / hodge_undeform run the tau-scaling
-  family connecting exponent data with cotangent data.
+  family connecting exponent data with cotangent data;
+* rank1_identify reads a chart point as a rank-1 module.  Rank 1 is
+  length 1: every chart map above moves a rank-1 module as a length-1
+  piece, so no second copy of the charts exists for rank 1.
 
 Chart conventions.  Betti pieces store the unit part of the local
 holonomy: the operator of coordinate k is z_k (Id + N_k).  All other
@@ -183,14 +186,6 @@ class FiberSpace:
     @staticmethod
     def cotangent(model: AbelianVarietyModel) -> "FiberSpace":
         return FiberSpace(COTANGENT, model=model)
-
-    @staticmethod
-    def dual_torus(model: AbelianVarietyModel) -> "FiberSpace":
-        return FiberSpace(DUAL_TORUS, model=model)
-
-    @staticmethod
-    def product_alpha_zero(model: AbelianVarietyModel, vdim: int) -> "FiberSpace":
-        return FiberSpace(PRODUCT_ALPHA_ZERO, model=model, vdim=vdim)
 
     @property
     def chart_dim(self) -> int:
@@ -715,7 +710,10 @@ def hodge_rescale(h: HilbPoint, factor) -> HilbPoint:
 
 
 def rank1_identify(space: FiberSpace, point) -> dict:
-    """Describe the rank-1 module a chart point corresponds to."""
+    """Describe the rank-1 module a chart point corresponds to: on the
+    model charts, a line bundle on the dual torus (the antilinear part w
+    modulo the dual lattice) plus a fiber coordinate (the connection
+    form, Higgs field or covector)."""
     coords = tuple(
         c if isinstance(c, Scalar) else Scalar.from_complex(c) for c in point
     )

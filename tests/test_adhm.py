@@ -14,7 +14,6 @@ from abelmod.adhm import (
     InvariantFlag,
     MarkedTuple,
     PunctualData,
-    centralizer_dim,
     decompose_punctual,
     expm1_matrix,
     from_points,
@@ -304,25 +303,24 @@ class TestPunctual:
         assert len(pieces) == 1 and pieces[0].length == 3
         assert abs(pieces[0].point[0].cx - (1.0 + 0.5j)) <= 1e-10
 
+    def test_decompose_float_scalar_member(self):
+        # the second member is the scalar 2 on the length-2 piece; its
+        # nilpotent part there is rounding noise, which is no reason to
+        # refuse the pieces as not commuting
+        gi = np.linalg.inv(_G3)
+        J = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        T = CommutingTuple([Matrix.flt(gi @ J @ _G3), Matrix.flt(gi @ np.diag([2.0, 2.0, 3.0]) @ _G3)])
+        M = MarkedTuple(T, Matrix.flt(gi @ np.array([[0.0], [1.0], [1.0]])))
+        pieces = decompose_punctual(M)
+        assert [P.length for P in pieces] == [2, 1]
+        for P, want in zip(pieces, [(0.0, 2.0), (1.0, 3.0)]):
+            assert max(abs(c.cx - w) for c, w in zip(P.point, want)) <= 1e-10
+
 
 class TestGerms:
     def test_series_matrix_roundtrip(self):
         N = _e([[0, "1/3", 5], [0, 0, -2], [0, 0, 0]])
         assert log1p_matrix(expm1_matrix(N)) == N
-
-
-class TestCentralizer:
-    def test_regular_semisimple(self):
-        T = CommutingTuple([_e([[1, 0], [0, 2]])])
-        assert centralizer_dim(T) == 2
-
-    def test_scalar_tuple(self):
-        T = CommutingTuple([EYE2])
-        assert centralizer_dim(T) == 4
-
-    def test_regular_nilpotent(self):
-        T = CommutingTuple([_e([[0, 1, 0], [0, 0, 1], [0, 0, 0]])])
-        assert centralizer_dim(T) == 3
 
 
 # ----------------------------------------------------------------------

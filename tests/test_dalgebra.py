@@ -14,7 +14,6 @@ from abelmod.dalgebra import (
     gl_act,
     jacobi_check,
     orbit_invariants,
-    truncated_cohomology_dim,
 )
 from abelmod.errors import SingularGroupElementError
 from abelmod.linalg import EXACT, FLOAT, Matrix, Scalar
@@ -148,9 +147,3 @@ class TestCohomology:
         assert cohomology_dim(2, 2, 5) == 0
         with pytest.raises(ValueError):
             cohomology_dim(2, 2, -1)
-
-    def test_truncated_sums(self):
-        full = sum(cohomology_dim(2, 2, k) for k in range(5))
-        trunc = sum(truncated_cohomology_dim(2, 2, k, 10) for k in range(5))
-        assert trunc <= full
-        assert truncated_cohomology_dim(2, 2, 0, 0) == 1

@@ -9,6 +9,8 @@ Parses every module of the package and fails on any import of an
 underscore name from a sibling module, and on any call of a numpy
 eigenvalue solver outside ``linalg._eigen_groups``: in float mode that
 function alone decides which computed eigenvalues are one point.
+Fails on any domain error class of ``errors`` that no module raises, so
+an error code with no raise site shows.
 """
 
 import ast
@@ -17,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import abelmod
+from abelmod import errors
 
 MODULES = ("adhm", "moduli", "dalgebra", "checks", "cli", "torus")
 
@@ -111,3 +114,33 @@ def test_guard_sees_eigen_solvers():
         "    return np.linalg.svd(a), np.linalg.eigvalsh(a)\n"
     )
     assert _eigen_solver_sites(src) == ["f", None, "h", "g"]
+
+
+def _raised_names(source: str) -> set[str]:
+    """The names of the exceptions raised, as ``raise X``, ``raise X(...)``
+    or ``raise module.X(...)``."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                out.add(exc.id)
+            elif isinstance(exc, ast.Attribute):
+                out.add(exc.attr)
+    return out
+
+
+def test_every_domain_error_is_raised():
+    paths = Path(abelmod.__file__).parent.glob("*.py")
+    raised = set().union(*(_raised_names(p.read_text()) for p in paths))
+    domain = {
+        name
+        for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, errors.AbelmodError) and cls is not errors.AbelmodError
+    }
+    assert sorted(domain - raised) == []
+
+
+def test_guard_sees_raises():
+    src = "raise A('x')\nraise B\nraise errors.C(1) from None\nraise\nx = D('y')\n"
+    assert _raised_names(src) == {"A", "B", "C"}

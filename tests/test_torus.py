@@ -1,35 +1,47 @@
-"""Period lattices and their chart maps."""
+"""Period lattices, their dual tori, and rank-1 points as length-1 chart
+points of the moduli."""
 
-import cmath
 import math
 
 import numpy as np
 import pytest
 
+from abelmod.adhm import CommutingTuple, PunctualData
 from abelmod.errors import (
     DegeneratePeriodMatrixError,
+    LogAtZeroError,
     TauZeroError,
-    ZeroHolonomyError,
 )
-from abelmod.linalg import Scalar
+from abelmod.linalg import FLOAT, Matrix, Scalar
+from abelmod.moduli import (
+    FiberSpace,
+    HilbPoint,
+    hodge_undeform,
+    rank1_identify,
+    rh_to_betti,
+    rh_to_derham,
+)
 from abelmod.torus import (
     AbelianVarietyModel,
-    BettiPoint,
     DualPoint,
-    HodgePoint,
-    NaturalPoint,
-    dual_lattice,
-    exp_rh,
     fold_imag,
-    gstar_act,
-    hodge_scale,
-    log_rh,
-    natural_project,
-    natural_split,
     square_model,
 )
 
-TWO_PI = 2 * math.pi
+def _length1(space, coords) -> HilbPoint:
+    """The rank-1 module at a float chart point: one piece of length 1."""
+    N = CommutingTuple([Matrix.zeros(1, 1, FLOAT) for _ in coords])
+    point = tuple(Scalar.from_complex(c) for c in coords)
+    return HilbPoint(space, [PunctualData(point, N, Matrix.column([Scalar.flt(1.0)]))])
+
+
+def _cx(point) -> np.ndarray:
+    return np.array([c.cx for c in point])
+
+
+def _cxs(coords) -> list[complex]:
+    """Float scalars back from their JSON form."""
+    return [complex(c["re"], c["im"]) for c in coords]
 
 
 class TestModel:
@@ -50,7 +62,7 @@ class TestModel:
         m = square_model(2)
         a = np.array([0.3 + 1j, -0.2, 0.7, 1.1 - 0.5j])
         u, w = m.split_solve(a)
-        assert np.allclose(m.split_assemble(u, w), a)
+        assert np.allclose(m.split_matrix @ np.concatenate([u, w]), a)
 
 
 class TestBranch:
@@ -66,80 +78,76 @@ class TestBranch:
 class TestRiemannHilbert:
     def test_exp_log_roundtrip(self):
         m = square_model(1)
-        p = NaturalPoint(m, [0.25 + 0.5j, -1.0 + 2.0j])
-        q = log_rh(exp_rh(p), m)
-        assert p.close_to(q, 1e-12)
+        h = _length1(FiberSpace.natural(m), [0.25 + 0.5j, -1.0 + 2.0j])
+        assert rh_to_derham(rh_to_betti(h), m).close_to(h, 1e-12)
 
     def test_log_exp_roundtrip_multiplicative(self):
-        m = square_model(1)
-        z = BettiPoint([2.0 + 1.0j, 0.5j])
-        back = exp_rh(log_rh(z, m))
-        assert np.allclose(back.cx(), z.cx())
+        z = [2.0 + 1.0j, 0.5j]
+        back = rh_to_betti(rh_to_derham(_length1(FiberSpace.betti(1), z), square_model(1)))
+        assert np.allclose(_cx(back.pieces[0].point), z)
 
     def test_zero_holonomy_rejected(self):
-        with pytest.raises(ZeroHolonomyError):
-            BettiPoint([0.0, 1.0])
+        with pytest.raises(LogAtZeroError):
+            rh_to_derham(_length1(FiberSpace.betti(1), [0.0, 1.0]), square_model(1))
 
     def test_canonical_branch(self):
-        m = square_model(1)
-        p = NaturalPoint(m, [0.0 + (math.pi + 0.5) * 1j, 1.0])
-        assert -math.pi < p.cx()[0].imag <= math.pi
+        sp = FiberSpace.natural(square_model(1))
+        p = sp.canonical_point((Scalar.flt(0.0, math.pi + 0.5), Scalar.flt(1.0)))
+        assert -math.pi < p[0].cx.imag <= math.pi
+        assert p[0].cx.imag == pytest.approx(0.5 - math.pi)
 
 
 class TestDualTorus:
     def test_lattice_count(self):
-        m = square_model(2)
-        gens = dual_lattice(m)
-        assert len(gens) == 4
-        assert all(len(g) == 2 for g in gens)
+        assert square_model(2).dual_generators.shape == (2, 4)
 
     def test_dual_point_mod_lattice(self):
         m = square_model(1)
-        gens = dual_lattice(m)
         w0 = np.array([0.3 + 0.4j])
-        shift = np.array([g.cx for g in gens[0]])
         p = DualPoint(m, w0)
-        q = DualPoint(m, w0 + shift)
+        q = DualPoint(m, w0 + m.dual_generators[:, 0])
         assert p.close_to(q)
 
+    # the action of a global 1-form u translates the exponents by u . Pi:
+    # the line bundle stays, the connection form moves by u
+    def _gstar_pair(self):
+        m = AbelianVarietyModel([[1.0, 0.5 + 2j]])
+        sp = FiberSpace.natural(m)
+        a = np.array([0.1 + 0.2j, -0.3])
+        u = 0.7 - 0.1j
+        moved = a + u * m.period[0]
+        return u, rank1_identify(sp, a), rank1_identify(sp, moved)
+
     def test_projection_kills_linear_part(self):
-        m = square_model(1)
-        p = NaturalPoint(m, [0.1 + 0.2j, -0.3])
-        moved = gstar_act(p, [0.7 - 0.1j])
-        assert natural_project(p).close_to(natural_project(moved))
+        _, before, after = self._gstar_pair()
+        w0, w1 = (_cxs(out["line_bundle"]["w"]) for out in (before, after))
+        assert max(abs(x - y) for x, y in zip(w0, w1)) <= 1e-12
 
     def test_gstar_changes_linear_part(self):
-        m = square_model(1)
-        p = NaturalPoint(m, [0.1, 0.2])
-        moved = gstar_act(p, [0.5])
-        u0, _ = natural_split(p)
-        u1, _ = natural_split(moved)
-        assert np.allclose(u1 - u0, [0.5])
+        u, before, after = self._gstar_pair()
+        (f0,), (f1,) = (_cxs(out["connection_form"]) for out in (before, after))
+        assert abs((f1 - f0) - u) <= 1e-12
 
 
 class TestHodgeChart:
     def test_scale_at_one_is_split(self):
-        # the base snaps to its canonical lattice representative, so
-        # compare against reassembly from the snapped coordinates
+        # the line bundle snaps to its canonical lattice representative,
+        # so compare dual-torus points, not cover coordinates
         m = square_model(1)
-        u = np.array([0.3 + 0.1j])
-        xhat = DualPoint(m, [0.04 + 0.03j])
-        h = HodgePoint(Scalar.flt(1.0), xhat, u)
-        expected = NaturalPoint(m, m.split_assemble(u, xhat.cx()))
-        assert hodge_scale(h).close_to(expected)
-        assert natural_project(hodge_scale(h)).close_to(xhat)
+        u, w = 0.3 + 0.1j, 0.04 + 0.03j
+        nat = hodge_undeform(_length1(FiberSpace.hodge(m, Scalar.flt(1.0)), [u, w]))
+        out = rank1_identify(nat.space, nat.pieces[0].point)
+        assert out["kind"] == "connection"
+        assert abs(_cxs(out["connection_form"])[0] - u) <= 1e-12
+        assert DualPoint(m, _cxs(out["line_bundle"]["w"])).close_to(DualPoint(m, [w]))
 
     def test_tau_zero_rejected(self):
         m = square_model(1)
-        h = HodgePoint(Scalar.flt(0.0), DualPoint(m, [0.1]), [0.2])
         with pytest.raises(TauZeroError):
-            hodge_scale(h)
+            hodge_undeform(_length1(FiberSpace.hodge(m, Scalar.flt(0.0)), [0.2, 0.1]))
 
     def test_fiber_scales_inversely(self):
         m = square_model(1)
-        xhat = DualPoint(m, [0.05])
-        h1 = HodgePoint(Scalar.flt(2.0), xhat, [0.8])
-        h2 = HodgePoint(Scalar.flt(1.0), xhat, [0.4])
-        u1, _ = natural_split(hodge_scale(h1))
-        u2, _ = natural_split(hodge_scale(h2))
-        assert np.allclose(u1, u2)
+        n1 = hodge_undeform(_length1(FiberSpace.hodge(m, Scalar.flt(2.0)), [0.8, 0.05]))
+        n2 = hodge_undeform(_length1(FiberSpace.hodge(m, Scalar.flt(1.0)), [0.4, 0.05]))
+        assert n1.close_to(n2, 1e-12)
