@@ -6,9 +6,14 @@ whose orbit under the generated algebra is everything.  This module
 implements the finite-dimensional operations that drive the moduli
 pictures downstream:
 
-* stability: a marked tuple is stable iff the marking is cyclic, iff no
-  proper invariant subspace contains it; for commuting tuples this is
-  also equivalent to the marked automorphism group being trivial;
+* one staircase walk (Moller-Buchberger): monomials x^e in graded
+  lexicographic order, accepted iff x^e v is independent of the images
+  already accepted.  Stability (the walk accepts n: the marking is
+  cyclic, no proper invariant subspace contains it, equivalently the
+  marked automorphism group is trivial), the Krylov witness (the
+  accepted images) and the canonical form of the defining ideal (the
+  staircase with the multiplication matrices in the staircase basis,
+  identical across the base-change orbit) all read it;
 * triangularization: commuting matrices over C always share a complete
   invariant flag, found deterministically by deflating along the sorted
   joint spectrum, one joint eigenvector (a null vector of the stacked
@@ -16,10 +21,6 @@ pictures downstream:
 * the semisimple (direct sum of joint eigenlines) normal form, reached
   along a one-parameter Rees degeneration attached to an invariant flag
   and nonincreasing integer weights;
-* the canonical form of the defining ideal: the staircase of standard
-  monomials in graded lexicographic order together with the
-  multiplication matrices in the staircase basis, an invariant of the
-  marked isomorphism class (identical after any base change);
 * support, joint spectrum and punctual decomposition, all read off one
   primary decomposition (linalg.primary_decomposition): the support
   points with their multiplicities, the joint spectrum as each point
@@ -234,31 +235,51 @@ class InvariantFlag:
         return self.basis.rows
 
 
+def _grlex_key(e: tuple[int, ...]):
+    # graded, ties by lex with x_1 smallest: compare reversed exponents
+    return (sum(e), tuple(reversed(e)))
+
+
+def _staircase_walk(M: MarkedTuple) -> tuple[list[tuple[int, ...]], list[Matrix]]:
+    """Accepted exponents e and images x^e v, in graded lex order: a
+    border monomial is accepted iff its image is independent of those
+    already accepted, until n are.  A heap entry carries its accepted
+    parent's image and the member extending it, and its image is formed
+    when it is popped.  The accepted images span the cyclic subspace."""
+    T, v = M.tuple, M.v
+    zero = (0,) * T.m
+    heap, seen = [(_grlex_key(zero), zero, None, 0)], {zero}
+    span = Span(T.n, T.mode, T.frame)
+    staircase, images = [], []
+    while heap:
+        _, e, parent, j = heapq.heappop(heap)
+        img = v if parent is None else T.B[j] @ parent
+        if not span.add(img):
+            continue
+        staircase.append(e)
+        images.append(img)
+        if len(staircase) == T.n:
+            break
+        for j in range(T.m):
+            child = e[:j] + (e[j] + 1,) + e[j + 1 :]
+            if child not in seen:
+                seen.add(child)
+                heapq.heappush(heap, (_grlex_key(child), child, img, j))
+    return staircase, images
+
+
 def krylov_span(M: MarkedTuple) -> Matrix:
     """Smallest subspace containing the marking and invariant under every
-    member, as a matrix of basis columns (the accepted generating words,
-    breadth first: v, B_1 v, B_2 v, ...)."""
-    tup, v = M.tuple, M.v
-    span = Span(tup.n, tup.mode, tup.frame)
-    span.add(v)
-    accepted = [v]
-    queue = [v]
-    while queue and span.dim < tup.n:
-        w = queue.pop(0)
-        for Bj in tup.B:
-            c = Bj @ w
-            if span.add(c):
-                accepted.append(c)
-                queue.append(c)
-                if span.dim == tup.n:
-                    break
-    return v.hstack(*accepted[1:])
+    member, as the columns x^e v of the staircase walk, in graded lex
+    order (the basis ideal_normal_form rewrites the tuple in)."""
+    images = _staircase_walk(M)[1]
+    return images[0].hstack(*images[1:])
 
 
 def is_stable(M: MarkedTuple) -> bool:
-    """Stability = the marking is cyclic: its Krylov span is everything.
-    Equivalently no proper invariant subspace contains the marking."""
-    return krylov_span(M).cols == M.n
+    """Stability = the marking is cyclic: the staircase walk accepts n
+    monomials, and no proper invariant subspace contains the marking."""
+    return len(_staircase_walk(M)[0]) == M.n
 
 
 # ----------------------------------------------------------------------
@@ -434,11 +455,6 @@ def marked_automorphisms_trivial(M: MarkedTuple) -> bool:
 # ideal normal form
 
 
-def _grlex_key(e: tuple[int, ...]):
-    # graded, ties by lex with x_1 smallest: compare reversed exponents
-    return (sum(e), tuple(reversed(e)))
-
-
 class IdealNormalForm:
     """Canonical form of a stable marked tuple: the staircase of standard
     monomials (graded lex, x_1 < ... < x_m) and the multiplication
@@ -496,43 +512,16 @@ class IdealNormalForm:
 
 
 def ideal_normal_form(M: MarkedTuple) -> IdealNormalForm:
-    """Greedy staircase construction: walk monomials in graded lex order
-    (via the border of the accepted set), accept a monomial iff its image
-    under evaluation at the tuple applied to the marking is independent of
-    the images already accepted.  The accepted set is the complement of
-    the leading-term ideal, hence closed under division; the
-    multiplication matrices are the tuple rewritten in the image basis.
-    The accepted images span an invariant subspace holding the marking,
-    so the walk closes short of n exactly when the marking is not cyclic
-    (NotStable)."""
-    T, v = M.tuple, M.v
-    n, m = T.n, T.m
-    zero = (0,) * m
-    heap = [(_grlex_key(zero), zero)]
-    seen = {zero}
-    images: dict[tuple[int, ...], Matrix] = {zero: v}
-    span = Span(n, T.mode, T.frame)
-    staircase: list[tuple[int, ...]] = []
-    while heap and len(staircase) < n:
-        _, e = heapq.heappop(heap)
-        img = images[e]
-        if not span.add(img):
-            del images[e]
-            continue
-        staircase.append(e)
-        for j in range(m):
-            child = list(e)
-            child[j] += 1
-            child = tuple(child)
-            if child not in seen:
-                seen.add(child)
-                images[child] = T.B[j] @ img
-                heapq.heappush(heap, (_grlex_key(child), child))
-    if len(staircase) < n:
+    """The staircase of the staircase walk (the complement of the
+    leading-term ideal in graded lex order, hence closed under division)
+    with the multiplication matrices: the tuple rewritten in the basis of
+    staircase images.  NotStable when the walk closes short of n, that is
+    when the marking is not cyclic."""
+    staircase, images = _staircase_walk(M)
+    if len(staircase) < M.n:
         raise NotStableError("ideal normal form needs a cyclic marking")
-    P = images[staircase[0]].hstack(*(images[e] for e in staircase[1:]))
-    mult = [solve_matrix(P, T.B[j] @ P) for j in range(m)]
-    return IdealNormalForm(staircase, mult)
+    P = images[0].hstack(*images[1:])
+    return IdealNormalForm(staircase, [solve_matrix(P, Bj @ P) for Bj in M.tuple.B])
 
 
 # ----------------------------------------------------------------------
@@ -607,25 +596,24 @@ def decompose_punctual(M: MarkedTuple) -> list[PunctualData]:
 # nilpotent series
 
 
-def expm1_matrix(N: Matrix) -> Matrix:
-    """exp(N) - Id for nilpotent N, by the finite series sum N^k / k!.
-    Coefficients are rational, so exact input gives exact output."""
+def _nilpotent_series(N: Matrix, coeff) -> Matrix:
+    """sum coeff(k) N^k over k = 1 .. ell - 1 for nilpotent ell x ell N,
+    with rational coeff(k), so exact input gives exact output."""
     ell = N.rows
     out = Matrix.zeros(ell, ell, N.mode, N.frame)
     term = Matrix.identity(ell, N.mode, N.frame)
     for k in range(1, ell):
         term = term @ N
-        out = out + term.scale(Scalar.of(N.mode, Fraction(1, math.factorial(k))))
+        out = out + term.scale(Scalar.of(N.mode, coeff(k)))
     return out
+
+
+def expm1_matrix(N: Matrix) -> Matrix:
+    """exp(N) - Id for nilpotent N, by the finite series sum N^k / k!."""
+    return _nilpotent_series(N, lambda k: Fraction(1, math.factorial(k)))
 
 
 def log1p_matrix(N: Matrix) -> Matrix:
-    """log(Id + N) for nilpotent N: sum (-1)^{k+1} N^k / k.  Rational
-    coefficients; exact inverse of expm1_matrix on nilpotents."""
-    ell = N.rows
-    out = Matrix.zeros(ell, ell, N.mode, N.frame)
-    term = Matrix.identity(ell, N.mode, N.frame)
-    for k in range(1, ell):
-        term = term @ N
-        out = out + term.scale(Scalar.of(N.mode, Fraction(1 if k % 2 else -1, k)))
-    return out
+    """log(Id + N) for nilpotent N: sum (-1)^{k+1} N^k / k, the exact
+    inverse of expm1_matrix on nilpotents."""
+    return _nilpotent_series(N, lambda k: Fraction(1 if k % 2 else -1, k))

@@ -24,7 +24,6 @@ from .adhm import (
     InvariantFlag,
     MarkedTuple,
     ideal_normal_form,
-    is_stable,
     krylov_span,
     rees_family,
     rees_limit,
@@ -152,10 +151,11 @@ def _cmd_classify(obj, ctx: _Ctx):
 
 
 def _cmd_stability(obj, ctx: _Ctx):
+    # one walk: the marking is cyclic iff its Krylov span has n columns
     M = _marked(obj, ctx)
-    if is_stable(M):
-        return {"stable": True, "witness_subspace": None}
     K = krylov_span(M)
+    if K.cols == M.n:
+        return {"stable": True, "witness_subspace": None}
     return {"stable": False, "witness_subspace": K.to_json()}
 
 

@@ -56,7 +56,8 @@ through this surface:
   an exact-zero test in exact mode and ``norm <= eps_eq * scale`` in
   float mode; ``Scalar.sort_key`` for canonical ordering;
 * elimination: ``rank``, ``kernel_basis``, ``solve``, ``solve_matrix``,
-  ``inverse``, and the incremental :class:`Span`;
+  ``inverse``, and the incremental :class:`Span`, which serves the
+  staircase walk of ``adhm``;
 * spectra: ``char_poly`` and ``exact_roots`` (exact only),
   ``eigenvalues``; in float mode every decision that two computed
   eigenvalues are one point is taken by ``_eigen_groups``, relative to
@@ -1506,22 +1507,15 @@ def primary_decomposition(B: Sequence[Matrix]) -> list[tuple[tuple[Scalar, ...],
 
 def complete_basis(w: Matrix) -> Matrix:
     """An invertible n x n matrix whose first column is the nonzero
-    column w.  Exact mode appends the standard vectors that keep the
-    columns independent, chosen greedily in order; float mode returns a
+    column w.  Exact mode appends every standard vector e_j but the one
+    at the last nonzero coordinate of w, in order; float mode returns a
     unitary matrix, the QR factor of w beside every standard vector but
     the one where w is largest."""
     n = w.rows
     if w.mode == EXACT:
-        span = Span(n, EXACT)
-        span.add(w)
-        cols = [w]
-        for j in range(n):
-            if len(cols) == n:
-                break
-            e = Matrix.exact([[1 if i == j else 0] for i in range(n)])
-            if span.add(e):
-                cols.append(e)
-        return w.hstack(*cols[1:])
+        last = max(i for i in range(n) if not w[i, 0].is_zero())
+        eye = Matrix.identity(n, EXACT)
+        return w.hstack(*(eye.col(j) for j in range(n) if j != last))
     v = w._a.reshape(-1)
     i0 = int(np.argmax(np.abs(v)))
     others = [np.eye(n)[:, j] for j in range(n) if j != i0]

@@ -112,18 +112,12 @@ def _log_scalar(p: Scalar, eps: float) -> Scalar:
     return Scalar(FLOAT, z.real, z.imag)
 
 
-def _scale_pair(x: Scalar, c: Scalar) -> Scalar:
-    """c * x, dropping to float unless both factors are exact."""
+def _scaled(x, c: Scalar):
+    """c * x for a Scalar or Matrix x, dropping to float unless both
+    factors are exact."""
     if x.mode != c.mode:
         x, c = x.to_float(), c.to_float()
-    return x * c
-
-
-def _scale_matrix(N: Matrix, c: Scalar) -> Matrix:
-    """c * N, dropping to float unless both factors are exact."""
-    if N.mode != c.mode:
-        N, c = N.to_float(), c.to_float()
-    return N.scale(c)
+    return x.scale(c) if isinstance(x, Matrix) else x * c
 
 
 class FiberSpace:
@@ -182,10 +176,6 @@ class FiberSpace:
     @staticmethod
     def hodge(model: AbelianVarietyModel, tau) -> "FiberSpace":
         return FiberSpace(HODGE, model=model, tau=tau)
-
-    @staticmethod
-    def cotangent(model: AbelianVarietyModel) -> "FiberSpace":
-        return FiberSpace(COTANGENT, model=model)
 
     @property
     def chart_dim(self) -> int:
@@ -276,6 +266,20 @@ def _point_key(coords):
     return tuple(c.sort_key() for c in coords)
 
 
+def _matched(xs, ys, same) -> bool:
+    """Greedy one-to-one match: each x takes the first unused y with
+    same(x, y); False when the lengths differ or some x finds none."""
+    if len(xs) != len(ys):
+        return False
+    used = [False] * len(ys)
+    for x in xs:
+        i = next((i for i, y in enumerate(ys) if not used[i] and same(x, y)), None)
+        if i is None:
+            return False
+        used[i] = True
+    return True
+
+
 class SymPoint:
     """A point of the length-n unmarked moduli: the weighted support.
 
@@ -310,19 +314,10 @@ class SymPoint:
 
     def close_to(self, other: "SymPoint", tol: float | None = None) -> bool:
         """Multiset match of supports within tol (weights equal)."""
-        if self.space.kind != other.space.kind or len(self.support) != len(other.support):
-            return False
-        used = [False] * len(other.support)
-        for p, k in self.support:
-            hit = False
-            for i, (q, l) in enumerate(other.support):
-                if not used[i] and k == l and self.space.points_equal(p, q, tol):
-                    used[i] = True
-                    hit = True
-                    break
-            if not hit:
-                return False
-        return True
+        def same(a, b):
+            return a[1] == b[1] and self.space.points_equal(a[0], b[0], tol)
+
+        return self.space.kind == other.space.kind and _matched(self.support, other.support, same)
 
     def to_json(self):
         return {
@@ -378,27 +373,17 @@ class HilbPoint:
     def close_to(self, other: "HilbPoint", tol: float | None = None) -> bool:
         """Piecewise match: base points within tol, nilpotents and
         markings entrywise within tol."""
-        if self.space.kind != other.space.kind or len(self.pieces) != len(other.pieces):
-            return False
         tol_ = tol if tol is not None else self.space.frame.eps_eq
-        used = [False] * len(other.pieces)
-        for P in self.pieces:
-            hit = False
-            for i, Q in enumerate(other.pieces):
-                if used[i] or P.length != Q.length:
-                    continue
-                if not self.space.points_equal(P.point, Q.point, tol):
-                    continue
-                if not all(
-                    A.close_to(B, tol_) for A, B in zip(P.N.B, Q.N.B)
-                ) or not P.marking.close_to(Q.marking, tol_):
-                    continue
-                used[i] = True
-                hit = True
-                break
-            if not hit:
-                return False
-        return True
+
+        def same(P, Q):
+            return (
+                P.length == Q.length
+                and self.space.points_equal(P.point, Q.point, tol)
+                and all(A.close_to(B, tol_) for A, B in zip(P.N.B, Q.N.B))
+                and P.marking.close_to(Q.marking, tol_)
+            )
+
+        return self.space.kind == other.space.kind and _matched(self.pieces, other.pieces, same)
 
     def to_json(self):
         out = {"space": self.space.to_json(), "pieces": []}
@@ -434,17 +419,20 @@ class HilbPoint:
 # assembly with collision handling
 
 
-def _all_exact(pieces) -> bool:
-    return all(
-        P.N.mode == P.marking.mode == EXACT and all(c.mode == EXACT for c in P.point)
+def _one_mode(pieces, frame) -> tuple[list[PunctualData], bool]:
+    """The pieces in one mode, and whether it is exact: exact only when
+    every point, nilpotent part and marking is; otherwise all as float
+    data in frame."""
+    if all(P.N.mode == P.marking.mode == EXACT and all(c.mode == EXACT for c in P.point) for P in pieces):
+        return list(pieces), True
+    return [
+        PunctualData(
+            tuple(c.to_float() for c in P.point),
+            CommutingTuple._unchecked([Nk.to_float(frame) for Nk in P.N.B]),
+            P.marking.to_float(frame),
+        )
         for P in pieces
-    )
-
-
-def _float_piece(P: PunctualData, frame) -> PunctualData:
-    """P with point, nilpotent parts and marking as float data in frame."""
-    N = CommutingTuple._unchecked([Nk.to_float(frame) for Nk in P.N.B])
-    return PunctualData(tuple(c.to_float() for c in P.point), N, P.marking.to_float(frame))
+    ], False
 
 
 def _direct_sum(space: FiberSpace, group: list[PunctualData]) -> PunctualData:
@@ -459,11 +447,11 @@ def _direct_sum(space: FiberSpace, group: list[PunctualData]) -> PunctualData:
     m = group[0].N.m
     total = sum(P.length for P in group)
     frame = space.frame
-    if _all_exact(group):
+    group, exact = _one_mode(group, frame)
+    if exact:
         point = group[0].point
         parts = [[P.N[j] for P in group] for j in range(m)]
     else:
-        group = [_float_piece(P, frame) for P in group]
         pts = np.array([[c.cx for c in P.point] for P in group])
         mean = pts.mean(axis=0)
         point = tuple(Scalar.from_complex(z) for z in mean)
@@ -532,13 +520,8 @@ def betti_marked(M: MarkedTuple) -> HilbPoint:
     space = FiberSpace.betti(d, M.tuple.frame)
     normalized = []
     for P in pieces:
-        units = []
-        for k in range(2 * d):
-            inv = Scalar.one(P.point[k].mode) / P.point[k]
-            units.append(_scale_matrix(P.N[k], inv))
-        normalized.append(
-            PunctualData(P.point, CommutingTuple._unchecked(units), P.marking)
-        )
+        units = [Nk.scale(Scalar.one(z.mode) / z) for Nk, z in zip(P.N.B, P.point)]
+        normalized.append(PunctualData(P.point, CommutingTuple._unchecked(units), P.marking))
     return HilbPoint(space, normalized)
 
 
@@ -559,7 +542,7 @@ def betti_assemble(h: HilbPoint) -> MarkedTuple:
     if h.space.kind != BETTI:
         raise ValueError("betti_assemble needs a betti-chart point")
     frame = h.space.frame
-    pieces = h.pieces if _all_exact(h.pieces) else [_float_piece(P, frame) for P in h.pieces]
+    pieces, _ = _one_mode(h.pieces, frame)
     mats = []
     for k in range(h.space.chart_dim):
         blocks = []
@@ -575,6 +558,19 @@ def betti_assemble(h: HilbPoint) -> MarkedTuple:
 # Riemann-Hilbert at the Hilbert level
 
 
+def _mapped(pieces, coord, part) -> list[PunctualData]:
+    """Each piece with coordinate k of its base point mapped by
+    coord(k, c) and nilpotent part k by part(k, N_k); markings kept."""
+    return [
+        PunctualData(
+            tuple(coord(k, c) for k, c in enumerate(P.point)),
+            CommutingTuple._unchecked([part(k, Nk) for k, Nk in enumerate(P.N.B)]),
+            P.marking,
+        )
+        for P in pieces
+    ]
+
+
 def rh_to_derham(h: HilbPoint, model: AbelianVarietyModel) -> HilbPoint:
     """Holonomy chart to exponent chart: base points through the
     principal logarithm, unit parts through log(Id + N).  The nilpotent
@@ -585,11 +581,7 @@ def rh_to_derham(h: HilbPoint, model: AbelianVarietyModel) -> HilbPoint:
     if model.d != h.space.d:
         raise ValueError("model dimension differs from the chart")
     eps = model.frame.eps_eq
-    out = []
-    for P in h.pieces:
-        point = tuple(_log_scalar(z, eps) for z in P.point)
-        logs = [log1p_matrix(Nk) for Nk in P.N.B]
-        out.append(PunctualData(point, CommutingTuple._unchecked(logs), P.marking))
+    out = _mapped(h.pieces, lambda k, z: _log_scalar(z, eps), lambda k, N: log1p_matrix(N))
     return assemble_pieces(FiberSpace.natural(model), out)
 
 
@@ -598,11 +590,7 @@ def rh_to_betti(h: HilbPoint) -> HilbPoint:
     exact on nilpotent data for the same reason."""
     if h.space.kind != NATURAL:
         raise ValueError("rh_to_betti starts from a natural-chart point")
-    out = []
-    for P in h.pieces:
-        point = tuple(_exp_scalar(a) for a in P.point)
-        units = [expm1_matrix(Mk) for Mk in P.N.B]
-        out.append(PunctualData(point, CommutingTuple._unchecked(units), P.marking))
+    out = _mapped(h.pieces, lambda k, a: _exp_scalar(a), lambda k, N: expm1_matrix(N))
     return assemble_pieces(FiberSpace.betti(h.space.d, h.space.frame), out)
 
 
@@ -613,6 +601,25 @@ def rh_to_betti(h: HilbPoint) -> HilbPoint:
 def _tau_nonzero(tau: Scalar, eps: float):
     if tau.negligible(eps):
         raise TauZeroError("tau-scaling is undefined at tau = 0")
+
+
+def _linear_pieces(h: HilbPoint, L, space: FiberSpace) -> HilbPoint:
+    """The pieces of h under a linear map of the chart coordinates, as
+    float data: L acts along the first axis of the point and of the stack
+    of nilpotent parts (a complex array it may change in place)."""
+    frame = space.frame
+    out = []
+    for P in h.pieces:
+        x = L(np.array([c.cx for c in P.point]))
+        X = L(np.stack([Nk.to_numpy() for Nk in P.N.B]).astype(np.complex128))
+        out.append(
+            PunctualData(
+                tuple(Scalar.from_complex(z) for z in x),
+                CommutingTuple._unchecked([Matrix.flt(Xk, frame) for Xk in X]),
+                P.marking.to_float(frame),
+            )
+        )
+    return assemble_pieces(space, out)
 
 
 def hodge_deform(h: HilbPoint, tau) -> HilbPoint:
@@ -626,28 +633,14 @@ def hodge_deform(h: HilbPoint, tau) -> HilbPoint:
     model = h.space.model
     tau = tau if isinstance(tau, Scalar) else Scalar.from_complex(tau)
     _tau_nonzero(tau, model.frame.eps_eq)
-    d = model.d
-    C = model.split_coeffs()
-    tz = tau.cx
-    frame = model.frame
-    out = []
-    for P in h.pieces:
-        a = np.array([c.cx for c in P.point])
-        x = C @ a
+    d, C, tz = model.d, model.split_coeffs(), tau.cx
+
+    def split(a):
+        x = np.tensordot(C, a, axes=1)
         x[:d] *= tz
-        stack = np.stack([Nk.to_numpy() for Nk in P.N.B])
-        X = np.tensordot(C, stack, axes=1)
-        X[:d] *= tz
-        mats = [Matrix.flt(X[i], frame) for i in range(2 * d)]
-        mark = P.marking.to_float(frame)
-        out.append(
-            PunctualData(
-                tuple(Scalar.from_complex(z) for z in x),
-                CommutingTuple._unchecked(mats),
-                mark,
-            )
-        )
-    return assemble_pieces(FiberSpace.hodge(model, tau), out)
+        return x
+
+    return _linear_pieces(h, split, FiberSpace.hodge(model, tau))
 
 
 def hodge_undeform(h: HilbPoint) -> HilbPoint:
@@ -656,30 +649,14 @@ def hodge_undeform(h: HilbPoint) -> HilbPoint:
     if h.space.kind != HODGE:
         raise ValueError("hodge_undeform starts from a hodge-chart point")
     model = h.space.model
-    tau = h.space.tau
-    _tau_nonzero(tau, model.frame.eps_eq)
-    d = model.d
-    K = model.split_matrix
-    tz = tau.cx
-    frame = model.frame
-    out = []
-    for P in h.pieces:
-        x = np.array([c.cx for c in P.point])
+    _tau_nonzero(h.space.tau, model.frame.eps_eq)
+    d, K, tz = model.d, model.split_matrix, h.space.tau.cx
+
+    def unsplit(x):
         x[:d] /= tz
-        a = K @ x
-        stack = np.stack([Nk.to_numpy() for Nk in P.N.B]).astype(np.complex128)
-        stack[:d] /= tz
-        A = np.tensordot(K, stack, axes=1)
-        mats = [Matrix.flt(A[i], frame) for i in range(2 * d)]
-        mark = P.marking.to_float(frame)
-        out.append(
-            PunctualData(
-                tuple(Scalar.from_complex(z) for z in a),
-                CommutingTuple._unchecked(mats),
-                mark,
-            )
-        )
-    return assemble_pieces(FiberSpace.natural(model), out)
+        return np.tensordot(K, x, axes=1)
+
+    return _linear_pieces(h, unsplit, FiberSpace.natural(model))
 
 
 def hodge_rescale(h: HilbPoint, factor) -> HilbPoint:
@@ -692,17 +669,12 @@ def hodge_rescale(h: HilbPoint, factor) -> HilbPoint:
     factor = factor if isinstance(factor, Scalar) else Scalar.from_complex(factor)
     _tau_nonzero(factor, h.space.frame.eps_eq)
     d = h.space.d
-    out = []
-    for P in h.pieces:
-        point = tuple(
-            _scale_pair(c, factor) if i < d else c for i, c in enumerate(P.point)
-        )
-        mats = [
-            _scale_matrix(Nk, factor) if i < d else Nk for i, Nk in enumerate(P.N.B)
-        ]
-        out.append(PunctualData(point, CommutingTuple._unchecked(mats), P.marking))
-    new_tau = _scale_pair(h.space.tau, factor)
-    return HilbPoint(FiberSpace.hodge(h.space.model, new_tau), out)
+
+    def fiber_scaled(k, x):
+        return _scaled(x, factor) if k < d else x
+
+    out = _mapped(h.pieces, fiber_scaled, fiber_scaled)
+    return HilbPoint(FiberSpace.hodge(h.space.model, _scaled(h.space.tau, factor)), out)
 
 
 # ----------------------------------------------------------------------
@@ -713,7 +685,10 @@ def rank1_identify(space: FiberSpace, point) -> dict:
     """Describe the rank-1 module a chart point corresponds to: on the
     model charts, a line bundle on the dual torus (the antilinear part w
     modulo the dual lattice) plus a fiber coordinate (the connection
-    form, Higgs field or covector)."""
+    form, Higgs field or covector).  On the natural chart the exponent
+    shift in 2 pi i Z^{2d} whose w-part DualPoint removes from w is
+    removed from u too, so the pair depends on the point, not on its
+    cover representative."""
     coords = tuple(
         c if isinstance(c, Scalar) else Scalar.from_complex(c) for c in point
     )
@@ -725,9 +700,11 @@ def rank1_identify(space: FiberSpace, point) -> dict:
     model = space.model
     if space.kind == NATURAL:
         u, w = model.split_solve(np.array([c.cx for c in coords]))
+        bundle = DualPoint(model, w)
+        u = u - model.dual_fiber_generators @ bundle.lattice_shift
         return {
             "kind": "connection",
-            "line_bundle": DualPoint(model, w).to_json(),
+            "line_bundle": bundle.to_json(),
             "connection_form": [Scalar.from_complex(z).to_json() for z in u],
         }
     if space.kind == DUAL_TORUS:

@@ -93,14 +93,21 @@ class AbelianVarietyModel:
             s = np.linalg.svd(real, compute_uv=False)
             if s[-1] <= self.frame.eps_rank:
                 raise DegeneratePeriodMatrixError("dual generators do not span over R")
-            self._dual = gens
+            self._dual = full
             self._dual_real_inv = np.linalg.inv(real)
         return self._dual, self._dual_real_inv
 
     @property
     def dual_generators(self) -> np.ndarray:
-        """d x 2d complex matrix whose columns generate the dual lattice."""
-        return self._dual_data()[0]
+        """d x 2d complex matrix whose columns generate the dual lattice:
+        column k is the w-part of the exponent shift 2 pi i e_k."""
+        return self._dual_data()[0][self.d :, :]
+
+    @property
+    def dual_fiber_generators(self) -> np.ndarray:
+        """d x 2d complex matrix, column k the u-part of the exponent
+        shift 2 pi i e_k whose w-part is dual generator k."""
+        return self._dual_data()[0][: self.d, :]
 
     def split_solve(self, a: np.ndarray):
         """Split exponents a into (u, w) with a_j = u.lambda_j + w.conj(lambda_j)."""
@@ -122,8 +129,7 @@ class AbelianVarietyModel:
         return inv @ np.concatenate([np.asarray(w).real, np.asarray(w).imag])
 
     def dual_from_coords(self, t: np.ndarray) -> np.ndarray:
-        gens, _ = self._dual_data()
-        return gens @ np.asarray(t, dtype=np.float64)
+        return self.dual_generators @ np.asarray(t, dtype=np.float64)
 
     def __eq__(self, other):
         if not isinstance(other, AbelianVarietyModel):
@@ -162,9 +168,11 @@ class AbelianVarietyModel:
 
 class DualPoint:
     """A point of the dual torus: w in C^d modulo the dual lattice, held
-    by its canonical representative with lattice coordinates in [0, 1)."""
+    by its canonical representative with lattice coordinates in [0, 1).
+    lattice_shift holds the integer dual-lattice coordinates of the
+    vector removed from w to reach it."""
 
-    __slots__ = ("model", "w", "coords")
+    __slots__ = ("model", "w", "coords", "lattice_shift")
 
     def __init__(self, model: AbelianVarietyModel, w):
         vec = _as_complex_vec(w)
@@ -173,10 +181,12 @@ class DualPoint:
         t = model.dual_coords(vec)
         eps = model.frame.eps_lattice
         snapped = np.where(np.abs(t - np.round(t)) <= eps, np.round(t), t)
-        frac = snapped - np.floor(snapped)
-        frac = np.where(frac >= 1.0, 0.0, frac)  # guard against -0 epsilon flooring
+        shift = np.floor(snapped)
+        frac = snapped - shift
+        wrap = frac >= 1.0  # guard against -0 epsilon flooring
         self.model = model
-        self.coords = frac
+        self.coords = np.where(wrap, 0.0, frac)
+        self.lattice_shift = np.where(wrap, shift + 1.0, shift)
         self.w = _float_scalars(model.dual_from_coords(frac))
 
     def close_to(self, other: "DualPoint", tol: float | None = None) -> bool:

@@ -43,7 +43,8 @@ def test_criterion_5_marked_diagram():
 
 def test_criterion_6_rh_roundtrip():
     # 200 points, n <= 5: nilpotents bitwise, bases <= 1e-10, rank-1
-    # legs match the torus exp/log maps bitwise
+    # legs match the inline cmath reference (principal log on the
+    # canonical branch, then exp) bitwise
     _gate(checks.run_rh_roundtrip())
 
 

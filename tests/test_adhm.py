@@ -112,6 +112,16 @@ class TestStability:
         with pytest.raises(NotStableError):
             ideal_normal_form(M)
 
+    def test_witness_is_the_graded_lex_staircase_basis(self):
+        # the marking misses the eighth point, so the walk closes at 7:
+        # 1, x1, x2, x3, x1^2, x1 x2 and then x2^2, which comes before
+        # x1 x3 in graded lex order with x_1 < x_2 < x_3
+        pts = [(1, 2, 3), (2, -1, 4), (-3, 1, 1), (4, 3, -2), (0, 5, 2), (-2, -4, 5), (3, -3, -1), (7, 7, 7)]
+        M = MarkedTuple(from_points(pts).tuple, _col(1, 1, 1, 1, 1, 1, 1, 0))
+        K = krylov_span(M)
+        assert not is_stable(M) and K.cols == 7
+        assert K.col(6) == _col(4, 1, 1, 9, 25, 16, 9, 0)
+
     def test_float_stability(self):
         B = Matrix.flt([[0.0, 1.0], [0.0, 0.0]])
         T = CommutingTuple([B])
@@ -617,3 +627,27 @@ class TestPrimaryDecompositionProperties:
         for p in scaled:
             left.remove(next(q for q in left if all(abs(a.cx - b) <= 1e-6 * c for a, b in zip(p, q))))
         assert not left
+
+
+class TestStaircaseWalk:
+    @_SUPPORT_PROPS
+    @given(st.data())
+    def test_stability_witness_and_normal_form_read_one_walk(self, data):
+        _, _, members = data.draw(_jordan_plant(_QS))
+        n = len(members[0])
+        T = CommutingTuple([Matrix.exact(A) for A in members]).conjugate(_shear(data, n))
+        M = MarkedTuple(T, _col(*data.draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n).filter(any))))
+        try:
+            F = ideal_normal_form(M)
+        except NotStableError:
+            assert not is_stable(M)
+            return
+        assert is_stable(M)
+        K = krylov_span(M)
+        assert K.cols == n
+        for k, e in enumerate(F.staircase):
+            img = M.v
+            for Bj, a in zip(T.B, e):
+                for _ in range(a):
+                    img = Bj @ img
+            assert K.col(k) == img

@@ -217,6 +217,9 @@ class TestSeam:
         w = Matrix.column([Scalar.exact(0), Scalar.exact(2), Scalar.exact(1)])
         P = complete_basis(w)
         assert P.col(0) == w and rank(P) == 3
+        # w, then every standard vector but the one at w's last nonzero entry
+        w4 = Matrix.column([Scalar.exact(x) for x in (0, 2, 0, 1)])
+        assert complete_basis(w4) == w4.hstack(Matrix.identity(4, EXACT).submatrix(0, 4, 0, 3))
         Q = complete_basis(w.to_float())
         assert rank(Q) == 3 and abs(abs(Q[1, 0].cx) - 2 / 5**0.5) < 1e-12
 

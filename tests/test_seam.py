@@ -10,7 +10,9 @@ underscore name from a sibling module, and on any call of a numpy
 eigenvalue solver outside ``linalg._eigen_groups``: in float mode that
 function alone decides which computed eigenvalues are one point.
 Fails on any domain error class of ``errors`` that no module raises, so
-an error code with no raise site shows.
+an error code with no raise site shows.  Lists the functions outside
+``linalg`` and ``checks`` that compare with ``EXACT`` or ``FLOAT`` and
+fails when that list changes: the exact/float split lives in ``linalg``.
 """
 
 import ast
@@ -144,3 +146,53 @@ def test_every_domain_error_is_raised():
 def test_guard_sees_raises():
     src = "raise A('x')\nraise B\nraise errors.C(1) from None\nraise\nx = D('y')\n"
     assert _raised_names(src) == {"A", "B", "C"}
+
+
+_MODES = {"EXACT", "FLOAT"}
+
+
+def _mode_branches(source: str) -> list[str]:
+    """The qualified name (Class.method, function, or <module>) of each
+    scope holding a comparison with EXACT or FLOAT, once each, in order."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, child.name if scope == "<module>" else f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Compare) and scope not in out:
+                names = {x.id if isinstance(x, ast.Name) else x.attr if isinstance(x, ast.Attribute) else None for x in ast.walk(child)}
+                if names & _MODES:
+                    out.append(scope)
+            visit(child, scope)
+
+    visit(ast.parse(source), "<module>")
+    return out
+
+
+def test_mode_branches_stay_in_linalg():
+    paths = sorted(p for p in Path(abelmod.__file__).parent.glob("*.py") if p.stem not in ("linalg", "checks"))
+    sites = sorted(f"{p.stem}.{scope}" for p in paths for scope in _mode_branches(p.read_text()))
+    assert sites == [
+        "cli._in_mode",
+        "cli._parse_scalar",
+        "moduli.FiberSpace.points_equal",
+        "moduli._exp_scalar",
+        "moduli._log_scalar",
+        "moduli._one_mode",
+    ]
+
+
+def test_guard_sees_mode_branches():
+    src = (
+        "x = mode == EXACT\n"
+        "def f(a):\n"
+        "    return a.mode != linalg.FLOAT or a.mode == EXACT\n"
+        "class C:\n"
+        "    def g(self, m):\n"
+        "        return m in (EXACT, FLOAT)\n"
+        "    def h(self, m):\n"
+        "        return Scalar.of(EXACT, m), m == self.mode\n"
+    )
+    assert _mode_branches(src) == ["<module>", "f", "C.g"]

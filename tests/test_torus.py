@@ -123,6 +123,16 @@ class TestDualTorus:
         w0, w1 = (_cxs(out["line_bundle"]["w"]) for out in (before, after))
         assert max(abs(x - y) for x, y in zip(w0, w1)) <= 1e-12
 
+    @pytest.mark.parametrize("model", [square_model(1), AbelianVarietyModel([[1.0, 0.5 + 2j]])], ids=["square", "sheared"])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_cover_representative_names_one_module(self, model, k):
+        # a and a + 2 pi i e_k are one natural-chart point
+        sp = FiberSpace.natural(model)
+        a = np.array([0.1 + 0.2j, -0.3])
+        outs = [rank1_identify(sp, b) for b in (a, a + 2j * math.pi * np.eye(2)[k])]
+        before, after = ([*_cxs(out["line_bundle"]["w"]), *_cxs(out["connection_form"])] for out in outs)
+        assert max(abs(x - y) for x, y in zip(before, after)) <= 1e-12
+
     def test_gstar_changes_linear_part(self):
         u, before, after = self._gstar_pair()
         (f0,), (f1,) = (_cxs(out["connection_form"]) for out in (before, after))
@@ -131,15 +141,17 @@ class TestDualTorus:
 
 class TestHodgeChart:
     def test_scale_at_one_is_split(self):
-        # the line bundle snaps to its canonical lattice representative,
-        # so compare dual-torus points, not cover coordinates
+        # at tau = 1 the natural point is the split (u, w); w's dual
+        # coordinates floor to (0, -1), so rank1_identify reports the
+        # canonical pair, less the shift 2 pi i (0, -1) whose (u, w) parts
+        # are (-pi, pi)
         m = square_model(1)
         u, w = 0.3 + 0.1j, 0.04 + 0.03j
         nat = hodge_undeform(_length1(FiberSpace.hodge(m, Scalar.flt(1.0)), [u, w]))
         out = rank1_identify(nat.space, nat.pieces[0].point)
         assert out["kind"] == "connection"
-        assert abs(_cxs(out["connection_form"])[0] - u) <= 1e-12
-        assert DualPoint(m, _cxs(out["line_bundle"]["w"])).close_to(DualPoint(m, [w]))
+        assert abs(_cxs(out["connection_form"])[0] - (u + math.pi)) <= 1e-12
+        assert abs(_cxs(out["line_bundle"]["w"])[0] - (w - math.pi)) <= 1e-12
 
     def test_tau_zero_rejected(self):
         m = square_model(1)
