@@ -13,7 +13,8 @@ pictures downstream:
   marked automorphism group is trivial), the Krylov witness (the
   accepted images) and the canonical form of the defining ideal (the
   staircase with the multiplication matrices in the staircase basis,
-  identical across the base-change orbit) all read it;
+  identical across the base-change orbit, whose exact columns are the
+  coordinates of the border images the walk rejects) all read it;
 * triangularization: commuting matrices over C always share a complete
   invariant flag, found deterministically by deflating along the sorted
   joint spectrum, one joint eigenvector (a null vector of the stacked
@@ -184,7 +185,7 @@ class MarkedTuple:
             raise ValueError("marking must be an n x 1 column")
         if v.mode != tup.mode:
             raise ModeMismatchError("marking mode differs from tuple")
-        if v.negligible():
+        if v.is_zero():
             raise ValueError("marking must be nonzero")
         self.tuple = tup
         self.v = v
@@ -240,40 +241,42 @@ def _grlex_key(e: tuple[int, ...]):
     return (sum(e), tuple(reversed(e)))
 
 
-def _staircase_walk(M: MarkedTuple) -> tuple[list[tuple[int, ...]], list[Matrix]]:
-    """Accepted exponents e and images x^e v, in graded lex order: a
-    border monomial is accepted iff its image is independent of those
-    already accepted, until n are.  A heap entry carries its accepted
-    parent's image and the member extending it, and its image is formed
-    when it is popped.  The accepted images span the cyclic subspace."""
-    T, v = M.tuple, M.v
+def _staircase_walk(M: MarkedTuple, border: bool = False):
+    """(staircase, span, offered): the accepted exponents e in graded lex
+    order, the Span of their images x^e v, and the number of each
+    exponent offered to it, in the order offered.  A border monomial is
+    accepted iff its image is independent of those already accepted, and
+    the walk stops when n are, unless border: then it walks on through
+    every monomial x_j x^e with e accepted, whose image the full span
+    rejects.  A heap entry carries its accepted parent's number and the
+    member extending it, and the span forms its image when it is popped.
+    The accepted images span the cyclic subspace."""
+    T = M.tuple
     zero = (0,) * T.m
     heap, seen = [(_grlex_key(zero), zero, None, 0)], {zero}
-    span = Span(T.n, T.mode, T.frame)
-    staircase, images = [], []
+    span = Span(T.B, M.v)
+    staircase, offered = [], {}
     while heap:
         _, e, parent, j = heapq.heappop(heap)
-        img = v if parent is None else T.B[j] @ parent
-        if not span.add(img):
+        offered[e] = len(offered)
+        if not span.add(parent, j):
             continue
         staircase.append(e)
-        images.append(img)
-        if len(staircase) == T.n:
+        if len(staircase) == T.n and not border:
             break
         for j in range(T.m):
             child = e[:j] + (e[j] + 1,) + e[j + 1 :]
             if child not in seen:
                 seen.add(child)
-                heapq.heappush(heap, (_grlex_key(child), child, img, j))
-    return staircase, images
+                heapq.heappush(heap, (_grlex_key(child), child, len(staircase) - 1, j))
+    return staircase, span, offered
 
 
 def krylov_span(M: MarkedTuple) -> Matrix:
     """Smallest subspace containing the marking and invariant under every
     member, as the columns x^e v of the staircase walk, in graded lex
     order (the basis ideal_normal_form rewrites the tuple in)."""
-    images = _staircase_walk(M)[1]
-    return images[0].hstack(*images[1:])
+    return _staircase_walk(M)[1].matrix()
 
 
 def is_stable(M: MarkedTuple) -> bool:
@@ -515,13 +518,17 @@ def ideal_normal_form(M: MarkedTuple) -> IdealNormalForm:
     """The staircase of the staircase walk (the complement of the
     leading-term ideal in graded lex order, hence closed under division)
     with the multiplication matrices: the tuple rewritten in the basis of
-    staircase images.  NotStable when the walk closes short of n, that is
-    when the marking is not cyclic."""
-    staircase, images = _staircase_walk(M)
+    staircase images.  The walk goes on through the border, and column a
+    of M_j comes from the image of x_j x^a: the coordinates its reduction
+    left behind when the span rejected it, or a unit column when it lies
+    in the staircase (Span.mult_matrices; float mode solves instead).
+    NotStable when the walk closes short of n, that is when the marking
+    is not cyclic."""
+    staircase, span, offered = _staircase_walk(M, border=True)
     if len(staircase) < M.n:
         raise NotStableError("ideal normal form needs a cyclic marking")
-    P = images[0].hstack(*images[1:])
-    return IdealNormalForm(staircase, [solve_matrix(P, Bj @ P) for Bj in M.tuple.B])
+    columns = [[offered[a[:j] + (a[j] + 1,) + a[j + 1 :]] for a in staircase] for j in range(M.m)]
+    return IdealNormalForm(staircase, span.mult_matrices(columns))
 
 
 # ----------------------------------------------------------------------
@@ -531,12 +538,13 @@ def ideal_normal_form(M: MarkedTuple) -> IdealNormalForm:
 def from_points(points, mode: str = EXACT, frame: ToleranceFrame | None = None) -> MarkedTuple:
     """The semisimple marked tuple of n distinct points of C^m: diagonal
     members, marking all ones.  DuplicatePoint when two points collide
-    (exact equality, or within eps_eq coordinatewise in float mode)."""
+    (exact equality; in float mode, every coordinate within eps_eq times
+    the largest coordinate modulus of all the points)."""
     pts = [tuple(Scalar.of(mode, c) for c in p) for p in points]
     if not pts:
         raise ValueError("need at least one point")
     m = len(pts[0])
-    eps = (frame or DEFAULT_FRAME).eps_eq
+    eps = (frame or DEFAULT_FRAME).eps_eq * max(abs(c) for p in pts for c in p)
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             if all((a - b).negligible(eps) for a, b in zip(pts[i], pts[j])):

@@ -57,7 +57,10 @@ through this surface:
   float mode; ``Scalar.sort_key`` for canonical ordering;
 * elimination: ``rank``, ``kernel_basis``, ``solve``, ``solve_matrix``,
   ``inverse``, and the incremental :class:`Span`, which serves the
-  staircase walk of ``adhm``;
+  staircase walk of ``adhm``: it forms the images of the marking under
+  the members itself, and in exact mode reads the multiplication
+  matrices off the reductions of the rejected border images, on
+  Gaussian-integer lists with no solve (float mode solves);
 * spectra: ``char_poly`` and ``exact_roots`` (exact only),
   ``eigenvalues``; in float mode every decision that two computed
   eigenvalues are one point is taken by ``_eigen_groups``, relative to
@@ -979,52 +982,142 @@ def _pivot_block(rows, pivots, c0: int, c1: int, n: int) -> Matrix:
     return Matrix(EXACT, n, c1 - c0, (D, R, I))
 
 
+def _gauss_matvec(R, I, x, y):
+    """(R + I i)(x + y i) for int grids R, I and int lists x, y, with I,
+    y and the imaginary part of the result None when zero: the
+    one-column case of _grid_mul on flat lists, which the staircase walk
+    runs once per image."""
+    re = [sum(map(mul, r, x)) for r in R]
+    im = [sum(map(mul, r, y)) for r in R] if y is not None else None
+    if I is not None:
+        ix = [sum(map(mul, r, x)) for r in I]
+        if y is not None:
+            re = [a - sum(map(mul, r, y)) for a, r in zip(re, I)]
+        im = ix if im is None else [a + b for a, b in zip(im, ix)]
+    return re, (im if im is not None and any(im) else None)
+
+
 class Span:
-    """Incremental linear independence of n x 1 columns.
+    """The images of a marking v under monomials in the commuting members
+    B, and their span.
 
-    Exact mode keeps one primitive Gaussian-integer row per accepted
-    vector, reduced against the earlier rows by the fraction-free step
-    of the Gauss-Jordan pass; float mode keeps orthonormal vectors and
-    rejects a vector whose residual is at most eps_rank times its norm."""
+    ``add(parent, j)`` offers B_j w, for w the accepted image numbered
+    parent (v itself when parent is None), and accepts it iff it is
+    independent of the images accepted so far.  ``matrix`` is the matrix
+    of accepted images, and once n are accepted ``mult_matrices`` gives
+    each member in their basis: the M_j with B_j P = P M_j.
 
-    def __init__(self, n: int, mode: str, frame: ToleranceFrame | None = None):
-        self.n = n
-        self.mode = mode
-        self.frame = frame or DEFAULT_FRAME
-        self.basis = []  # exact: (pivot, working row); float: orthonormal numpy vectors
+    Exact mode forms each image on Gaussian-integer lists over one
+    denominator D, with no Matrix per image, and reduces it by the
+    fraction-free step of the Gauss-Jordan pass against one primitive
+    row per accepted image.  A working row carries, after its n vector
+    entries, its coordinates over the accepted images (n slots) and one
+    slot for the candidate, which starts at D: the row is
+    sum_k t_k P_k + s w.  A rejected image w leaves its coordinates
+    -t / s behind, so ``mult_matrices`` reads column a of M_j off the
+    image offered for x_j x^a, or a unit column when that image was
+    accepted (the linear algebra of Moller-Buchberger and FGLM).  Float
+    mode keeps orthonormal vectors, rejects a vector whose residual is at
+    most eps_rank times its norm (and every vector once the span is
+    full, without forming it), and solves P M_j = B_j P by least squares
+    in ``mult_matrices``."""
+
+    def __init__(self, B: Sequence[Matrix], v: Matrix):
+        self.B = B
+        self.v = v
+        self.n = v.rows
+        self.frame = B[0].frame or DEFAULT_FRAME
+        self._images = []  # exact: (D, x, y) in lowest terms; float: n x 1 numpy arrays
+        self._basis = []  # exact: (pivot, working row); float: orthonormal numpy vectors
+        self._coords = []  # exact: per offered image, a row whose k-th coordinate is row[k] / row[n]
+        if v.mode == EXACT:
+            self._members = [(D, R, I if any(map(any, I)) else None) for D, R, I in (M._a for M in B)]
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._images)
 
-    def add(self, vec: Matrix) -> bool:
-        """Try to add a column; True if it enlarged the span."""
-        if self.mode == EXACT:
-            _, R, I = vec._a
-            y = [r[0] for r in I]
-            cur = _primitive([r[0] for r in R], y if any(y) else None)
-            for pivot, row in self.basis:
-                if cur is None:
-                    return False
-                if _nonzero_at(cur, pivot):
-                    cur = _cancel(cur, row, pivot)
-            if cur is None:
+    def add(self, parent: int | None = None, j: int = 0) -> bool:
+        """Offer B_j times accepted image parent (the marking when parent
+        is None); True if it enlarged the span."""
+        n = self.n
+        if self.v.mode == FLOAT:
+            if len(self._images) == n:
                 return False
-            pivot = next(k for k in range(self.n) if _nonzero_at(cur, k))
-            self.basis.append((pivot, cur))
+            img = self.v._a if parent is None else self.B[j]._a @ self._images[parent]
+            r = img.reshape(-1)
+            nrm = np.linalg.norm(r)
+            if nrm == 0.0:
+                return False
+            for _ in range(2):  # re-orthogonalize once for stability
+                for q in self._basis:
+                    r = r - (q.conj() @ r) * q
+            rn = np.linalg.norm(r)
+            if rn <= self.frame.eps_rank * nrm:
+                return False
+            self._basis.append(r / rn)
+            self._images.append(img)
             return True
-        r = vec._a.reshape(-1)
-        nrm = np.linalg.norm(r)
-        if nrm == 0.0:
-            return False
-        for _ in range(2):  # re-orthogonalize once for stability
-            for q in self.basis:
-                r = r - (q.conj() @ r) * q
-        rn = np.linalg.norm(r)
-        if rn <= self.frame.eps_rank * nrm:
-            return False
-        self.basis.append(r / rn)
-        return True
+        if parent is None:
+            D, R, I = self.v._a
+            y = [r[0] for r in I]
+            img = (D, [r[0] for r in R], y if any(y) else None)
+        else:
+            D, R, I = self._members[j]
+            den, x, y = self._images[parent]
+            x, y = _gauss_matvec(R, I, x, y)
+            den *= D
+            g = gcd(den, *x, *y) if y is not None else gcd(den, *x)
+            if g != 1:
+                den, x, y = den // g, [u // g for u in x], (None if y is None else [u // g for u in y])
+            img = (den, x, y)
+        den, x, y = img
+        pad = [0] * n
+        cur = (x + pad + [den], None if y is None else y + pad + [0])
+        for pivot, row in self._basis:
+            if _nonzero_at(cur, pivot):
+                cur = _cancel(cur, row, pivot)
+        x, y = cur
+        k = len(self._images)
+        if any(x[:n]) or (y is not None and any(y[:n])):
+            # the candidate is image k: its slot moves to slot k
+            x[n + k], x[2 * n] = x[2 * n], 0
+            if y is not None:
+                y[n + k], y[2 * n] = y[2 * n], 0
+            self._basis.append((next(c for c in range(n) if _nonzero_at(cur, c)), cur))
+            self._images.append(img)
+            unit = [0] * (n + 1)
+            unit[k] = unit[n] = 1
+            self._coords.append((unit, None))
+            return True
+        self._coords.append((x[n:-1] + [-x[-1]], None if y is None else y[n:-1] + [-y[-1]]))
+        return False
+
+    def matrix(self) -> Matrix:
+        """The accepted images as the columns of one n x dim matrix."""
+        if self.v.mode == FLOAT:
+            return Matrix(FLOAT, self.n, self.dim, np.hstack(self._images), self.v.frame)
+        L = lcm(*(den for den, _, _ in self._images))
+        scaled = [(L // den, x, y) for den, x, y in self._images]
+        R = [list(row) for row in zip(*([f * u for u in x] for f, x, _ in scaled))]
+        I = [list(row) for row in zip(*([f * u for u in y] if y is not None else [0] * self.n for f, _, y in scaled))]
+        return Matrix(EXACT, self.n, self.dim, (L, R, I))
+
+    def mult_matrices(self, offered: Sequence[Sequence[int]]) -> list[Matrix]:
+        """The members in the basis P of the n accepted images: the M_j
+        with B_j P = P M_j.  offered[j][a] numbers (in the order of the
+        add calls) an image offered with the value B_j P_a.  Exact mode
+        reads the columns off those images' reductions; float mode solves
+        with solve_matrix and reads no offered image."""
+        n = self.n
+        if self.v.mode == FLOAT:
+            P = self.matrix()
+            return [solve_matrix(P, Bj @ P) for Bj in self.B]
+        out = []
+        for cols in offered:
+            D, R, I = _reduced([self._coords[c] for c in cols], [n] * n, range(n))
+            out.append(Matrix(EXACT, n, n, (D, _transposed(R, n), _transposed(I, n))))
+        return out
 
 
 def rank(M: Matrix) -> int:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from abelmod import linalg
 from abelmod.adhm import (
     CommutingTuple,
     InvariantFlag,
@@ -127,6 +128,15 @@ class TestStability:
         T = CommutingTuple([B])
         assert is_stable(MarkedTuple(T, Matrix.flt([[0.0], [1.0]])))
         assert not is_stable(MarkedTuple(T, Matrix.flt([[1.0], [1e-12]])))
+
+    @pytest.mark.parametrize("c", [1e-12, 1e-10, 1e-8, 1e-4, 1.0, 1e4, 1e8, 1e12])
+    def test_float_marking_at_any_scale(self, c):
+        """A marking is refused only when it is exactly zero: stability
+        does not depend on the marking's scale."""
+        T = CommutingTuple([Matrix.flt(np.diag([1.0, 2.0, 3.0]))])
+        assert is_stable(MarkedTuple(T, Matrix.flt([[c], [c], [c]])))
+        with pytest.raises(ValueError, match="nonzero"):
+            MarkedTuple(T, Matrix.zeros(3, 1, FLOAT))
 
 
 class TestTriangularize:
@@ -281,6 +291,41 @@ class TestIdealNormalForm:
     def test_duplicate_points_rejected(self):
         with pytest.raises(DuplicatePointError):
             from_points([(1, 2), (1, 2)])
+
+    @pytest.mark.parametrize("c", [1e-12, 1e-10, 1e-8, 1e-4, 1.0, 1e4, 1e8, 1e12])
+    def test_float_points_at_any_scale(self, c):
+        """Float points collide relative to the largest coordinate: the
+        support of c pts is c pts, and points within rounding of each
+        other collide at every scale."""
+        for pts in ([(1,), (2,), (3,)], [(1, 2), (2, -1), (1j, 0.5), (3, 3)]):
+            scaled = [tuple(c * x for x in p) for p in pts]
+            supp = spectrum_support(from_points(scaled, mode=FLOAT).tuple)
+            assert all(k == 1 for _, k in supp)
+            _take_each([tuple(x.cx for x in p) for p, _ in supp], scaled, 1e-12 * c)
+        with pytest.raises(DuplicatePointError):
+            from_points([(c,), (2 * c,), (c * (1 + 1e-12),)], mode=FLOAT)
+
+    def test_exact_columns_come_off_the_walk(self, monkeypatch):
+        """Exact mode reads the multiplication matrices off the staircase
+        walk's reductions and solves nothing; float mode solves once per
+        member."""
+        calls = []
+        solve_matrix = linalg.solve_matrix
+
+        def counting(A, B):
+            if A.mode == EXACT:
+                raise AssertionError("exact ideal normal form called solve_matrix")
+            calls.append(B.cols)
+            return solve_matrix(A, B)
+
+        monkeypatch.setattr(linalg, "solve_matrix", counting)
+        M = from_points([(1, 2), (3, 4), (-1, 0)])
+        F = ideal_normal_form(M)
+        assert F.staircase == ((0, 0), (1, 0), (2, 0)) and not calls
+        Mf = MarkedTuple(M.tuple.to_float(), M.v.to_float())
+        Ff = ideal_normal_form(Mf)
+        assert calls == [3, 3] and Ff.staircase == F.staircase
+        assert all(A.close_to(B.to_float(), 1e-12) for A, B in zip(Ff.mult_matrices, F.mult_matrices))
 
 
 class TestPunctual:
@@ -633,10 +678,12 @@ class TestStaircaseWalk:
     @_SUPPORT_PROPS
     @given(st.data())
     def test_stability_witness_and_normal_form_read_one_walk(self, data):
-        _, _, members = data.draw(_jordan_plant(_QS))
+        _, _, members = data.draw(_jordan_plant(_GQS))
         n = len(members[0])
         T = CommutingTuple([Matrix.exact(A) for A in members]).conjugate(_shear(data, n))
-        M = MarkedTuple(T, _col(*data.draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n).filter(any))))
+        small = st.tuples(st.integers(-1, 1), st.integers(-1, 1))
+        v = data.draw(st.lists(small, min_size=n, max_size=n).filter(lambda v: any(map(any, v))))
+        M = MarkedTuple(T, Matrix.column([Scalar.exact(a, b) for a, b in v]))
         try:
             F = ideal_normal_form(M)
         except NotStableError:
@@ -651,3 +698,6 @@ class TestStaircaseWalk:
                 for _ in range(a):
                     img = Bj @ img
             assert K.col(k) == img
+        # the columns read off the walk: B_j K = K M_j, and the M_j commute
+        assert all(Bj @ K == K @ Mj for Bj, Mj in zip(T.B, F.mult_matrices))
+        assert all(A @ B == B @ A for A in F.mult_matrices for B in F.mult_matrices)

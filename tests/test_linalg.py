@@ -224,11 +224,21 @@ class TestSeam:
         assert rank(Q) == 3 and abs(abs(Q[1, 0].cx) - 2 / 5**0.5) < 1e-12
 
     def test_span_exact_and_float(self):
-        for mode, mk in ((EXACT, Matrix.exact), (FLOAT, Matrix.flt)):
-            span = Span(2, mode)
-            assert span.add(mk([[1], [1]]))
-            assert not span.add(mk([[2], [2]]))
-            assert span.add(mk([[0], [1]])) and span.dim == 2
+        for mk in (Matrix.exact, Matrix.flt):
+            B = [mk([[2, 0], [0, 2]]), mk([[0, 0], [0, 1]])]
+            span = Span(B, mk([[1], [1]]))
+            assert span.add()  # v = (1, 1)
+            assert not span.add(0, 0)  # B_0 v = (2, 2)
+            assert span.add(0, 1) and span.dim == 2  # B_1 v = (0, 1)
+            assert span.matrix() == mk([[1, 0], [1, 1]])
+            # offered images 3 and 4: B_0 (0, 1) = 2 P_1 and B_1 (0, 1) = P_1
+            assert not span.add(1, 0) and not span.add(1, 1)
+            got = span.mult_matrices([[1, 3], [2, 4]])
+            want = [mk([[2, 0], [0, 2]]), mk([[0, 0], [1, 1]])]
+            if mk is Matrix.exact:
+                assert got == want
+            else:
+                assert all(A.close_to(W, 1e-12) for A, W in zip(got, want))
 
     def test_block_diag_submatrix_kron(self):
         A = Matrix.exact([[1, 2], [3, 4]])
