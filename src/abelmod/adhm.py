@@ -292,16 +292,15 @@ def is_stable(M: MarkedTuple) -> bool:
 def triangularize(T: CommutingTuple):
     """Simultaneous triangularization: returns (g, flag, upper) with
     g^{-1} B_j g upper triangular and the flag spanned by the leading
-    columns of g.  The diagonal is the joint spectrum, sorted by the
-    exact (Re, Im) of each coordinate in turn; each deflation step takes
-    a null vector (linalg.null_vector) of the stacked B_j - p_j of the
-    trailing block at the next point p, so the result is deterministic
-    and no step solves an eigenproblem.  In exact mode that vector is the
-    first of the canonical reduced-echelon joint eigenspace; float mode
-    accumulates unitary deflation steps.  Raises NonSplitCharPoly where
-    joint_spectrum does."""
+    columns of g.  The diagonal is joint_spectrum, in its order; each
+    deflation step takes a null vector (linalg.null_vector) of the
+    stacked B_j - p_j of the trailing block at the next point p, so the
+    result is deterministic and no step solves an eigenproblem.  In exact
+    mode that vector is the first of the canonical reduced-echelon joint
+    eigenspace; float mode accumulates unitary deflation steps.  Raises
+    NonSplitCharPoly where joint_spectrum does."""
     n = T.n
-    spectrum = sorted(joint_spectrum(T), key=lambda p: [(c.re, c.im) for c in p])
+    spectrum = joint_spectrum(T)
     g = Matrix.identity(n, T.mode, T.frame)
     current = list(T.B)
     for offset in range(n - 1):
@@ -309,17 +308,14 @@ def triangularize(T: CommutingTuple):
         eye = Matrix.identity(k, T.mode, T.frame)
         shifted = [M - eye.scale(c) for M, c in zip(current, spectrum[offset])]
         P = complete_basis(null_vector(shifted[0].vstack(*shifted[1:])))
-        Pi = inverse(P)
-        current = [(Pi @ M @ P) for M in current]
+        current = CommutingTuple._unchecked(current).conjugate(P).B
         # embed P into the ambient space at the current offset
         if offset:
             P = Matrix.block_diag([Matrix.identity(offset, T.mode, T.frame), P])
         g = g @ P
         # recurse on the trailing block
         current = [M.submatrix(1, k, 1, k) for M in current]
-    gi = inverse(g)
-    upper = [gi @ M @ g for M in T.B]
-    return g, InvariantFlag(g), CommutingTuple._unchecked(upper)
+    return g, InvariantFlag(g), T.conjugate(g)
 
 
 def joint_spectrum(T: CommutingTuple) -> list[tuple[Scalar, ...]]:
@@ -357,7 +353,7 @@ def sequiv_normal_form(T: CommutingTuple) -> CommutingTuple:
 # Rees degenerations
 
 
-def _adapted(T: CommutingTuple, F: InvariantFlag) -> list[Matrix]:
+def _adapted(T: CommutingTuple, F: InvariantFlag) -> tuple[Matrix, ...]:
     """Tuple in the flag basis; FlagNotInvariant unless upper triangular
     (in float mode: unless each strict lower part is within
     INVARIANCE_SLACK eps_eq of its member's norm)."""
@@ -365,12 +361,12 @@ def _adapted(T: CommutingTuple, F: InvariantFlag) -> list[Matrix]:
         raise ModeMismatchError("flag mode differs from tuple")
     if F.n != T.n:
         raise ValueError("flag size differs from tuple")
-    gi = inverse(F.basis)
-    adapted = [gi @ M @ F.basis for M in T.B]
+    adapted = T.conjugate(F.basis).B
     for A in adapted:
         if not A.strict_lower().negligible(INVARIANCE_SLACK * A.norm()):
             raise FlagNotInvariantError("flag is not invariant for the tuple")
     return adapted
+
 
 def _check_weights(weights, n: int):
     w = list(weights)

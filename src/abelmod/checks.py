@@ -12,7 +12,6 @@ byte for byte.
 from __future__ import annotations
 
 import cmath
-import itertools
 import json
 import math
 import random
@@ -32,6 +31,7 @@ from .adhm import (
     rees_family,
     rees_limit,
     sequiv_normal_form,
+    spectrum_support,
     triangularize,
 )
 from .dalgebra import (
@@ -43,7 +43,7 @@ from .dalgebra import (
     jacobi_check,
     orbit_invariants,
 )
-from .linalg import EXACT, FLOAT, Matrix, Scalar, eigenvalues, rank, solve
+from .linalg import EXACT, FLOAT, Matrix, Scalar, rank, solve
 from .moduli import (
     FiberSpace,
     HilbPoint,
@@ -384,16 +384,15 @@ def run_triangularization(count: int = 1000, n_max: int = 6, m_max: int = 4, see
 def _brute_unstable(M: MarkedTuple) -> bool:
     """Invariant-subspace search by enumeration: a maximal proper
     invariant subspace is the kernel of a simultaneous left eigenvector,
-    so the marking sits in one iff some joint left eigenvector kills it."""
+    so the marking sits in one iff some joint left eigenvector kills it.
+    The eigenvalue tuple of a joint left eigenvector is a support point,
+    so the search runs over spectrum_support."""
     T = M.tuple
     n = T.n
-    cands = [eigenvalues(Bj) for Bj in T.B]
     vt = M.v.transpose()
     eye = Matrix.identity(n, T.mode, T.frame)
-    for combo in itertools.product(*cands):
-        A = vt
-        for Bj, lam in zip(T.B, combo):
-            A = A.vstack(Bj.transpose() - eye.scale(lam))
+    for p, _ in spectrum_support(T):
+        A = vt.vstack(*(Bj.transpose() - eye.scale(c) for Bj, c in zip(T.B, p)))
         if rank(A) < n:
             return True
     return False

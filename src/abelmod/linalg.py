@@ -11,11 +11,14 @@ Everything downstream works over one of two modes:
     elimination over the Gaussian integers.  Eigenvalues are the roots of
     the characteristic polynomial, which rescaled by the lcm D of its
     coefficient denominators are Gaussian integers over D: each is found
-    by an integer Newton walk from a float root and accepted only when it
-    divides the polynomial exactly over Z[i].  When the characteristic
-    polynomial does not split into linear factors over the Gaussian
-    rationals, eigenvalue-dependent operations raise
-    :class:`~abelmod.errors.NonSplitCharPolyError`.
+    by an integer Newton walk from a float root of the polynomial scaled
+    by a power of two, and accepted only when it divides the polynomial
+    exactly over Z[i].  When the characteristic polynomial does not split
+    into linear factors over the Gaussian rationals, eigenvalue-dependent
+    operations raise :class:`~abelmod.errors.NonSplitCharPolyError`.
+    Points sort by their exact (Re, Im).  The float scales of exact data
+    (``Matrix.norm``, ``abs``), which exact decisions ignore, are
+    ``math.inf`` past the double range.
 
 ``float``
     IEEE complex128 backed by numpy.  Rank decisions go through singular
@@ -55,16 +58,17 @@ through this surface:
 * decisions: ``Scalar.negligible(eps)`` and ``Matrix.negligible(scale)``,
   an exact-zero test in exact mode and ``norm <= eps_eq * scale`` in
   float mode; ``Scalar.sort_key`` for canonical ordering;
-* elimination: ``rank``, ``kernel_basis``, ``solve``, ``solve_matrix``,
-  ``inverse``, and the incremental :class:`Span`, which serves the
-  staircase walk of ``adhm``: it forms the images of the marking under
-  the members itself, and in exact mode reads the multiplication
-  matrices off the reductions of the rejected border images, on
-  Gaussian-integer lists with no solve (float mode solves);
-* spectra: ``char_poly`` and ``exact_roots`` (exact only),
-  ``eigenvalues``; in float mode every decision that two computed
-  eigenvalues are one point is taken by ``_eigen_groups``, relative to
-  the matrix's own scale and to each eigenvalue's condition number;
+* elimination: ``rank``, ``kernel_basis``, ``solve_matrix`` (``solve``
+  is its one-column case), ``inverse``, and the incremental
+  :class:`Span`, which serves the staircase walk of ``adhm``: it forms
+  the images of the marking under the members itself, and in exact mode
+  reads the multiplication matrices off the reductions of the rejected
+  border images, on Gaussian-integer lists with no solve (float mode
+  solves);
+* spectra: ``char_poly`` and ``exact_roots`` (exact only); in float
+  mode every decision that two computed eigenvalues are one point is
+  taken by ``_eigen_groups``, relative to the matrix's own scale and to
+  each eigenvalue's condition number;
 * flags: ``null_vector`` (one vector of a kernel, with no threshold in
   float mode) and ``complete_basis``;
 * joint spectra: ``primary_decomposition``, the support points of a
@@ -115,7 +119,6 @@ __all__ = [
     "inverse",
     "char_poly",
     "exact_roots",
-    "eigenvalues",
     "primary_decomposition",
     "complete_basis",
 ]
@@ -235,11 +238,10 @@ class Scalar:
         return abs(self) <= eps
 
     def sort_key(self):
-        """Canonical ordering by (Re, Im); exact ties between rationals
-        that round to the same doubles break on their text."""
-        if self.mode == EXACT:
-            return (float(self.re), float(self.im), str(self.re), str(self.im))
-        return (self.re, self.im, "", "")
+        """Canonical ordering by (Re, Im), compared exactly in exact mode
+        and as doubles in float mode; a float value equal to an exact one
+        sorts first."""
+        return (self.re, self.im, self.mode == EXACT)
 
     def _chk(self, other: "Scalar"):
         if self.mode != other.mode:
@@ -274,7 +276,11 @@ class Scalar:
         return Scalar(self.mode, self.re, -self.im)
 
     def __abs__(self) -> float:
-        return math.hypot(float(self.re), float(self.im))
+        """|z| as a float; math.inf past the double range."""
+        try:
+            return math.hypot(float(self.re), float(self.im))
+        except OverflowError:
+            return math.inf
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Scalar):
@@ -625,12 +631,16 @@ class Matrix:
         return _exact(Da * Db, R, I, rows, cols)
 
     def norm(self) -> float:
-        """Frobenius norm (float in both modes)."""
+        """Frobenius norm, a float in both modes (in exact mode math.inf
+        once its square is past the double range)."""
         if self.mode == FLOAT:
             return float(np.linalg.norm(self._a))
         D, R, I = self._a
         sq = sum(x * x for r in R for x in r) + sum(y * y for r in I for y in r)
-        return math.sqrt(sq / (D * D))
+        try:
+            return math.sqrt(sq / (D * D))
+        except OverflowError:
+            return math.inf
 
     def is_zero(self) -> bool:
         """Entrywise exact zero test (use norms for float comparisons)."""
@@ -1166,40 +1176,24 @@ def null_vector(M: Matrix) -> Matrix:
 
 
 def solve(A: Matrix, b: Matrix) -> Matrix:
-    """Solve A x = b (b a column).  Raises NoSolution when b is outside
-    the column space; returns the least-norm solution when the system is
-    underdetermined."""
-    A._chk(b)
-    if b.cols != 1 or b.rows != A.rows:
-        raise ValueError("b must be a column of matching height")
-    if A.mode == FLOAT:
-        ra = rank(A)
-        rab = rank(A.hstack(b))
-        if rab > ra:
-            raise NoSolutionError("right-hand side outside the column space")
-        x, *_ = np.linalg.lstsq(A._a, b._a, rcond=None)
-        return Matrix(FLOAT, A.cols, 1, x, A.frame)
-    n = A.cols
-    rows, pivots = _rref_exact(A.hstack(b))
-    if n in pivots:
-        raise NoSolutionError("right-hand side outside the column space")
-    x0 = _pivot_block(rows, pivots, n, n + 1, n)
-    # b is no pivot column, so the first n columns are the reduced
-    # echelon form of A itself and carry its kernel
-    K = _kernel(rows, pivots, n)
-    if K is None:
-        return x0
-    # project the particular solution onto the orthogonal complement of
-    # the kernel (Hermitian inner product), exactly: K^H K c = K^H x0
-    Kh = K.conj_transpose()
-    rows2, piv2 = _rref_exact((Kh @ K).hstack(Kh @ x0))
-    return x0 - K @ _pivot_block(rows2, piv2, K.cols, K.cols + 1, K.cols)
+    """Solve A x = b for one column b: solve_matrix's one-column case."""
+    if b.cols != 1:
+        raise ValueError("b must be a column")
+    return _solve(A, b)
 
 
 def solve_matrix(A: Matrix, B: Matrix) -> Matrix:
     """Solve A X = B columnwise for full-column-rank A.  Exact mode reads
     X off one Gauss-Jordan pass of [A | B]; float mode uses least squares.
-    Raises NoSolution when some column of B is outside the column space."""
+    Raises NoSolution when some column of B is outside the column space
+    (float mode: when the residual exceeds SOLVE_SLACK eps_eq max(1, |B|)),
+    and ValueError when exact A is column rank deficient."""
+    return _solve(A, B)
+
+
+def _solve(A: Matrix, B: Matrix) -> Matrix:
+    """The body of solve and solve_matrix.  Both call it, so a wrapper
+    around either public name (bench/tracing.py) sees one call."""
     A._chk(B)
     if A.rows != B.rows:
         raise ValueError("row mismatch")
@@ -1284,24 +1278,45 @@ def _taylor(P, y, count: int):
     return t
 
 
-def _nearest(x: float, D: int) -> int:
-    """The integer nearest to x * D, computed exactly."""
+def _nearest(x: float, e: int) -> int:
+    """The integer nearest to x * 2^e, computed exactly."""
     a, b = x.as_integer_ratio()
-    return (2 * a * D + b) // (2 * b)
+    a, b = (a << e, b) if e >= 0 else (a, b << -e)
+    return (2 * a + b) // (2 * b)
 
 
-def _seeds(P, c, D: int):
+def _scaled_roots(t):
+    """(s, u): the roots 2^s u of sum_j t_j x^j, for Gaussian integers t_j
+    with t_n nonzero, the u as the float roots of that polynomial over
+    t_n 2^(s n).  s = max_j ceil((b_j - b_n + 1) / (n - j)), b_j the bit
+    length of t_j, keeps every coefficient below sqrt 2 and, by Fujiwara's
+    bound, every |u| below 2^(3/2), however large or small the roots; the
+    u come out within about eps."""
+    n = len(t) - 1
+    bits = [max(abs(a), abs(b)).bit_length() for a, b in t]
+    s = max((-((bits[n] - 1 - b) // (n - j)) for j, b in enumerate(bits[:n]) if b), default=0)
+    # t_j / 2^e_j: int / int is correctly rounded, as float(Fraction) is
+    es = [s * (n - j) + bits[n] for j in range(n + 1)]
+    co = [complex(a / (1 << e), b / (1 << e)) if e >= 0 else complex(a << -e, b << -e) for (a, b), e in zip(t, es)]
+    return s, np.roots(co[::-1])
+
+
+def _seeds(P, c, near: bool):
     """Gaussian integers near the roots of P as seen from the Gaussian
-    integer c: c + D z for the float roots z of P(c + D x) / D^n, whose
-    coefficients are the exact Taylor coefficients of P at c, each rounded
-    once.  A root at distance r from c comes out within about eps * r, so
-    roots that crowd together far from c separate when seen from near
-    them."""
-    n = len(P) - 1
-    t = _taylor(P, c, n + 1)
-    # int / int is correctly rounded, as float(Fraction) is
-    z = np.roots(np.array([complex(a / D ** (n - j), b / D ** (n - j)) for j, (a, b) in enumerate(t)][::-1]))
-    return [(c[0] + _nearest(w.real, D), c[1] + _nearest(w.imag, D)) for w in z]
+    integer c: c + w for the roots w of P(c + w), from its exact Taylor
+    coefficients t_j by _scaled_roots.  With near (c is then where a walk
+    stopped short, so t_0 = P(c) is nonzero), the reciprocals of the
+    nonzero roots v of the reversed polynomial sum_j t_(n-j) v^j are
+    added (a v that underflows to 0 is a root too far to seed from c):
+    they place the w nearest c within about eps |w|, so a cluster of roots
+    too tight to tell apart from far away separates when seen from within."""
+    t = _taylor(P, c, len(P))
+    s, u = _scaled_roots(t)
+    out = [(w, s) for w in u]
+    if near:
+        r, z = _scaled_roots(t[::-1])
+        out += [(1 / w, -r) for w in z if w]
+    return [(c[0] + _nearest(w.real, e), c[1] + _nearest(w.imag, e)) for w, e in out]
 
 
 def _newton(P, y):
@@ -1341,10 +1356,11 @@ def exact_roots(coeffs: list[Scalar]) -> list[tuple[Scalar, int]]:
     a walk's end point is accepted only when exact synthetic division over
     Z[i] leaves no remainder, and dividing again gives its multiplicity.
     When a pass leaves roots unfound, the next pass seeds from a point
-    where a walk stopped short (:func:`_seeds`), where a cluster of roots
-    too tight for the first float roots comes apart; two passes in a row
-    that find nothing mean the rest does not split.  The accept path
-    carries no floating point error.
+    where a walk stopped short, with the seeds of the roots nearest it
+    added (:func:`_seeds` with near), so a cluster of roots too tight for
+    the first float roots comes apart; two passes in a row that find
+    nothing mean the rest does not split.  The accept path carries no
+    floating point error.
     """
     D = lcm(*(q.denominator for c in coeffs for q in (c.re, c.im)))
     n = len(coeffs) - 1
@@ -1352,10 +1368,10 @@ def exact_roots(coeffs: list[Scalar]) -> list[tuple[Scalar, int]]:
     P = [((c.re * D ** (n - k)).numerator, (c.im * D ** (n - k)).numerator) for k, c in enumerate(coeffs[:-1])]
     P.append((1, 0))
     roots = []
-    center, stuck = (0, 0), False
+    center, stuck, near = (0, 0), False, False
     while len(P) > 1:
         found, stall = False, None
-        for y in _seeds(P, center, D):
+        for y in _seeds(P, center, near):
             y = _newton(P, y)
             mult = 0
             while not any((q := _divide(P, y))[1]):
@@ -1367,7 +1383,7 @@ def exact_roots(coeffs: list[Scalar]) -> list[tuple[Scalar, int]]:
                 stall = y
         if stuck and not found:
             raise NonSplitCharPolyError(f"no Gaussian-rational root found at degree {len(P) - 1}")
-        center, stuck = stall or (0, 0), not found
+        center, stuck, near = stall or (0, 0), not found, stall is not None
     roots.sort(key=lambda t: (t[0].re, t[0].im))
     return roots
 
@@ -1422,19 +1438,6 @@ def _eigen_groups(M: Matrix, radius: float, size: float, error: float) -> list[l
         groups = [g for g in groups if all(g is not h for h in near)]
         groups.append([(z, r)] + [e for g in near for e in g])
     return [[Scalar.from_complex(z) for z, _ in g] for g in groups]
-
-
-def eigenvalues(M: Matrix) -> list[Scalar]:
-    """Distinct eigenvalues sorted by (Re, Im): exact roots of the
-    characteristic polynomial (NonSplitCharPoly when it does not split
-    over the Gaussian rationals), or the mean of each group of numpy
-    eigenvalues that :func:`_eigen_groups` counts as one point, at M's own
-    scale."""
-    if M.mode == EXACT:
-        return [lam for lam, _ in exact_roots(char_poly(M))]
-    size = M.norm()
-    groups = _eigen_groups(M, _radius(M, size), size, _EPS * size)
-    return sorted((Scalar.from_complex(sum(z.cx for z in g) / len(g)) for g in groups), key=Scalar.sort_key)
 
 
 def _one_point(R: Matrix, radius: float, size: float, error: float) -> bool:

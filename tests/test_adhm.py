@@ -210,6 +210,20 @@ class TestSpectrum:
         a = upper.B[0].to_numpy()
         assert np.abs(np.tril(a, -1)).max() <= 1e-12 * np.linalg.norm(a)
 
+    def test_exact_points_in_numeric_order(self):
+        # 1/3 - 10^-30 and 1/3 round to the same doubles; the support and
+        # the triangularized diagonal both list the smaller first
+        a, b = Scalar.exact("1/3"), Scalar.exact(Fraction(1, 3) - Fraction(1, 10**30))
+        T = CommutingTuple([Matrix.diag([a, b])])
+        assert spectrum_support(T) == [((b,), 1), ((a,), 1)]
+        upper = triangularize(T)[2].B[0]
+        assert [upper[k, k] for k in range(2)] == [b, a]
+
+    def test_exact_support_past_the_double_range(self):
+        pts = [(10**400,), (2 * 10**400,)]
+        T = from_points(pts).tuple
+        assert spectrum_support(T) == [((Scalar.exact(*p),), 1) for p in pts]
+
     def test_sequiv_forgets_nilpotents(self):
         T = CommutingTuple([_e([[3, 1], [0, 3]])])
         D = sequiv_normal_form(T)
@@ -637,6 +651,16 @@ class TestPrimaryDecompositionProperties:
             assert (E.rows, E.cols) == (T.n, k) and rank(E) == k
             for Bj, Rj in zip(T.B, R):
                 assert (Rj.rows, Rj.cols) == (k, k) and Bj @ E == E @ Rj
+
+    @_SUPPORT_PROPS
+    @given(st.data(), st.integers(-1200, 1200))
+    def test_exact_support_scales_by_powers_of_two(self, data, k):
+        _, _, members = data.draw(_jordan_plant(_GQS))
+        S = _shear(data, len(members[0]))
+        T = CommutingTuple([Matrix.exact(A) for A in members]).conjugate(S)
+        c = Scalar.exact(Fraction(2) ** k)
+        scaled = CommutingTuple([Bj.scale(c) for Bj in T.B])
+        assert spectrum_support(scaled) == [(tuple(c * x for x in p), m) for p, m in spectrum_support(T)]
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(st.data())

@@ -141,6 +141,62 @@ class TestCanonicalizeAndSpectrum:
         assert (out["error"], out["detail"]) == ("NonSplitCharPoly", "no Gaussian-rational root found at degree 4")
 
 
+def _diag(values):
+    n = len(values)
+    return [[_sc(str(values[i] if i == j else 0)) for j in range(n)] for i in range(n)]
+
+
+class TestExactBeyondTheDoubleRange:
+    """Exact input whose float scales (norms, moduli, root seeds) leave
+    the double range still gets its exact answer."""
+
+    def _run(self, tmp_path, args, doc):
+        inp = _write(tmp_path, "in.json", doc)
+        assert main(args + ["--in", inp, "--out", str(tmp_path / "out.json")]) == 0
+        return _read(tmp_path, "out.json")
+
+    @pytest.mark.parametrize(
+        "gamma, label",
+        [([0, 0], "TauConnection"), ([1, -1], "Generic")],
+        ids=["scalar-alpha", "alternating-gamma"],
+    )
+    def test_classify_dalgebra(self, tmp_path, gamma, label):
+        e = 10**200
+        doc = {
+            "d": 2, "v": 2, "mode": "exact", "alpha": _diag([e, e]), "beta": _diag([0, 0]),
+            "gamma": [[_sc("0"), _sc(str(gamma[0] * e))], [_sc(str(gamma[1] * e)), _sc("0")]],
+        }
+        out = self._run(tmp_path, ["classify-dalgebra"], doc)
+        assert out["label"] == label
+        assert out.get("tau") == (_sc(str(e)) if label == "TauConnection" else None)
+
+    @pytest.mark.parametrize("flag", [False, True], ids=["computed-flag", "given-flag"])
+    def test_rees_limit(self, tmp_path, flag):
+        e = 10**200
+        doc = {"m": 1, "n": 2, "mode": "exact", "B": [[[_sc(str(e)), _sc("1")], [_sc("0"), _sc(str(2 * e))]]]}
+        if flag:
+            doc["g"] = _diag([1, 1])
+        out = self._run(tmp_path, ["rees", "--weights", "1,0"], doc)
+        assert out["B"] == [_diag([e, 2 * e])]
+
+    @pytest.mark.parametrize(
+        "values",
+        [[10**30 + i for i in range(11)], [10**160, 2 * 10**160]],
+        ids=["seeds-past-the-range", "norms-past-the-range"],
+    )
+    def test_spectrum(self, tmp_path, values):
+        doc = {"m": 1, "n": len(values), "mode": "exact", "B": [_diag(values)]}
+        out = self._run(tmp_path, ["spectrum"], doc)
+        assert out["support"] == [{"point": [_sc(str(x))], "multiplicity": 1} for x in values]
+
+    def test_canonicalize(self, tmp_path):
+        values = [10**160, 2 * 10**160]
+        doc = {"m": 1, "n": 2, "mode": "exact", "B": [_diag(values)], "v": [_sc("1"), _sc("1")]}
+        out = self._run(tmp_path, ["canonicalize"], doc)
+        assert out["staircase"] == [[0], [1]]
+        assert out["support"] == [{"point": [_sc(str(x))], "multiplicity": 1} for x in values]
+
+
 class TestRees:
     def test_family_and_limit(self, tmp_path):
         doc = {
