@@ -136,7 +136,7 @@ def _marked(obj, ctx: _Ctx) -> MarkedTuple:
 
 
 def _cmd_classify(obj, ctx: _Ctx):
-    t = UtaiTriple.from_json(obj)
+    t = UtaiTriple.from_json(obj, ctx.frame)
     t = _in_mode(t, ctx, lambda frame: UtaiTriple(*(X.to_float(frame) for X in (t.alpha, t.beta, t.gamma))))
     lab = classify(t)
     body = {
@@ -272,20 +272,27 @@ def _build_parser() -> argparse.ArgumentParser:
         "differential algebras on complex tori.",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    # each subcommand takes only the flags it reads: a Hilbert point keeps
+    # its pieces' modes and its chart's tolerances, and rh-transform reads
+    # the eps flags only for the model it builds
     io = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     io.add_argument("--in", dest="inp", default="-", metavar="PATH", help="input JSON (default stdin)")
     io.add_argument("--out", dest="out", default="-", metavar="PATH", help="output JSON (default stdout)")
-    io.add_argument("--mode", choices=(EXACT, FLOAT), help="coerce exact input to float")
-    io.add_argument("--eps-rank", type=float, help="float-mode rank threshold")
-    io.add_argument("--eps-eq", type=float, help="float-mode equality threshold")
-    io.add_argument("--eps-lattice", type=float, help="float-mode lattice-membership threshold")
+    eps = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    eps.add_argument("--eps-rank", type=float, help="float-mode rank threshold")
+    eps.add_argument("--eps-eq", type=float, help="float-mode equality threshold")
+    eps.add_argument("--eps-lattice", type=float, help="float-mode lattice-membership threshold")
+    mode = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    mode.add_argument("--mode", choices=(EXACT, FLOAT), help="coerce exact input to float")
+    moded = [io, mode, eps]
 
-    for name in ("classify-dalgebra", "stability", "spectrum", "canonicalize", "hilbert-chow"):
-        sub.add_parser(name, parents=[io], allow_abbrev=False)
-    sp = sub.add_parser("rees", parents=[io], allow_abbrev=False)
+    for name in ("classify-dalgebra", "stability", "spectrum", "canonicalize"):
+        sub.add_parser(name, parents=moded, allow_abbrev=False)
+    sub.add_parser("hilbert-chow", parents=[io], allow_abbrev=False)
+    sp = sub.add_parser("rees", parents=moded, allow_abbrev=False)
     sp.add_argument("--weights", required=True, help="nonincreasing integers, comma separated")
     sp.add_argument("--t", help="family parameter; omit for the limit member")
-    sp = sub.add_parser("rh-transform", parents=[io], allow_abbrev=False)
+    sp = sub.add_parser("rh-transform", parents=[io, eps], allow_abbrev=False)
     sp.add_argument("--from", dest="src", required=True, choices=("betti", "derham"))
     sp.add_argument("--to", dest="dst", required=True, choices=("betti", "derham"))
     sp = sub.add_parser("hodge-deform", parents=[io], allow_abbrev=False)

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ModeMismatchError, SingularGroupElementError
-from .linalg import DEFAULT_FRAME, EXACT, Matrix, Scalar, inverse, parse_mode, rank
+from .linalg import DEFAULT_FRAME, EXACT, Matrix, Scalar, ToleranceFrame, inverse, parse_mode, rank
 
 __all__ = [
     "Poly",
@@ -177,13 +177,10 @@ class UtaiTriple:
         }
 
     @staticmethod
-    def from_json(obj) -> "UtaiTriple":
+    def from_json(obj, frame: ToleranceFrame | None = None) -> "UtaiTriple":
+        """The triple a document holds; float matrices carry frame."""
         mode = parse_mode(obj.get("mode", EXACT))
-        return UtaiTriple(
-            Matrix.from_json(obj["alpha"], mode),
-            Matrix.from_json(obj["beta"], mode),
-            Matrix.from_json(obj["gamma"], mode),
-        )
+        return UtaiTriple(*(Matrix.from_json(obj[k], mode, frame) for k in ("alpha", "beta", "gamma")))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,8 @@ Everything downstream works over one of two modes:
 ``float``
     IEEE complex128 backed by numpy.  Rank decisions go through singular
     values thresholded by an explicit :class:`ToleranceFrame`; nothing is
-    compared for equality without a tolerance.
+    compared for equality without a tolerance.  Frobenius norms are
+    ``math.inf`` only past the double range.
 
 A computation never silently mixes modes; combining an exact matrix with
 a float one raises :class:`~abelmod.errors.ModeMismatchError`.
@@ -57,7 +58,9 @@ through this surface:
   ``strict_lower``, variadic ``hstack`` / ``vstack``, ``kron``;
 * decisions: ``Scalar.negligible(eps)`` and ``Matrix.negligible(scale)``,
   an exact-zero test in exact mode and ``norm <= eps_eq * scale`` in
-  float mode; ``Scalar.sort_key`` for canonical ordering;
+  float mode; ``Scalar.equal_within(other, tol)``, identity for two
+  exact values; ``Scalar.sort_key`` for canonical ordering;
+* ``Scalar.exp`` and ``Scalar.log``, exact at exact 0 and 1 respectively;
 * elimination: ``rank``, ``kernel_basis``, ``solve_matrix`` (``solve``
   is its one-column case), ``inverse``, and the incremental
   :class:`Span`, which serves the staircase walk of ``adhm``: it forms
@@ -78,6 +81,7 @@ through this surface:
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from dataclasses import dataclass
@@ -236,6 +240,28 @@ class Scalar:
         if self.mode == EXACT:
             return not (self.re or self.im)
         return abs(self) <= eps
+
+    def exp(self) -> "Scalar":
+        """e^z: exact 1 at an exact 0, a float everywhere else."""
+        if self.mode == EXACT and self.is_zero():
+            return Scalar.one(EXACT)
+        return Scalar.from_complex(cmath.exp(self.cx))
+
+    def log(self) -> "Scalar":
+        """The principal logarithm: exact 0 at an exact 1, a float
+        everywhere else (Im in (-pi, pi])."""
+        if self == Scalar.one(EXACT):
+            return Scalar.zero(EXACT)
+        return Scalar.from_complex(cmath.log(self.cx))
+
+    def equal_within(self, other: "Scalar", tol: float, fold=None) -> bool:
+        """Identical when both are exact (never read as floats), otherwise
+        |fold(self - other)| <= tol, fold (if given) reducing a difference
+        modulo a chart's periods."""
+        if self.mode == other.mode == EXACT:
+            return self.re == other.re and self.im == other.im
+        d = self.cx - other.cx
+        return abs(fold(d) if fold else d) <= tol
 
     def sort_key(self):
         """Canonical ordering by (Re, Im), compared exactly in exact mode
@@ -631,10 +657,11 @@ class Matrix:
         return _exact(Da * Db, R, I, rows, cols)
 
     def norm(self) -> float:
-        """Frobenius norm, a float in both modes (in exact mode math.inf
-        once its square is past the double range)."""
+        """Frobenius norm, a float in both modes: math.inf only past the
+        double range (see :func:`_frobenius`); in exact mode math.inf once
+        its square is past it."""
         if self.mode == FLOAT:
-            return float(np.linalg.norm(self._a))
+            return _frobenius(self._a)
         D, R, I = self._a
         sq = sum(x * x for r in R for x in r) + sum(y * y for r in I for y in r)
         try:
@@ -720,6 +747,21 @@ class Matrix:
 
 # ----------------------------------------------------------------------
 # exact storage helpers: (D, R, I) integer grids over one denominator
+
+
+def _frobenius(a: np.ndarray) -> float:
+    """The Frobenius norm of a complex array.  Only where the plain sum of
+    squares overflows (norms past about 1.3e154) are the entries first
+    scaled by a power of two near the largest, as LAPACK's nrm2 does
+    (Blue, ACM TOMS 4, 1978)."""
+    r = float(np.linalg.norm(a))
+    if math.isfinite(r) or not np.isfinite(a).all():
+        return r
+    e = math.frexp(max(np.abs(a.real).max(), np.abs(a.imag).max()))[1]
+    try:
+        return math.ldexp(float(np.linalg.norm(a * 2.0**-e)), e)
+    except OverflowError:
+        return math.inf
 
 
 def _zero_grid(rows: int, cols: int) -> list[list[int]]:
@@ -1402,7 +1444,7 @@ def _radius(ref: Matrix, size: float) -> float:
     if ref.mode == EXACT:
         return 0
     n = ref.rows
-    spread = float(np.linalg.norm(ref._a - np.trace(ref._a) / n * np.eye(n)))
+    spread = _frobenius(ref._a - np.trace(ref._a) / n * np.eye(n))
     return max(spread * _EPS ** (1.0 / (n + 1)), ref.frame.eps_eq * size)
 
 

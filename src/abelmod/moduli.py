@@ -20,6 +20,11 @@ scheme of points.  This module represents those points concretely:
   length 1: every chart map above moves a rank-1 module as a length-1
   piece, so no second copy of the charts exists for rank 1.
 
+Chart points are one point when points_equal, closed transitively, joins
+them (_groups): SymPoint and HilbPoint refuse such a group, and
+assemble_pieces merges it into one piece at the mean point.  The
+exact/float decisions are linalg's; only _one_mode here asks for a mode.
+
 Chart conventions.  Betti pieces store the unit part of the local
 holonomy: the operator of coordinate k is z_k (Id + N_k).  All other
 charts are additive: the operator is a_k Id + N_k.  Hodge and cotangent
@@ -31,8 +36,6 @@ quotiented out on the natural and dual-torus sides).
 """
 
 from __future__ import annotations
-
-import cmath
 
 import numpy as np
 
@@ -78,8 +81,6 @@ __all__ = [
     "diagram_check",
 ]
 
-TWO_PI = 2.0 * np.pi
-
 BETTI = "betti"
 DUAL_TORUS = "dual-torus"
 COTANGENT = "cotangent"
@@ -96,20 +97,10 @@ def _coord_from_json(obj) -> Scalar:
     return Scalar.from_json(obj, mode)
 
 
-def _exp_scalar(p: Scalar) -> Scalar:
-    if p.mode == EXACT and p.is_zero():
-        return Scalar.one(EXACT)
-    z = cmath.exp(p.cx)
-    return Scalar(FLOAT, z.real, z.imag)
-
-
 def _log_scalar(p: Scalar, eps: float) -> Scalar:
     if p.negligible(eps):
         raise LogAtZeroError("log of zero base point")
-    if p.mode == EXACT and p == Scalar.one(EXACT):
-        return Scalar.zero(EXACT)
-    z = cmath.log(p.cx)
-    return Scalar(FLOAT, z.real, z.imag)
+    return p.log()
 
 
 def _scaled(x, c: Scalar):
@@ -217,23 +208,17 @@ class FiberSpace:
         return tuple(self.canonical_coord(c) for c in coords)
 
     def points_equal(self, p, q, tol: float | None = None) -> bool:
-        """Chart equality: exact when both sides are exact, otherwise
-        within tol (imaginary parts compared modulo 2 pi on the natural
-        chart, where coordinates are branch representatives)."""
+        """Chart equality, decided for each coordinate pair on its own
+        (Scalar.equal_within): an exact pair only when the two values are
+        identical, any other pair when |difference| <= tol (eps_eq by
+        default) as complex numbers.  On the natural chart, whose
+        coordinates are branch representatives, the imaginary part of a
+        difference is first taken modulo 2 pi."""
         if len(p) != len(q):
             return False
-        if all(c.mode == EXACT for c in p) and all(c.mode == EXACT for c in q):
-            return all(a == b for a, b in zip(p, q))
         tol = tol if tol is not None else self.frame.eps_eq
-        for a, b in zip(p, q):
-            delta = a.cx - b.cx
-            if self.kind == NATURAL:
-                im = abs(delta.imag) % TWO_PI
-                if abs(delta.real) > tol or min(im, TWO_PI - im) > tol:
-                    return False
-            elif abs(delta) > tol:
-                return False
-        return True
+        fold = fold_imag if self.kind == NATURAL else None
+        return all(a.equal_within(b, tol, fold) for a, b in zip(p, q))
 
     def to_json(self):
         out = {"kind": self.kind, "d": self.d}
@@ -266,6 +251,34 @@ def _point_key(coords):
     return tuple(c.sort_key() for c in coords)
 
 
+def _groups(space: FiberSpace, points) -> list[list[int]]:
+    """The indices of points, one group per chart point: points_equal
+    closed transitively, the rule linalg's _eigen_groups applies to
+    computed eigenvalues.  Each group, and the list of groups, is in input
+    order."""
+    label = list(range(len(points)))
+    for i, p in enumerate(points):
+        for j in range(i):
+            if label[j] != label[i] and space.points_equal(points[j], p):
+                old, new = label[i], label[j]
+                label = [new if x == old else x for x in label]
+    groups: dict[int, list[int]] = {}
+    for i, x in enumerate(label):
+        groups.setdefault(x, []).append(i)
+    return list(groups.values())
+
+
+def _distinct(space: FiberSpace, items, point, what: str) -> list:
+    """items in canonical order of their chart points point(x), after
+    checking each point's arity and that no two points are one."""
+    points = [point(x) for x in items]
+    if any(len(p) != space.chart_dim for p in points):
+        raise ValueError(f"{what} arity differs from the chart")
+    if len(_groups(space, points)) < len(points):
+        raise ValueError(f"{what}s must be pairwise distinct")
+    return sorted(items, key=lambda x: _point_key(point(x)))
+
+
 def _matched(xs, ys, same) -> bool:
     """Greedy one-to-one match: each x takes the first unused y with
     same(x, y); False when the lengths differ or some x finds none."""
@@ -291,18 +304,10 @@ class SymPoint:
 
     def __init__(self, space: FiberSpace, support):
         items = [(tuple(p), int(k)) for p, k in support]
-        for p, k in items:
-            if len(p) != space.chart_dim:
-                raise ValueError("support point arity differs from the chart")
-            if k < 1:
-                raise ValueError("multiplicities must be >= 1")
-        for i in range(len(items)):
-            for j in range(i + 1, len(items)):
-                if space.points_equal(items[i][0], items[j][0]):
-                    raise ValueError("support points must be pairwise distinct")
-        items.sort(key=lambda t: _point_key(t[0]))
+        if any(k < 1 for _, k in items):
+            raise ValueError("multiplicities must be >= 1")
         self.space = space
-        self.support = items
+        self.support = _distinct(space, items, lambda t: t[0], "support point")
 
     @property
     def total(self) -> int:
@@ -347,19 +352,12 @@ class HilbPoint:
     __slots__ = ("space", "pieces")
 
     def __init__(self, space: FiberSpace, pieces):
-        pieces = list(pieces)
+        pieces = _distinct(space, list(pieces), lambda P: P.point, "piece base point")
         for P in pieces:
-            if len(P.point) != space.chart_dim:
-                raise ValueError("piece arity differs from the chart")
             if P.marking is None:
                 raise ValueError("pieces must carry a marking")
             if not is_stable(MarkedTuple(P.N, P.marking)):
                 raise ValueError("piece marking is not cyclic")
-        for i in range(len(pieces)):
-            for j in range(i + 1, len(pieces)):
-                if space.points_equal(pieces[i].point, pieces[j].point):
-                    raise ValueError("piece base points must be pairwise distinct")
-        pieces.sort(key=lambda P: _point_key(P.point))
         self.space = space
         self.pieces = pieces
 
@@ -419,12 +417,11 @@ class HilbPoint:
 # assembly with collision handling
 
 
-def _one_mode(pieces, frame) -> tuple[list[PunctualData], bool]:
-    """The pieces in one mode, and whether it is exact: exact only when
-    every point, nilpotent part and marking is; otherwise all as float
-    data in frame."""
+def _one_mode(pieces, frame) -> list[PunctualData]:
+    """The pieces in one mode: as they are when every point, nilpotent
+    part and marking is exact, otherwise all as float data in frame."""
     if all(P.N.mode == P.marking.mode == EXACT and all(c.mode == EXACT for c in P.point) for P in pieces):
-        return list(pieces), True
+        return list(pieces)
     return [
         PunctualData(
             tuple(c.to_float() for c in P.point),
@@ -432,34 +429,29 @@ def _one_mode(pieces, frame) -> tuple[list[PunctualData], bool]:
             P.marking.to_float(frame),
         )
         for P in pieces
-    ], False
+    ]
 
 
 def _direct_sum(space: FiberSpace, group: list[PunctualData]) -> PunctualData:
-    """Merge same-point pieces: mean base point, block-diagonal nilpotent
-    parts (absorbing the point offsets), stacked marking.  If the stacked
-    marking is not cyclic, a deterministic family of candidate markings is
-    tried; PieceCollision if none is cyclic.  Exact data stays exact only
-    when every piece is exact; exact pieces merge only on exact equality,
-    so their point offsets vanish."""
+    """Merge the pieces of one group into one piece: the base point p is
+    the mean of their points, the nilpotent parts are block-diagonal with
+    block i absorbing its offset p_i - p, and the marking is stacked.  If
+    the stacked marking is not cyclic, a deterministic family of candidate
+    markings is tried; PieceCollision if none is cyclic.  The data is in
+    one mode (_one_mode); an exact group holds identical points, so its
+    offsets are exact zeros."""
     if len(group) == 1:
         return group[0]
     m = group[0].N.m
     total = sum(P.length for P in group)
     frame = space.frame
-    group, exact = _one_mode(group, frame)
-    if exact:
-        point = group[0].point
-        parts = [[P.N[j] for P in group] for j in range(m)]
-    else:
-        pts = np.array([[c.cx for c in P.point] for P in group])
-        mean = pts.mean(axis=0)
-        point = tuple(Scalar.from_complex(z) for z in mean)
-        parts = [[] for _ in range(m)]
-        for i, P in enumerate(group):
-            eye = Matrix.identity(P.length, FLOAT, frame)
-            for j in range(m):
-                parts[j].append(P.N[j] + eye.scale(Scalar.from_complex(pts[i, j] - mean[j])))
+    group = _one_mode(group, frame)
+    k = Scalar.of(group[0].N.mode, len(group))
+    point = tuple(sum(cs[1:], cs[0]) / k for cs in zip(*(P.point for P in group)))
+    parts = [
+        [P.N[j] + Matrix.identity(P.length, P.N.mode, frame).scale(P.point[j] - point[j]) for P in group]
+        for j in range(m)
+    ]
     N = CommutingTuple([Matrix.block_diag(blocks) for blocks in parts])
     candidates = [group[0].marking.vstack(*(P.marking for P in group[1:]))]
     for t in range(1, 2 * total + 1):
@@ -472,21 +464,20 @@ def _direct_sum(space: FiberSpace, group: list[PunctualData]) -> PunctualData:
 
 def assemble_pieces(space: FiberSpace, pieces) -> HilbPoint:
     """Canonicalize a list of pieces into a HilbPoint: chart points are
-    canonicalized, colliding base points are merged (direct sum), and the
-    result is ordered."""
-    staged = [
-        PunctualData(space.canonical_point(P.point), P.N, P.marking) for P in pieces
-    ]
-    groups: list[list[PunctualData]] = []
-    for P in staged:
-        for g in groups:
-            if space.points_equal(g[0].point, P.point):
-                g.append(P)
-                break
-        else:
-            groups.append([P])
-    merged = [_direct_sum(space, g) for g in groups]
-    return HilbPoint(space, merged)
+    canonicalized and the pieces put in canonical order of their points;
+    pieces at one chart point (_groups) are merged into one piece whose
+    length is the sum of theirs (_direct_sum).  The groups are the
+    connected components of points_equal, and each is merged in canonical
+    order, so the result does not depend on the order of the input
+    (pieces at identical points aside).  A merged point can still land
+    within tolerance of another group's point; HilbPoint then refuses the
+    result."""
+    staged = sorted(
+        (PunctualData(space.canonical_point(P.point), P.N, P.marking) for P in pieces),
+        key=lambda P: _point_key(P.point),
+    )
+    groups = _groups(space, [P.point for P in staged])
+    return HilbPoint(space, [_direct_sum(space, [staged[i] for i in g]) for g in groups])
 
 
 def hilbert_chow(h: HilbPoint) -> SymPoint:
@@ -542,7 +533,7 @@ def betti_assemble(h: HilbPoint) -> MarkedTuple:
     if h.space.kind != BETTI:
         raise ValueError("betti_assemble needs a betti-chart point")
     frame = h.space.frame
-    pieces, _ = _one_mode(h.pieces, frame)
+    pieces = _one_mode(h.pieces, frame)
     mats = []
     for k in range(h.space.chart_dim):
         blocks = []
@@ -590,7 +581,7 @@ def rh_to_betti(h: HilbPoint) -> HilbPoint:
     exact on nilpotent data for the same reason."""
     if h.space.kind != NATURAL:
         raise ValueError("rh_to_betti starts from a natural-chart point")
-    out = _mapped(h.pieces, lambda k, a: _exp_scalar(a), lambda k, N: expm1_matrix(N))
+    out = _mapped(h.pieces, lambda k, a: a.exp(), lambda k, N: expm1_matrix(N))
     return assemble_pieces(FiberSpace.betti(h.space.d, h.space.frame), out)
 
 

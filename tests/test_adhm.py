@@ -224,6 +224,13 @@ class TestSpectrum:
         T = from_points(pts).tuple
         assert spectrum_support(T) == [((Scalar.exact(*p),), 1) for p in pts]
 
+    @pytest.mark.parametrize("c", [1e154, 1e200, 1e300])
+    def test_float_support_past_the_squared_range(self, c):
+        T = CommutingTuple([Matrix.flt(np.diag([c, 2 * c, 3 * c]))])
+        supp = spectrum_support(T)
+        assert [k for _, k in supp] == [1, 1, 1]
+        assert [pt[0].cx / c for pt, _ in supp] == pytest.approx([1, 2, 3], rel=1e-12)
+
     def test_sequiv_forgets_nilpotents(self):
         T = CommutingTuple([_e([[3, 1], [0, 3]])])
         D = sequiv_normal_form(T)

@@ -93,6 +93,27 @@ class TestClassify:
         assert rc == 1
         assert _read(tmp_path, "out.json")["error"] == "Malformed"
 
+    @pytest.mark.parametrize("given", ["float", "exact-coerced"])
+    def test_float_triple_reads_the_tolerance_flags(self, tmp_path, given):
+        # alpha = (1 + 1e-6) Id is one Id within eps_eq = 1e-3: de Rham,
+        # whether the triple is given in float or coerced from exact
+        def grid(x):
+            return [[_sc(x), _sc(0 * x)], [_sc(0 * x), _sc(x)]]
+
+        if given == "float":
+            doc = {"d": 2, "v": 2, "mode": "float", "alpha": grid(1 + 1e-6), "beta": grid(0.0), "gamma": grid(0.0)}
+            mode = []
+        else:
+            z = {"re": "0", "im": "0"}
+            zero = [[z, z], [z, z]]
+            alpha = [[_sc("1000001/1000000"), z], [z, _sc("1000001/1000000")]]
+            doc = {"d": 2, "v": 2, "mode": "exact", "alpha": alpha, "beta": zero, "gamma": zero}
+            mode = ["--mode", "float"]
+        inp = _write(tmp_path, "in.json", doc)
+        argv = ["classify-dalgebra", *mode, "--eps-eq", "1e-3", "--eps-lattice", "1e-2", "--in", inp]
+        assert main(argv + ["--out", str(tmp_path / "out.json")]) == 0
+        assert _read(tmp_path, "out.json")["label"] == "DeRham"
+
 
 class TestCanonicalizeAndSpectrum:
     def test_canonicalize_staircase(self, tmp_path):
@@ -516,6 +537,20 @@ class TestPlumbing:
     def test_unknown_flag_rejected(self, tmp_path):
         inp = _write(tmp_path, "in.json", _unstable_diag())
         assert main(["stability", "--in", inp, "--bogus"]) == 1
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [(c, f) for c in ("hilbert-chow", "hodge-deform") for f in ("--mode", "--eps-rank", "--eps-eq", "--eps-lattice")]
+        + [("rh-transform", "--mode")],
+    )
+    def test_flags_a_subcommand_does_not_read_are_usage_errors(self, tmp_path, capsys, command, flag):
+        args = {"hodge-deform": ["--tau", "1/2"], "rh-transform": ["--from", "betti", "--to", "derham"]}
+        inp = _write(tmp_path, "in.json", _hilb_doc())
+        value = "float" if flag == "--mode" else "1e-8"
+        argv = [command, *args.get(command, []), flag, value, "--in", inp, "--out", str(tmp_path / "out.json")]
+        assert main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
 
     def test_malformed_json(self, tmp_path):
         p = tmp_path / "bad.json"

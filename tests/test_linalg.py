@@ -61,6 +61,23 @@ class TestScalar:
         with pytest.raises(ZeroDivisionError):
             Scalar.one(EXACT) / Scalar.zero(EXACT)
 
+    def test_exp_and_log_stay_exact_where_they_can(self):
+        assert Scalar.zero(EXACT).exp() == Scalar.one(EXACT)
+        assert Scalar.one(EXACT).log() == Scalar.zero(EXACT)
+        for z in (Scalar.exact("1/2", 1), Scalar.flt(1.0), Scalar.flt(0.5, -2.0)):
+            assert z.exp().mode == z.log().mode == FLOAT
+            assert z.exp().log().cx == pytest.approx(z.cx, abs=1e-15)
+
+    def test_equal_within_decides_each_pair_on_its_own(self):
+        one, tiny = Scalar.exact(1), Scalar.exact(Fraction(1, 10**12))
+        # an exact pair only when identical, whatever the tolerance,
+        # and past the double range without converting to float
+        assert not one.equal_within(one + tiny, 1.0)
+        assert Scalar.exact(10**400).equal_within(Scalar.exact(10**400), 0.0)
+        # any other pair within tol as complex numbers
+        assert one.equal_within(Scalar.flt(1.0 + 1e-12), 1e-9)
+        assert not Scalar.flt(0.0).equal_within(Scalar.flt(0.8e-9, 0.8e-9), 1e-9)
+
 
 class TestMatrix:
     def test_shapes_and_products(self):
@@ -134,6 +151,15 @@ class TestMatrix:
         assert not Matrix.exact([[0, 1], [1, 0]]).is_nilpotent()
         assert Matrix.flt([[0.0, 1e6], [0.0, 0.0]]).is_nilpotent()
         assert not Matrix.flt([[0.0, 1.0], [1.0, 0.0]]).is_nilpotent()
+
+    @pytest.mark.parametrize("c", [1.0, 1e150, 1e154, 1e200, 1e300])
+    def test_float_norm_past_the_squared_range(self, c):
+        # the squares of the entries overflow above about 1.3e154, the
+        # norm itself only past the double range
+        a = c * np.diag([1.0, 2.0, 3.0]).astype(complex)
+        assert Matrix.flt(a).norm() == pytest.approx(c * 14**0.5, rel=1e-15)
+        if c <= 1e150:
+            assert Matrix.flt(a).norm() == np.linalg.norm(a)
 
     def test_json_roundtrip_both_modes(self):
         A = Matrix.exact([["1/3", (0, 2)], [5, 0]])

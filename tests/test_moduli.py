@@ -1,6 +1,7 @@
 """Assembled length-n moduli: charts, assembly, transforms, diagrams."""
 
 import cmath
+import itertools
 import json
 import math
 
@@ -70,6 +71,24 @@ class TestSpaces:
         b = (Scalar.flt(0.3, 1.0 - 2 * math.pi), Scalar.flt(0.0))
         assert sp.points_equal(a, b)
 
+    def test_natural_difference_is_measured_by_its_modulus(self):
+        # a difference of 0.8 tol in Re and in Im (modulo 2 pi) has
+        # modulus 1.13 tol
+        sp = FiberSpace.natural(square_model(1))
+        a = (Scalar.flt(0.3, 1.0), Scalar.flt(0.0))
+        b = (Scalar.flt(0.3 + 0.8e-9, 1.0 + 0.8e-9 - 2 * math.pi), Scalar.flt(0.0))
+        c = (Scalar.flt(0.3 + 0.6e-9, 1.0 + 0.6e-9 - 2 * math.pi), Scalar.flt(0.0))
+        assert not sp.points_equal(a, b)
+        assert sp.points_equal(a, c)
+
+    def test_exact_pair_of_a_mixed_point_is_compared_exactly(self):
+        sp = FiberSpace.betti(1)
+        p = (Scalar.exact(1), Scalar.flt(2.0))
+        q = (Scalar.exact(1) + Scalar.exact("1/1000000000000"), Scalar.flt(2.0))
+        assert not sp.points_equal(p, q)
+        assert len(SymPoint(sp, [(p, 1), (q, 1)]).support) == 2
+        assert sp.points_equal(p, (Scalar.exact(1), Scalar.flt(2.0 + 1e-12)))
+
 
 class TestPoints:
     def test_sym_orders_support(self):
@@ -122,6 +141,38 @@ class TestPoints:
 
         h = assemble_pieces(sp, [one_pt(1.0), one_pt(1.0 + 1e-7)])
         assert len(h.pieces) == 1 and h.total == 2
+
+
+def _float_unit_piece(x):
+    # a length-1 float piece of the betti chart at (x, 1)
+    zero = [Matrix.flt([[0.0]]), Matrix.flt([[0.0]])]
+    return PunctualData((Scalar.flt(x), Scalar.flt(1.0)), CommutingTuple(zero), Matrix.flt([[1.0]]))
+
+
+class TestChartPointGroups:
+    """Pieces at one chart point are the connected components of
+    points_equal, and assemble_pieces merges each into one piece."""
+
+    def test_assembly_does_not_depend_on_the_order(self):
+        # the mean of the first two points lies within tolerance of the
+        # third: all three are one point in every order
+        sp = FiberSpace.betti(1)
+        xs = [1.0, 1 + 0.99e-9, 1 + 1.4e-9]
+        docs = {
+            json.dumps(assemble_pieces(sp, [_float_unit_piece(x) for x in order]).to_json(), sort_keys=True)
+            for order in itertools.permutations(xs)
+        }
+        assert len(docs) == 1
+        h = HilbPoint.from_json(json.loads(docs.pop()))
+        assert [P.length for P in h.pieces] == [3]
+
+    def test_chain_merges_into_one_point(self):
+        # each point within tolerance of the next, the ends 1.8 tol apart
+        sp = FiberSpace.betti(1)
+        h = assemble_pieces(sp, [_float_unit_piece(x) for x in (1.0, 1 + 0.9e-9, 1 + 1.8e-9)])
+        s = hilbert_chow(h)
+        assert [k for _, k in s.support] == [3]
+        assert s.support[0][0][0].cx == pytest.approx(1 + 0.9e-9, abs=1e-15)
 
 
 class TestBettiAssembly:

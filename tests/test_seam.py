@@ -177,9 +177,6 @@ def test_mode_branches_stay_in_linalg():
     assert sites == [
         "cli._in_mode",
         "cli._parse_scalar",
-        "moduli.FiberSpace.points_equal",
-        "moduli._exp_scalar",
-        "moduli._log_scalar",
         "moduli._one_mode",
     ]
 
