@@ -44,9 +44,11 @@ underscores, non-ASCII digits) goes through ``Fraction``, so every value
 stays the one ``Fraction`` gives.  An all-int grid is stored as it is.
 The exact spectral kernel works on the integer grids too: ``char_poly``
 runs Faddeev-LeVerrier on the Gaussian-integer numerators, where each
-division is exact over Z[i], and ``primary_decomposition`` forms its
-shifted powers, restrictions, invariance test and separation test on
-numerators.
+division is exact over Z[i], and ``primary_decomposition`` reads each
+generalized eigenspace off the Taylor coefficients of the adjugate's
+columns at its root, with no n x n elimination, and forms its
+restrictions and separation test on numerators; it computes no float
+scale (``norm``) of exact data.
 A document's ``"mode"`` is read by ``parse_mode``, which refuses
 anything but ``"exact"`` and ``"float"``.  Callers stay mode-blind
 through this surface:
@@ -76,7 +78,9 @@ through this surface:
   float mode) and ``complete_basis``;
 * joint spectra: ``primary_decomposition``, the support points of a
   commuting tuple with their multiplicities, joint generalized
-  eigenspaces and restrictions, by one algorithm in both modes.
+  eigenspaces and restrictions, by the eigenvalue method in both modes:
+  exact pieces come off the Faddeev-LeVerrier adjugate
+  (``_exact_pieces``), float ones off singular vectors (``_restrict``).
 """
 
 from __future__ import annotations
@@ -351,6 +355,13 @@ class ToleranceFrame:
             raise ValueError("tolerances must be positive and finite")
         if self.eps_eq > self.eps_lattice:
             raise ValueError("eps_eq must not exceed eps_lattice")
+
+    def to_json(self):
+        return {"eps_rank": self.eps_rank, "eps_eq": self.eps_eq, "eps_lattice": self.eps_lattice}
+
+    @staticmethod
+    def from_json(obj) -> "ToleranceFrame":
+        return ToleranceFrame(obj["eps_rank"], obj["eps_eq"], obj["eps_lattice"])
 
 
 DEFAULT_FRAME = ToleranceFrame()
@@ -812,21 +823,6 @@ def _grid_mul(AR, AI, BR, BI, m: int):
 
 def _diag_sum(G) -> int:
     return sum(G[i][i] for i in range(len(G)))
-
-
-def _minus_scalar(M: Matrix, lam: Scalar) -> Matrix:
-    """M - lam Id for a square exact M, formed on its numerators:
-    N / D - (x + y i) / q = (q N - D (x + y i)) / (D q)."""
-    D, R, I = M._a
-    q = lcm(lam.re.denominator, lam.im.denominator)
-    x = lam.re.numerator * (q // lam.re.denominator) * D
-    y = lam.im.numerator * (q // lam.im.denominator) * D
-    R = [[q * u for u in r] for r in R]
-    I = [[q * v for v in r] for r in I]
-    for i in range(M.rows):
-        R[i][i] -= x
-        I[i][i] -= y
-    return _exact(D * q, R, I, M.rows, M.cols)
 
 
 def _entry_parts(x) -> tuple[int, int, int, int]:
@@ -1346,13 +1342,14 @@ def _scaled_roots(t):
 def _seeds(P, c, near: bool):
     """Gaussian integers near the roots of P as seen from the Gaussian
     integer c: c + w for the roots w of P(c + w), from its exact Taylor
-    coefficients t_j by _scaled_roots.  With near (c is then where a walk
+    coefficients t_j by _scaled_roots (at c = 0 they are P's own
+    coefficients, taken as they are).  With near (c is then where a walk
     stopped short, so t_0 = P(c) is nonzero), the reciprocals of the
     nonzero roots v of the reversed polynomial sum_j t_(n-j) v^j are
     added (a v that underflows to 0 is a root too far to seed from c):
     they place the w nearest c within about eps |w|, so a cluster of roots
     too tight to tell apart from far away separates when seen from within."""
-    t = _taylor(P, c, len(P))
+    t = P if c == (0, 0) else _taylor(P, c, len(P))
     s, u = _scaled_roots(t)
     out = [(w, s) for w in u]
     if near:
@@ -1386,6 +1383,19 @@ def _newton(P, y):
         y, last = (y[0] - s[0], y[1] - s[1]), size
 
 
+def _integer_poly(coeffs: list[Scalar], D: int):
+    """The coefficient pairs of D^n p(y / D), from degree 0 up, for the
+    monic exact polynomial p = [c_0, ..., c_(n-1), 1]: the Gaussian
+    integers c_k D^(n - k), formed on integers; the denominator of each
+    c_k divides D^(n - k)."""
+    n = len(coeffs) - 1
+    out = []
+    for k, c in enumerate(coeffs):
+        s = D ** (n - k)
+        out.append((c.re.numerator * (s // c.re.denominator), c.im.numerator * (s // c.im.denominator)))
+    return out
+
+
 def exact_roots(coeffs: list[Scalar]) -> list[tuple[Scalar, int]]:
     """All roots of a monic exact polynomial with their multiplicities,
     sorted by (Re, Im).  Raises NonSplitCharPoly when they are not all
@@ -1405,10 +1415,7 @@ def exact_roots(coeffs: list[Scalar]) -> list[tuple[Scalar, int]]:
     floating point error.
     """
     D = lcm(*(q.denominator for c in coeffs for q in (c.re, c.im)))
-    n = len(coeffs) - 1
-    # coefficient k of P(y) = D^n p(y / D) is the Gaussian integer c_k D^(n - k)
-    P = [((c.re * D ** (n - k)).numerator, (c.im * D ** (n - k)).numerator) for k, c in enumerate(coeffs[:-1])]
-    P.append((1, 0))
+    P = _integer_poly(coeffs, D)
     roots = []
     center, stuck, near = (0, 0), False, False
     while len(P) > 1:
@@ -1434,24 +1441,21 @@ _EPS = float(np.finfo(np.float64).eps)
 
 
 def _radius(ref: Matrix, size: float) -> float:
-    """The widest radius within which eigenvalues computed from the n x n
-    matrix ref, with rounding errors of about eps size, count as one
-    point: 0 in exact mode.  Float mode: max(|ref - tr(ref)/n|
-    eps^(1/(n+1)), eps_eq size), the scatter a defective block of length
-    up to n puts on computed eigenvalues, which moves with a rescaling and
-    not with a shift, and the frame's resolution.  :func:`_eigen_groups`
-    narrows it for each eigenvalue to that eigenvalue's own error."""
-    if ref.mode == EXACT:
-        return 0
+    """The widest radius within which eigenvalues computed from the float
+    n x n matrix ref, with rounding errors of about eps size, count as one
+    point: max(|ref - tr(ref)/n| eps^(1/(n+1)), eps_eq size), the scatter
+    a defective block of length up to n puts on computed eigenvalues,
+    which moves with a rescaling and not with a shift, and the frame's
+    resolution.  :func:`_eigen_groups` narrows it for each eigenvalue to
+    that eigenvalue's own error."""
     n = ref.rows
     spread = _frobenius(ref._a - np.trace(ref._a) / n * np.eye(n))
     return max(spread * _EPS ** (1.0 / (n + 1)), ref.frame.eps_eq * size)
 
 
 def _eigen_groups(M: Matrix, radius: float, size: float, error: float) -> list[list[Scalar]]:
-    """The eigenvalues of M, with multiplicity, in groups, one per point.
-    Exact mode: each root of the characteristic polynomial, repeated by its
-    multiplicity.  Float mode: numpy eigenvalues merged transitively, z
+    """The eigenvalues of the float matrix M, with multiplicity, in
+    groups, one per point: numpy eigenvalues merged transitively, z
     with u when |z - u| <= max(r_z, r_u).  M is within error of the
     matrix it stands for, and each r_z is 8 n error kappa_z,
     kappa_z = |x| |y| / |y^H x| the condition number of z from its right
@@ -1460,8 +1464,6 @@ def _eigen_groups(M: Matrix, radius: float, size: float, error: float) -> list[l
     first-order error, while the k computed eigenvalues of a defective
     block, on a ring of radius rho with kappa about rho / (k error),
     merge: neighbours on the ring are at most 2 rho sin(pi / k) apart."""
-    if M.mode == EXACT:
-        return [[lam] * k for lam, k in exact_roots(char_poly(M))]
     w, X = np.linalg.eig(M._a)
     n = M.rows
     try:
@@ -1482,26 +1484,19 @@ def _eigen_groups(M: Matrix, radius: float, size: float, error: float) -> list[l
     return [[Scalar.from_complex(z) for z, _ in g] for g in groups]
 
 
-def _one_point(R: Matrix, radius: float, size: float, error: float) -> bool:
-    """Whether the square matrix R has a single eigenvalue.  Exact mode:
-    k R - tr(R) is nilpotent, (k R - tr(R))^k = 0 for R of size k, formed
-    on R's numerators, where no denominator or gcd is needed.  Float mode:
-    its eigenvalues form one group (:func:`_eigen_groups`) within the
-    radius and at the size of the member R is restricted from, R being
-    within error of that member's exact restriction, so a piece counts as
-    one point exactly when the eigenvalues it holds would merge as
-    eigenvalues of the member."""
-    if R.mode == EXACT:
-        _, RR, RI = R._a
-        k = R.rows
-        tr, ti = _diag_sum(RR), _diag_sum(RI)
-        NR = [[k * x for x in r] for r in RR]
-        NI = [[k * y for y in r] for r in RI]
-        for i in range(k):
-            NR[i][i] -= tr
-            NI[i][i] -= ti
-        return Matrix(EXACT, k, k, (1, NR, NI)).is_nilpotent()
-    return len(_eigen_groups(R, radius, size, error)) == 1
+def _one_point(R: Matrix) -> bool:
+    """Whether the exact square matrix R has a single eigenvalue: k R -
+    tr(R) is nilpotent, (k R - tr(R))^k = 0 for R of size k, formed on
+    R's numerators, where no denominator or gcd is needed."""
+    _, RR, RI = R._a
+    k = R.rows
+    tr, ti = _diag_sum(RR), _diag_sum(RI)
+    NR = [[k * x for x in r] for r in RR]
+    NI = [[k * y for y in r] for r in RI]
+    for i in range(k):
+        NR[i][i] -= tr
+        NI[i][i] -= ti
+    return Matrix(EXACT, k, k, (1, NR, NI)).is_nilpotent()
 
 
 def _trace_mean(R: Matrix) -> Scalar:
@@ -1513,19 +1508,121 @@ def _trace_mean(R: Matrix) -> Scalar:
     return R.trace() / Scalar.flt(k)
 
 
-def _restrict(B: list[Matrix], sizes: list[float], L: Matrix, group: list[Scalar]):
-    """(E, R, e): a basis E, as columns, of the kernel of the product of
-    L - w over the eigenvalues w of one group, the restrictions R_j of
-    the members, B_j E = E R_j, and the errors e_j of the R_j; None when
-    some float B_j does not keep that space invariant.  E spans the
-    generalized eigenspace of that point, and is the identity when the
-    group holds every eigenvalue.
+def _adjugate_column(NR, NI, P, c: int):
+    """Column c of adj(x - N), for the n x n Gaussian-integer grid N =
+    NR + NI i (NI None when zero) with characteristic polynomial P
+    (coefficient pairs from degree 0 up), as n polynomials in the form of
+    P, one per coordinate.  By Faddeev-LeVerrier, adj(x - N) =
+    sum_j x^(n-1-j) U_j with U_0 = Id and U_j = N U_(j-1) + c_(n-j) Id,
+    so the column costs n - 1 matrix-vector products."""
+    n = len(NR)
+    x, y = [0] * n, None
+    x[c] = 1
+    us = [(x, y)]
+    for j in range(1, n):
+        x, y = _gauss_matvec(NR, NI, x, y)
+        a, b = P[n - j]
+        x[c] += a
+        if b:
+            y = y or [0] * n
+            y[c] += b
+        us.append((x, y))
+    return [[(x[i], y[i] if y is not None else 0) for x, y in reversed(us)] for i in range(n)]
 
-    Exact mode: E is the canonical reduced-echelon kernel of
-    (L - lam)^k, the identity at its free coordinates, so R_j is the rows
-    of B_j E there, formed on the numerators, and e_j = 0.  Members that
-    commute with L keep its generalized eigenspaces invariant, so nothing
-    is tested.  Float mode grows an invariant V one direction at a time:
+
+def _reverse_echelon(vecs, n: int):
+    """(rows, pivots): a basis of the span of the nonzero working rows
+    vecs in which each row's last nonzero coordinate is its pivot, zero
+    in every other row, with the pivots ascending.  Read with _reduced,
+    its rows are the canonical reduced-echelon kernel basis of any matrix
+    whose kernel is that span.  One vector is its own basis, pivoted at
+    its last nonzero coordinate; more are eliminated with the columns
+    reversed."""
+    if len(vecs) == 1:
+        x, y = vecs[0]
+        return vecs, [max(i for i in range(n) if x[i] or (y is not None and y[i]))]
+    R = [x[::-1] for x, _ in vecs]
+    I = [[0] * n if y is None else y[::-1] for _, y in vecs]
+    rows, pivots = _rref_exact(Matrix(EXACT, len(vecs), n, (1, R, I)))
+    rows = [(x[::-1], None if y is None else y[::-1]) for x, y in reversed(rows)]
+    return rows, [n - 1 - p for p in reversed(pivots)]
+
+
+def _exact_pieces(B: list[Matrix], L: Matrix):
+    """The pieces (k, E, R) of exact L, one per root of its characteristic
+    polynomial in the order of exact_roots: the root's multiplicity k,
+    the canonical reduced-echelon kernel basis E of (L - lam)^k, the
+    identity at its pivot coordinates, and the rows R_j of B_j E at those
+    coordinates, so B_j E = E R_j; None when some R_j has more than one
+    eigenvalue.
+
+    Nothing is eliminated at an n x n size.  With N = D L on L's
+    numerators, each root is mu = D lam, a Gaussian integer, and
+    adj(x - N) = p_N(x) (x - N)^-1.  Over the generalized eigenspace G
+    of mu that is a polynomial, and over the other ones a multiple of
+    (x - mu)^k, so the first k Taylor coefficients at mu of a column
+    adj(x - N) e_c span the cyclic subspace of N that the part of e_c in
+    G generates; over all columns they span G.  Columns c = 0, 1, ... are
+    taken (each formed once per L) until they span k dimensions, and E
+    is read off them (:func:`_reverse_echelon`): a simple root needs one
+    nonzero vector and no elimination.  When column 0 alone spans G, G
+    is cyclic for L, so each R_j, commuting with L's restriction there,
+    is a polynomial in it and has one eigenvalue; other pieces of more
+    than one dimension are tested (:func:`_one_point`).  Members
+    commute with L, so they keep G invariant, and nothing else is
+    tested."""
+    n = L.rows
+    coeffs = char_poly(L)
+    roots = exact_roots(coeffs)
+    if len(roots) == 1:
+        R = list(B)
+        return [(n, Matrix.identity(n, EXACT), R)] if n == 1 or all(map(_one_point, R)) else None
+    D, NR, NI = L._a
+    NI = NI if any(map(any, NI)) else None
+    P = _integer_poly(coeffs, D)  # p_N(x) = D^n p_L(x / D)
+    columns = []
+    pieces = []
+    for lam, k in roots:
+        # mu = D lam, a Gaussian integer, so each denominator of lam divides D
+        mu = (lam.re.numerator * (D // lam.re.denominator), lam.im.numerator * (D // lam.im.denominator))
+        vecs = []
+        for c in range(n):
+            if c == len(columns):
+                columns.append(_adjugate_column(NR, NI, P, c))
+            ts = [_taylor(poly, mu, k) for poly in columns[c]]
+            for r in range(k):
+                x, y = [t[r][0] for t in ts], [t[r][1] for t in ts]
+                if any(y):
+                    vecs.append((x, y))
+                elif any(x):
+                    vecs.append((x, None))
+            if vecs:
+                vecs, pivots = _reverse_echelon(vecs, n)
+                if len(pivots) == k:
+                    break
+        DE, CR, CI = _reduced(vecs, pivots, range(n))
+        ER, EI = _transposed(CR, k), _transposed(CI, k)
+        R = []
+        for Bj in B:
+            DB, BR, BI = Bj._a
+            # R_j = (B_j E)_pivots = (B_j)_pivots E, over DB DE
+            FR, FI = _grid_mul([BR[f] for f in pivots], [BI[f] for f in pivots], ER, EI, k)
+            R.append(_exact(DB * DE, FR, FI, k, k))
+        if k > 1 and c and not all(map(_one_point, R)):
+            return None
+        pieces.append((k, Matrix(EXACT, n, k, (DE, ER, EI)), R))
+    return pieces
+
+
+def _restrict(B: list[Matrix], sizes: list[float], L: Matrix, group: list[Scalar]):
+    """(E, R, e) for float L and one group of its eigenvalues: an
+    orthonormal basis E, as columns, of the generalized eigenspace of
+    that point, the restrictions R_j of the members, B_j E = E R_j, and
+    the errors e_j of the R_j; None when some B_j does not keep that
+    space invariant.  E is the identity when the group holds every
+    eigenvalue.
+
+    It grows an invariant V one direction at a time:
     step i < k adds the least right singular vector of the projected
     operator (Id - V V^H)(L - w_i) on the orthogonal complement of V, so
     no step drops a direction V holds where L - w_i has a kernel of more
@@ -1540,20 +1637,6 @@ def _restrict(B: list[Matrix], sizes: list[float], L: Matrix, group: list[Scalar
     a step compares the new direction with the rest of the spectrum at a
     gap that stays linear: a k-th power would compress it like gap^k."""
     n, k = L.rows, len(group)
-    if L.mode == EXACT:
-        if k == n:
-            return Matrix.identity(n, EXACT), list(B), [0] * len(B)
-        rows, pivots = _rref_exact(_minus_scalar(L, group[0]).power(k))
-        E = _kernel(rows, pivots, n)
-        DE, ER, EI = E._a
-        free = [c for c in range(n) if c not in set(pivots)]
-        R = []
-        for Bj in B:
-            D, BR, BI = Bj._a
-            # R_j = (B_j E)_free = (B_j)_free E, over D DE
-            FR, FI = _grid_mul([BR[f] for f in free], [BI[f] for f in free], ER, EI, k)
-            R.append(_exact(D * DE, FR, FI, k, k))
-        return E, R, [0] * len(B)
     eye = Matrix.identity(n, FLOAT, L.frame)
     if k == n:
         E = W = eye
@@ -1576,6 +1659,29 @@ def _restrict(B: list[Matrix], sizes: list[float], L: Matrix, group: list[Scalar
     return E, R, [_EPS * s + e for e, s in zip(res, sizes)]
 
 
+def _float_pieces(B: list[Matrix], L: Matrix, sizes: list[float], radii: list[float], size: float):
+    """The pieces (k, E, R) of float L of the given size, one per group of
+    its eigenvalues (:func:`_eigen_groups`), restricted by
+    :func:`_restrict`; None when a member does not keep a piece invariant
+    or some R_j of a piece of more than one dimension holds more than one
+    point.  R_j, within e_j of the member's exact restriction, holds one
+    point when its eigenvalues form one group within the radius r_j and
+    at the size |B_j| of that member, so a piece counts as one point
+    exactly when the eigenvalues it holds would merge as eigenvalues of
+    the member."""
+    pieces = []
+    for group in _eigen_groups(L, _radius(L, size), size, _EPS * size):
+        piece = _restrict(B, sizes, L, group)
+        if piece is None:
+            return None
+        E, R, errors = piece
+        k = len(group)
+        if k > 1 and any(len(_eigen_groups(*args)) > 1 for args in zip(R, radii, sizes, errors)):
+            return None
+        pieces.append((k, E, R))
+    return pieces
+
+
 def primary_decomposition(B: Sequence[Matrix]) -> list[tuple[tuple[Scalar, ...], int, Matrix, list[Matrix]]]:
     """The joint generalized eigenspaces of commuting n x n matrices B_j.
 
@@ -1593,53 +1699,54 @@ def primary_decomposition(B: Sequence[Matrix]) -> list[tuple[tuple[Scalar, ...],
     This is the eigenvalue method (Cox, Little, O'Shea, Using Algebraic
     Geometry, ch. 2 sec. 4; Moeller and Stetter 1995): for t = 0, 1, 2,
     ... split L = sum_j t^j w_j B_j at its eigenvalues, restrict every
-    member to each generalized eigenspace E of L (:func:`_restrict`), and
-    read the point as p_j = tr R_j / k.  The t is accepted when L
-    separates the points: when every R_j has a single eigenvalue, that is
-    when every (R_j - p_j) is nilpotent.  Two
-    distinct points collide under at most m - 1 values of t, so some t up
-    to (m - 1) n (n - 1) / 2 separates them all.  Past that bound
-    NonSplitCharPoly is raised.  Exact mode raises it, there or from
-    exact_roots, only when the spectrum of some member is not Gaussian
-    rational: a separating L then does not split.
+    member to each generalized eigenspace E of L, and read the point as
+    p_j = tr R_j / k.  The t is accepted when L separates the points:
+    when every R_j has a single eigenvalue.  Two distinct points collide
+    under at most m - 1 values of t, so some t up to
+    (m - 1) n (n - 1) / 2 separates them all.  Past that bound
+    NonSplitCharPoly is raised.
 
-    Float mode resolves what its frame resolves.  The eigenvalues of B_j
-    merge within at most r_j, the larger of the scatter |B_j - tr(B_j)/n|
-    eps^(1/(n+1)) of a defective block and the rounding scale
-    eps_eq |B_j|, and within less where their condition numbers bound
-    their error more tightly (:func:`_eigen_groups`).  w_j = 1 / r_j, so
-    each member counts in units of its own resolution whatever its scale
-    beside the others (w_j = 1 in exact mode and for B_j = 0).
+    Exact mode (w_j = 1) reads E off the Faddeev-LeVerrier adjugate of
+    L at each root (:func:`_exact_pieces`): the canonical reduced-echelon
+    kernel basis of (L - lam)^k, with no n x n elimination and no float.
+    It raises NonSplitCharPoly, past the bound or from exact_roots, only
+    when the spectrum of some member is not Gaussian rational: a
+    separating L then does not split.
+
+    Float mode resolves what its frame resolves (:func:`_float_pieces`).
+    The eigenvalues of B_j merge within at most r_j, the larger of the
+    scatter |B_j - tr(B_j)/n| eps^(1/(n+1)) of a defective block and the
+    rounding scale eps_eq |B_j|, and within less where their condition
+    numbers bound their error more tightly (:func:`_eigen_groups`).
+    w_j = 1 / r_j, so each member counts in units of its own resolution
+    whatever its scale beside the others (w_j = 1 for B_j = 0).
     Eigenvalues of L merge by the same rule taken from L, with the size
     sum_j t^j w_j |B_j|.  A piece passes when B_j E is within
-    INVARIANCE_SLACK eps_eq |B_j| of E R_j and the eigenvalues of each R_j
-    merge by the rule of B_j.  This is the frame's limit: points closer
-    than eps_eq |L| merge."""
+    INVARIANCE_SLACK eps_eq |B_j| of E R_j (:func:`_restrict`) and the
+    eigenvalues of each R_j merge by the rule of B_j.  This is the
+    frame's limit: points closer than eps_eq |L| merge."""
     B = list(B)
     first = B[0]
     n, m, mode = first.rows, len(B), first.mode
-    sizes = [Bj.norm() for Bj in B]
-    radii = [_radius(Bj, s) for Bj, s in zip(B, sizes)]
-    weights = [1 / r if r else 1 for r in radii]
+    weights = [1] * m
+    if mode == FLOAT:
+        sizes = [Bj.norm() for Bj in B]
+        radii = [_radius(Bj, s) for Bj, s in zip(B, sizes)]
+        weights = [1 / r if r else 1 for r in radii]
     for t in range(1 + (m - 1) * n * (n - 1) // 2):
         L = first if weights[0] == 1 else first.scale(Scalar.of(mode, weights[0]))
         if t:
             for j, Bj in enumerate(B[1:], 1):
                 L = L + Bj.scale(Scalar.of(mode, weights[j] * t**j))
-        pieces = []
-        size = sum(w * s * t**j for j, (w, s) in enumerate(zip(weights, sizes)))
-        for group in _eigen_groups(L, _radius(L, size), size, _EPS * size):
-            k = len(group)
-            piece = _restrict(B, sizes, L, group)
-            if piece is None:
-                break
-            E, R, errors = piece
-            if k > 1 and not all(_one_point(*args) for args in zip(R, radii, sizes, errors)):
-                break
-            pieces.append((tuple(_trace_mean(Rj) for Rj in R), k, E, R))
+        if mode == EXACT:
+            pieces = _exact_pieces(B, L)
         else:
-            pieces.sort(key=lambda piece: tuple(c.sort_key() for c in piece[0]))
-            return pieces
+            size = sum(w * s * t**j for j, (w, s) in enumerate(zip(weights, sizes)))
+            pieces = _float_pieces(B, L, sizes, radii, size)
+        if pieces is not None:
+            out = [(tuple(_trace_mean(Rj) for Rj in R), k, E, R) for k, E, R in pieces]
+            out.sort(key=lambda piece: tuple(c.sort_key() for c in piece[0]))
+            return out
     raise NonSplitCharPolyError("no combination of the members separates the joint spectrum")
 
 

@@ -228,14 +228,18 @@ class FiberSpace:
             out["tau"] = self.tau.to_json()
         if self.vdim is not None:
             out["vdim"] = self.vdim
+        if self.model is None and self.frame != DEFAULT_FRAME:
+            # a model carries the frame; a chart without one writes it here
+            out["tolerances"] = self.frame.to_json()
         return out
 
     @staticmethod
     def from_json(obj) -> "FiberSpace":
         model = AbelianVarietyModel.from_json(obj["model"]) if "model" in obj else None
         tau = _coord_from_json(obj["tau"]) if "tau" in obj else None
+        frame = ToleranceFrame.from_json(obj["tolerances"]) if "tolerances" in obj else None
         return FiberSpace(
-            obj["kind"], d=obj.get("d"), model=model, tau=tau, vdim=obj.get("vdim")
+            obj["kind"], d=obj.get("d"), model=model, tau=tau, vdim=obj.get("vdim"), frame=frame
         )
 
 

@@ -143,23 +143,14 @@ class AbelianVarietyModel:
         return {
             "d": self.d,
             "period": [[[z.real, z.imag] for z in row] for row in self.period],
-            "tolerances": {
-                "eps_rank": self.frame.eps_rank,
-                "eps_eq": self.frame.eps_eq,
-                "eps_lattice": self.frame.eps_lattice,
-            },
+            "tolerances": self.frame.to_json(),
         }
 
     @staticmethod
     def from_json(obj) -> "AbelianVarietyModel":
         period = [[complex(p[0], p[1]) for p in row] for row in obj["period"]]
         tol = obj.get("tolerances")
-        frame = (
-            ToleranceFrame(tol["eps_rank"], tol["eps_eq"], tol["eps_lattice"])
-            if tol
-            else None
-        )
-        return AbelianVarietyModel(period, frame)
+        return AbelianVarietyModel(period, ToleranceFrame.from_json(tol) if tol else None)
 
 
 # ----------------------------------------------------------------------

@@ -21,10 +21,12 @@ from abelmod.linalg import (
     exact_roots,
     inverse,
     kernel_basis,
+    primary_decomposition,
     rank,
     solve,
     solve_matrix,
 )
+from abelmod import linalg
 from abelmod.linalg import _q_pair
 from abelmod.adhm import CommutingTuple, spectrum_support, triangularize
 from abelmod.errors import NonSplitCharPolyError, NoSolutionError
@@ -561,6 +563,108 @@ class TestExactRootProperties:
         U = upper.B[0]
         assert U.strict_lower().is_zero()
         assert [U[k, k] for k in range(U.rows)] == [lam for lam, k in roots for _ in range(k)]
+
+
+# ----------------------------------------------------------------------
+# exact joint generalized eigenspaces against a kernel oracle
+
+_GINT = st.tuples(st.integers(-2, 2), st.integers(-2, 2) | st.just(0))
+
+
+@st.composite
+def _planted_tuples(draw):
+    """(B, multiplicities): commuting exact members S J_j S^-1 and the
+    planted length of each point.  J_j is block diagonal: up to three
+    points with Gaussian-integer coordinates, a later one sometimes
+    sharing the first one's first coordinate (B_0 alone then does not
+    separate them), each with one or two blocks of length 1 to 3 (n at
+    most 6), on which member j is p_j + a_j N + b_j N^2 for the shift N,
+    a_j and b_j Gaussian integers: derogatory points, Jordan blocks of
+    different lengths at one point, and, where some a_j vanish, members
+    that are scalar on a block.  S is a product of Gaussian-integer
+    shears."""
+    m = draw(st.integers(1, 3))
+    points = []
+    for _ in range(draw(st.integers(1, 3))):
+        p = [draw(_GINT) for _ in range(m)]
+        if points and draw(st.booleans()):
+            p[0] = points[0][0]
+        points.append(tuple(p))
+    blocks = []
+    for p in points:
+        for _ in range(draw(st.integers(1, 2))):
+            length = draw(st.integers(1, 3))
+            if sum(b[1] for b in blocks) + length <= 6:
+                blocks.append((p, length, [(draw(_GINT), draw(_GINT)) for _ in range(m)]))
+    n = sum(length for _, length, _ in blocks)
+    mats = []
+    for j in range(m):
+        G = [[(0, 0)] * n for _ in range(n)]
+        off = 0
+        for p, length, coef in blocks:
+            a, b = coef[j]
+            for r in range(length):
+                G[off + r][off + r] = p[j]
+                if r + 1 < length:
+                    G[off + r][off + r + 1] = a
+                if r + 2 < length:
+                    G[off + r][off + r + 2] = b
+            off += length
+        mats.append(Matrix.exact([[Scalar.exact(*z) for z in row] for row in G]))
+    S = Matrix.identity(n, EXACT)
+    for _ in range(draw(st.integers(0, 2 * n))):
+        i, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != k:
+            E = [[Scalar.exact(int(r == c)) for c in range(n)] for r in range(n)]
+            E[i][k] = Scalar.exact(*draw(_GINT))
+            S = S @ Matrix.exact(E)
+    Si = inverse(S)
+    lengths = {}
+    for p, length, _ in blocks:
+        lengths[p] = lengths.get(p, 0) + length
+    return [S @ B @ Si for B in mats], lengths
+
+
+class TestPrimaryDecompositionProperties:
+    @_PROPS
+    @given(_planted_tuples())
+    def test_pieces_match_the_joint_kernel(self, planted):
+        """Each piece's E is the canonical kernel basis of the stacked
+        (B_j - p_j)^n, entries and storage alike, k is that kernel's
+        dimension, and B_j E = E R_j; the support is the planted one."""
+        B, lengths = planted
+        n = B[0].rows
+        eye = Matrix.identity(n, EXACT)
+        pieces = primary_decomposition(B)
+        assert {tuple((c.re, c.im) for c in p): k for p, k, _, _ in pieces} == lengths
+        for p, k, E, R in pieces:
+            K = kernel_basis(Matrix.vstack(*((Bj - eye.scale(pj)).power(n) for Bj, pj in zip(B, p))))
+            K = K[0].hstack(*K[1:])
+            assert K.cols == k
+            assert E == K and E._a == K._a
+            assert all(Bj @ E == E @ Rj for Bj, Rj in zip(B, R))
+
+
+def test_simple_spectrum_needs_no_elimination_and_no_norm(monkeypatch):
+    """With n distinct eigenvalues in the first member, each exact piece
+    is one adjugate column evaluated at its root: no elimination runs and
+    no float norm is taken, and the pieces are the same."""
+    S = Matrix.exact([[1, 2, 0, (0, 1)], [0, 1, -1, 0], [1, 0, 1, 3], [0, 0, 0, 1]])
+    D = Matrix.diag([Scalar.exact(v, w) for v, w in ((1, 0), (-2, 0), (0, 1), ("1/3", -1))])
+    B0 = S @ D @ inverse(S)
+    B = [B0, B0 @ B0 - B0.scale(Scalar.exact(3))]
+    expected = primary_decomposition(B)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact primary decomposition eliminated or took a norm")
+
+    monkeypatch.setattr(linalg, "_rref_exact", refuse)
+    monkeypatch.setattr(Matrix, "norm", refuse)
+    got = primary_decomposition(B)
+    assert [k for _, k, _, _ in got] == [1] * 4
+    assert [(p, k, E._a, [Rj._a for Rj in R]) for p, k, E, R in got] == [
+        (p, k, E._a, [Rj._a for Rj in R]) for p, k, E, R in expected
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -89,6 +89,15 @@ class TestSpaces:
         assert len(SymPoint(sp, [(p, 1), (q, 1)]).support) == 2
         assert sp.points_equal(p, (Scalar.exact(1), Scalar.flt(2.0 + 1e-12)))
 
+    def test_betti_chart_json_keeps_its_tolerances(self):
+        frame = ToleranceFrame(eps_eq=1e-6, eps_lattice=1e-5)
+        sp = FiberSpace.betti(1, frame)
+        assert FiberSpace.from_json(json.loads(json.dumps(sp.to_json()))).frame == frame
+        s = SymPoint(sp, [(_exact_pt(1, 2), 1)])
+        assert SymPoint.from_json(json.loads(json.dumps(s.to_json()))).space.frame == frame
+        # a chart at the default frame writes no tolerances, as before
+        assert FiberSpace.betti(1).to_json() == {"kind": "betti", "d": 1}
+
 
 class TestPoints:
     def test_sym_orders_support(self):
