@@ -205,11 +205,6 @@ class MarkedTuple:
     def __repr__(self):
         return f"<MarkedTuple m={self.m} n={self.n} {self.mode}>"
 
-    def to_json(self):
-        out = self.tuple.to_json()
-        out["v"] = [self.v[i, 0].to_json() for i in range(self.n)]
-        return out
-
     @staticmethod
     def from_json(obj, frame: ToleranceFrame | None = None) -> "MarkedTuple":
         tup = CommutingTuple.from_json(obj, frame)

@@ -81,6 +81,11 @@ def _count(samples: int, full: int) -> int:
     return max(2, round(full * samples / _REF))
 
 
+def _row(criterion: int, name: str, ok: bool, **detail) -> dict:
+    """One criterion's report row; detail keeps its keyword order."""
+    return {"criterion": criterion, "name": name, "pass": ok, "detail": detail}
+
+
 # ----------------------------------------------------------------------
 # instance generators
 
@@ -103,19 +108,12 @@ def _annulus(rng, lo: float, hi: float) -> complex:
     return complex(rad * math.cos(th), rad * math.sin(th))
 
 
-def _separated(rng, count: int, gap: float = 0.05, r: float = 2.0) -> list[complex]:
+def _spread(count: int, draw, gap: float) -> list[complex]:
+    """count values of draw(), redrawing each that falls within gap of
+    one already kept."""
     out: list[complex] = []
     while len(out) < count:
-        z = _cx(rng, r)
-        if all(abs(z - w) >= gap for w in out):
-            out.append(z)
-    return out
-
-
-def _sep_annulus(rng, count: int, lo: float = 0.45, hi: float = 2.0, gap: float = 0.08):
-    out: list[complex] = []
-    while len(out) < count:
-        z = _annulus(rng, lo, hi)
+        z = draw()
         if all(abs(z - w) >= gap for w in out):
             out.append(z)
     return out
@@ -199,7 +197,7 @@ def _float_family(rng, n: int, m: int, defective: bool):
         for i in range(n):
             U[i, i] = rng.choice(palette)
     else:
-        vals = _separated(rng, n)
+        vals = _spread(n, lambda: _cx(rng, 2.0), 0.05)
         for i in range(n):
             U[i, i] = vals[i]
     for i in range(n - 1):
@@ -247,15 +245,16 @@ def _punctual_nilpotent(rng, ell: int, m: int, mode: str) -> CommutingTuple:
     return CommutingTuple([Matrix.flt(A) for A in arrs])
 
 
-def _betti_hilb(rng, d: int, n: int, mode: str) -> HilbPoint:
-    """Length-n point of the betti chart: separated invertible base
-    points, shift-type nilpotents, first-vector markings."""
-    m = 2 * d
+def _hilb(rng, space: FiberSpace, n: int, draw, mode: str = FLOAT) -> HilbPoint:
+    """Length-n point of space: coordinates from draw(), first
+    coordinates at least 0.08 apart, shift-type nilpotents and
+    first-vector markings."""
+    m = 2 * space.d
     lengths = _composition(rng, n)
-    firsts = _sep_annulus(rng, len(lengths))
+    firsts = _spread(len(lengths), draw, 0.08)
     pieces = []
     for ell, z0 in zip(lengths, firsts):
-        coords = [z0] + [_annulus(rng, 0.45, 2.0) for _ in range(m - 1)]
+        coords = [z0] + [draw() for _ in range(m - 1)]
         if mode == EXACT:
             # exact dyadic image of the sampled doubles: .cx returns the
             # original bits, so log/exp legs see the same values
@@ -264,28 +263,7 @@ def _betti_hilb(rng, d: int, n: int, mode: str) -> HilbPoint:
             pt = [Scalar.flt(z.real, z.imag) for z in coords]
         N = _punctual_nilpotent(rng, ell, m, mode)
         pieces.append(PunctualData(pt, N, _unit_column(ell, 0, mode)))
-    return HilbPoint(FiberSpace.betti(d), pieces)
-
-
-def _natural_hilb(rng, model, n: int) -> HilbPoint:
-    """Exponent-chart point with imaginary parts clear of the branch
-    seam."""
-    m = 2 * model.d
-    lengths = _composition(rng, n)
-    firsts: list[complex] = []
-    while len(firsts) < len(lengths):
-        z = complex(rng.uniform(-1.2, 1.2), rng.uniform(-2.6, 2.6))
-        if all(abs(z - w) >= 0.08 for w in firsts):
-            firsts.append(z)
-    pieces = []
-    for ell, z0 in zip(lengths, firsts):
-        coords = [z0] + [
-            complex(rng.uniform(-1.2, 1.2), rng.uniform(-2.6, 2.6)) for _ in range(m - 1)
-        ]
-        pt = [Scalar.flt(z.real, z.imag) for z in coords]
-        N = _punctual_nilpotent(rng, ell, m, FLOAT)
-        pieces.append(PunctualData(pt, N, _unit_column(ell, 0, FLOAT)))
-    return HilbPoint(FiberSpace.natural(model), pieces)
+    return HilbPoint(space, pieces)
 
 
 def _nonzero_frac(rng) -> Fraction:
@@ -369,12 +347,15 @@ def run_triangularization(count: int = 1000, n_max: int = 6, m_max: int = 4, see
         worst = max(worst, res)
         if res > 1e-8:
             failures += 1
-    return {
-        "criterion": 1,
-        "name": "triangularization-completeness",
-        "pass": failures == 0,
-        "detail": {"count": count, "n_max": n_max, "failures": failures, "worst_residual": float(worst)},
-    }
+    return _row(
+        1,
+        "triangularization-completeness",
+        failures == 0,
+        count=count,
+        n_max=n_max,
+        failures=failures,
+        worst_residual=float(worst),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -455,19 +436,17 @@ def run_stability(count: int = 500, n_max: int = 6, seed: int = 102) -> dict:
         else:
             unstable_seen += 1
     ok = equiv_mism == 0 and oracle_mism == 0 and stable_seen > 0 and unstable_seen > 0
-    return {
-        "criterion": 2,
-        "name": "stability-equivalence",
-        "pass": ok,
-        "detail": {
-            "count": count,
-            "stable": stable_seen,
-            "unstable": unstable_seen,
-            "equivalence_mismatches": equiv_mism,
-            "oracle_checked": oracle_checked,
-            "oracle_mismatches": oracle_mism,
-        },
-    }
+    return _row(
+        2,
+        "stability-equivalence",
+        ok,
+        count=count,
+        stable=stable_seen,
+        unstable=unstable_seen,
+        equivalence_mismatches=equiv_mism,
+        oracle_checked=oracle_checked,
+        oracle_mismatches=oracle_mism,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -500,17 +479,15 @@ def run_hilb_canonical(count: int = 300, conj: int = 50, seed: int = 103) -> dic
             if _inf_signature(ideal_normal_form(M2)) != sig:
                 orbit_mism += 1
     ok = orbit_mism == 0 and shape_fail == 0
-    return {
-        "criterion": 3,
-        "name": "hilb-canonical-form",
-        "pass": ok,
-        "detail": {
-            "count": count,
-            "conjugations": conj,
-            "orbit_mismatches": orbit_mism,
-            "shape_failures": shape_fail,
-        },
-    }
+    return _row(
+        3,
+        "hilb-canonical-form",
+        ok,
+        count=count,
+        conjugations=conj,
+        orbit_mismatches=orbit_mism,
+        shape_failures=shape_fail,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -522,7 +499,7 @@ def _flagged_instance(rng, n: int, m: int):
     the invariant complete flag spanned by the conjugator's columns.  The
     leading member's diagonal stays separated so spectra compare
     elementwise."""
-    vals = _separated(rng, n)
+    vals = _spread(n, lambda: _cx(rng, 2.0), 0.05)
     U = np.diag(np.array(vals, dtype=np.complex128))
     for i in range(n - 1):
         if rng.random() < 0.6:
@@ -573,18 +550,16 @@ def run_rees(count: int = 300, n_max: int = 6, seed: int = 104) -> dict:
             ok = False
         if not ok:
             failures += 1
-    return {
-        "criterion": 4,
-        "name": "rees-degeneration",
-        "pass": failures == 0,
-        "detail": {
-            "count": count,
-            "failures": failures,
-            "worst_commutator": float(worst_comm),
-            "worst_drift": float(worst_drift),
-            "worst_limit_gap": float(worst_gap),
-        },
-    }
+    return _row(
+        4,
+        "rees-degeneration",
+        failures == 0,
+        count=count,
+        failures=failures,
+        worst_commutator=float(worst_comm),
+        worst_drift=float(worst_drift),
+        worst_limit_gap=float(worst_gap),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -597,18 +572,13 @@ def run_marked_diagram(count: int = 500, n_max: int = 5, d_max: int = 2, seed: i
     for _ in range(count):
         d = rng.randint(1, d_max)
         n = rng.randint(1, n_max)
-        h = _betti_hilb(rng, d, n, FLOAT)
+        h = _hilb(rng, FiberSpace.betti(d), n, lambda: _annulus(rng, 0.45, 2.0))
         M = betti_assemble(h)
         g = Matrix.flt(_float_conjugator(rng, M.n))
         M = MarkedTuple(M.tuple.conjugate(g), solve(g, M.v))
         if not diagram_check(M, tol=1e-8):
             failures += 1
-    return {
-        "criterion": 5,
-        "name": "marked-diagram",
-        "pass": failures == 0,
-        "detail": {"count": count, "d_max": d_max, "failures": failures},
-    }
+    return _row(5, "marked-diagram", failures == 0, count=count, d_max=d_max, failures=failures)
 
 
 # ----------------------------------------------------------------------
@@ -622,7 +592,7 @@ def run_rh_roundtrip(count: int = 200, n_max: int = 5, seed: int = 106) -> dict:
     for _ in range(count):
         d = rng.randint(1, 2)
         n = rng.randint(1, n_max)
-        h = _betti_hilb(rng, d, n, EXACT)
+        h = _hilb(rng, FiberSpace.betti(d), n, lambda: _annulus(rng, 0.45, 2.0), EXACT)
         model = square_model(d)
         mid = rh_to_derham(h, model)
         back = rh_to_betti(mid)
@@ -652,18 +622,16 @@ def run_rh_roundtrip(count: int = 200, n_max: int = 5, seed: int = 106) -> dict:
                 ):
                     rank1_mism += 1
     ok = nilpotent_mism == 0 and rank1_mism == 0 and base_fail == 0
-    return {
-        "criterion": 6,
-        "name": "rh-roundtrip",
-        "pass": ok,
-        "detail": {
-            "count": count,
-            "nilpotent_mismatches": nilpotent_mism,
-            "rank1_mismatches": rank1_mism,
-            "base_failures": base_fail,
-            "worst_base_drift": float(worst_base),
-        },
-    }
+    return _row(
+        6,
+        "rh-roundtrip",
+        ok,
+        count=count,
+        nilpotent_mismatches=nilpotent_mism,
+        rank1_mismatches=rank1_mism,
+        base_failures=base_fail,
+        worst_base_drift=float(worst_base),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -677,7 +645,10 @@ def run_hodge(count: int = 100, seed: int = 107) -> dict:
         d = rng.randint(1, 2)
         n = rng.randint(1, 4)
         model = square_model(d)
-        h = _natural_hilb(rng, model, n)
+        # imaginary parts clear of the branch seam
+        h = _hilb(
+            rng, FiberSpace.natural(model), n, lambda: complex(rng.uniform(-1.2, 1.2), rng.uniform(-2.6, 2.6))
+        )
         for tz in (1.0, 2.0, 0.5, 1j):
             if not hodge_undeform(hodge_deform(h, tz)).close_to(h, 1e-8):
                 roundtrip_fail += 1
@@ -693,17 +664,15 @@ def run_hodge(count: int = 100, seed: int = 107) -> dict:
         if json.dumps(twice.to_json(), sort_keys=True) != json.dumps(once.to_json(), sort_keys=True):
             comp_fail += 1
     ok = roundtrip_fail == 0 and comp_fail == 0
-    return {
-        "criterion": 7,
-        "name": "hodge-deformation",
-        "pass": ok,
-        "detail": {
-            "count": count,
-            "roundtrip_failures": roundtrip_fail,
-            "composition_checked": comp,
-            "composition_failures": comp_fail,
-        },
-    }
+    return _row(
+        7,
+        "hodge-deformation",
+        ok,
+        count=count,
+        roundtrip_failures=roundtrip_fail,
+        composition_checked=comp,
+        composition_failures=comp_fail,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -789,21 +758,19 @@ def run_dalgebra(
                 if cohomology_dim(d, v, k) != math.comb(d + v, k):
                     coh_fail += 1
     ok = fm_fail == 0 and orbit_fail == 0 and jac_fail == 0 and coh_fail == 0
-    return {
-        "criterion": 8,
-        "name": "dalgebra-calculus",
-        "pass": ok,
-        "detail": {
-            "count": count,
-            "group_orbit": group,
-            "fm_failures": fm_fail,
-            "orbit_failures": orbit_fail,
-            "jacobi_algebroids": len(algebroids),
-            "jacobi_triples": jac,
-            "jacobi_failures": jac_fail,
-            "cohomology_failures": coh_fail,
-        },
-    }
+    return _row(
+        8,
+        "dalgebra-calculus",
+        ok,
+        count=count,
+        group_orbit=group,
+        fm_failures=fm_fail,
+        orbit_failures=orbit_fail,
+        jacobi_algebroids=len(algebroids),
+        jacobi_triples=jac,
+        jacobi_failures=jac_fail,
+        cohomology_failures=coh_fail,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -836,12 +803,7 @@ def run_determinism(samples: int = 10, seed: int = 0, n_max: int = 6, d_max: int
     first = json.dumps(_battery(samples, seed, n_max, d_max), sort_keys=True)
     second = json.dumps(_battery(samples, seed, n_max, d_max), sort_keys=True)
     ok = first == second
-    return {
-        "criterion": 9,
-        "name": "determinism",
-        "pass": ok,
-        "detail": {"samples": samples, "bytes": len(first), "identical": ok},
-    }
+    return _row(9, "determinism", ok, samples=samples, bytes=len(first), identical=ok)
 
 
 def run_all(samples: int = 500, seed: int = 0, n_max: int = 6, d_max: int = 2) -> dict:

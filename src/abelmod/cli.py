@@ -4,6 +4,9 @@ Every subcommand reads one JSON document (a single instance, or an array
 of instances processed in input order), dispatches to the library, and
 writes canonical JSON: sorted keys, compact separators, one trailing
 newline.  Exact-mode runs are byte-identical across invocations.
+``classify-dalgebra`` writes the kind that ``dalgebra.classify`` names as
+its label: title case with the hyphens dropped ("de-rham" is "DeRham",
+"co-higgs" is "CoHiggs").
 
 Exit status: 0 success; 1 malformed input or usage error; 2 domain error,
 reported as {"error": <stable code>, "detail": <text>}.
@@ -36,16 +39,6 @@ from .errors import AbelmodError, SchemaError
 from .linalg import DEFAULT_FRAME, EXACT, FLOAT, Matrix, Scalar, ToleranceFrame
 from .moduli import BETTI, NATURAL, HilbPoint, hilbert_chow, hodge_deform, rh_to_betti, rh_to_derham
 from .torus import square_model
-
-_LABELS = {
-    "de-rham": "DeRham",
-    "dolbeault": "Dolbeault",
-    "co-higgs": "CoHiggs",
-    "tau-connection": "TauConnection",
-    "foliation": "Foliation",
-    "twisted-differential-operators": "TwistedDifferentialOperators",
-    "generic": "Generic",
-}
 
 # an unsigned 'p/q' or decimal, read exactly by Fraction; the exponent is
 # capped so an exact parse cannot build an enormous power of ten
@@ -140,7 +133,7 @@ def _cmd_classify(obj, ctx: _Ctx):
     t = _in_mode(t, ctx, lambda frame: UtaiTriple(*(X.to_float(frame) for X in (t.alpha, t.beta, t.gamma))))
     lab = classify(t)
     body = {
-        "label": _LABELS[lab.kind],
+        "label": lab.kind.title().replace("-", ""),
         "abelian": lab.abelian,
         "invariants": orbit_invariants(t),
         "fm_dual": fm_dual(t).to_json(),

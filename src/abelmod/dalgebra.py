@@ -192,12 +192,6 @@ class DAlgebraLabel:
     tau: Scalar | None
     abelian: bool
 
-    def to_json(self):
-        out = {"kind": self.kind, "abelian": self.abelian}
-        if self.tau is not None:
-            out["tau"] = self.tau.to_json()
-        return out
-
 
 def fm_dual(t: UtaiTriple) -> UtaiTriple:
     """Transform to the dual torus: (alpha, beta, gamma) -> (-beta, alpha,

@@ -92,7 +92,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, sub
 from typing import Sequence
 
 import numpy as np
@@ -521,27 +521,22 @@ class Matrix:
         if self.mode != other.mode:
             raise ModeMismatchError(f"{self.mode} matrix combined with {other.mode} matrix")
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _entrywise(self, other: "Matrix", op, what: str) -> "Matrix":
         self._chk(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in add")
+            raise ValueError(f"shape mismatch in {what}")
         if self.mode == FLOAT:
-            return Matrix(FLOAT, self.rows, self.cols, self._a + other._a, self.frame)
+            return Matrix(FLOAT, self.rows, self.cols, op(self._a, other._a), self.frame)
         D, ((Ra, Ia), (Rb, Ib)) = _common_denominator((self, other))
-        R = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(Ra, Rb)]
-        I = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(Ia, Ib)]
+        R = [list(map(op, ra, rb)) for ra, rb in zip(Ra, Rb)]
+        I = [list(map(op, ra, rb)) for ra, rb in zip(Ia, Ib)]
         return _exact(D, R, I, self.rows, self.cols)
 
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(other, add, "add")
+
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._chk(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in subtract")
-        if self.mode == FLOAT:
-            return Matrix(FLOAT, self.rows, self.cols, self._a - other._a, self.frame)
-        D, ((Ra, Ia), (Rb, Ib)) = _common_denominator((self, other))
-        R = [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(Ra, Rb)]
-        I = [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(Ia, Ib)]
-        return _exact(D, R, I, self.rows, self.cols)
+        return self._entrywise(other, sub, "subtract")
 
     def __neg__(self) -> "Matrix":
         if self.mode == FLOAT:
@@ -648,23 +643,15 @@ class Matrix:
             return Matrix(FLOAT, rows, cols, np.kron(self._a, other._a), self.frame)
         Da, AR, AI = self._a
         Db, BR, BI = other._a
-        zeros = [0] * other.cols
-        R, I = [], []
-        for ar, ai in zip(AR, AI):
-            for br, bi in zip(BR, BI):
-                rr, ri = [], []
-                for x, y in zip(ar, ai):
-                    if not (x or y):
-                        rr.extend(zeros)
-                        ri.extend(zeros)
-                    elif not y:
-                        rr.extend(x * u for u in br)
-                        ri.extend(x * v for v in bi)
-                    else:
-                        rr.extend(x * u - y * v for u, v in zip(br, bi))
-                        ri.extend(x * v + y * u for u, v in zip(br, bi))
-                R.append(rr)
-                I.append(ri)
+        pairs = [(ar, ai, br, bi) for ar, ai in zip(AR, AI) for br, bi in zip(BR, BI)]
+        if any(map(any, AI)) or any(map(any, BI)):
+            R = [[x * u - y * v for x, y in zip(ar, ai) for u, v in zip(br, bi)] for ar, ai, br, bi in pairs]
+            I = [[x * v + y * u for x, y in zip(ar, ai) for u, v in zip(br, bi)] for ar, ai, br, bi in pairs]
+        else:
+            # two real factors, as criterion 2's exact members are: no
+            # imaginary products
+            R = [[x * u for x in ar for u in br] for ar, _, br, _ in pairs]
+            I = _zero_grid(rows, cols)
         return _exact(Da * Db, R, I, rows, cols)
 
     def norm(self) -> float:
@@ -760,12 +747,18 @@ class Matrix:
 # exact storage helpers: (D, R, I) integer grids over one denominator
 
 
+@np.errstate(over="ignore")
 def _frobenius(a: np.ndarray) -> float:
     """The Frobenius norm of a complex array.  Only where the plain sum of
     squares overflows (norms past about 1.3e154) are the entries first
     scaled by a power of two near the largest, as LAPACK's nrm2 does
-    (Blue, ACM TOMS 4, 1978)."""
-    r = float(np.linalg.norm(a))
+    (Blue, ACM TOMS 4, 1978); numpy does not warn of that overflow.  The
+    plain sum is np.linalg.norm's own (one dot each over the real and the
+    imaginary parts), so it has its bits, without its per-call checks,
+    which would cost as much again as the errstate."""
+    x = a.ravel(order="K")
+    xr, xi = x.real, x.imag
+    r = math.sqrt(xr.dot(xr) + xi.dot(xi))
     if math.isfinite(r) or not np.isfinite(a).all():
         return r
     e = math.frexp(max(np.abs(a.real).max(), np.abs(a.imag).max()))[1]
@@ -1175,10 +1168,15 @@ def rank(M: Matrix) -> int:
         return 0
     if M.mode == EXACT:
         return len(_rref_exact(M, full=False)[1])
-    s = np.linalg.svd(M._a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
+    return _svd_rank(np.linalg.svd(M._a, compute_uv=False), M.frame)
+
+
+def _svd_rank(s: np.ndarray, frame: ToleranceFrame) -> int:
+    """The count of singular values s (in descending order) above
+    eps_rank * s_max: 0 when there are none or s_max is 0."""
+    if s.size == 0 or not s[0] > 0.0:
         return 0
-    return int((s > M.frame.eps_rank * s[0]).sum())
+    return int((s > frame.eps_rank * s[0]).sum())
 
 
 def kernel_basis(M: Matrix) -> list[Matrix]:
@@ -1193,8 +1191,7 @@ def kernel_basis(M: Matrix) -> list[Matrix]:
         K = _kernel(*_rref_exact(M), M.cols)
         return [] if K is None else [K.col(k) for k in range(K.cols)]
     u, s, vh = np.linalg.svd(M._a)
-    smax = s[0] if s.size else 0.0
-    r = int((s > M.frame.eps_rank * smax).sum()) if smax > 0.0 else 0
+    r = _svd_rank(s, M.frame)
     return [Matrix(FLOAT, M.cols, 1, vh[i].conj().reshape(-1, 1), M.frame) for i in range(r, M.cols)]
 
 

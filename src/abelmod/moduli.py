@@ -22,7 +22,8 @@ scheme of points.  This module represents those points concretely:
 
 Chart points are one point when points_equal, closed transitively, joins
 them (_groups): SymPoint and HilbPoint refuse such a group, and
-assemble_pieces merges it into one piece at the mean point.  The
+assemble_pieces merges it into one piece at the mean point, and
+regroups the merged points until no two are one.  The
 exact/float decisions are linalg's; only _one_mode here asks for a mode.
 
 Chart conventions.  Betti pieces store the unit part of the local
@@ -473,15 +474,17 @@ def assemble_pieces(space: FiberSpace, pieces) -> HilbPoint:
     length is the sum of theirs (_direct_sum).  The groups are the
     connected components of points_equal, and each is merged in canonical
     order, so the result does not depend on the order of the input
-    (pieces at identical points aside).  A merged point can still land
-    within tolerance of another group's point; HilbPoint then refuses the
-    result."""
-    staged = sorted(
-        (PunctualData(space.canonical_point(P.point), P.N, P.marking) for P in pieces),
-        key=lambda P: _point_key(P.point),
-    )
-    groups = _groups(space, [P.point for P in staged])
-    return HilbPoint(space, [_direct_sum(space, [staged[i] for i in g]) for g in groups])
+    (pieces at identical points aside).  A merged point can land within
+    tolerance of another point, so the merged pieces are regrouped and
+    merged again until no two points are one; each pass lowers the count
+    of pieces."""
+    staged = [PunctualData(space.canonical_point(P.point), P.N, P.marking) for P in pieces]
+    while True:
+        staged.sort(key=lambda P: _point_key(P.point))
+        groups = _groups(space, [P.point for P in staged])
+        if len(groups) == len(staged):
+            return HilbPoint(space, staged)
+        staged = [_direct_sum(space, [staged[i] for i in g]) for g in groups]
 
 
 def hilbert_chow(h: HilbPoint) -> SymPoint:

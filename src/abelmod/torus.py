@@ -61,7 +61,10 @@ def _float_scalars(vec) -> tuple[Scalar, ...]:
 
 class AbelianVarietyModel:
     """A torus presented by a d x 2d period matrix with columns spanning
-    over the reals.  Owns the tolerance frame for all derived charts."""
+    over the reals.  Owns the tolerance frame for all derived charts.
+    The periods, and the dual generators, span when the least singular
+    value of their real form exceeds eps_rank times the largest, so c Pi
+    is refused or accepted with Pi."""
 
     def __init__(self, period, frame: ToleranceFrame | None = None):
         Pi = np.array(period, dtype=np.complex128)
@@ -72,7 +75,7 @@ class AbelianVarietyModel:
         self.frame = frame or DEFAULT_FRAME
         real = np.vstack([Pi.real, Pi.imag])
         s = np.linalg.svd(real, compute_uv=False)
-        if s[-1] <= self.frame.eps_rank:
+        if s[-1] <= self.frame.eps_rank * s[0]:
             raise DegeneratePeriodMatrixError("period columns do not span over R")
         # a(lambda_j) = u . lambda_j + w . conj(lambda_j) as rows of [Pi^T | conj(Pi)^T]
         self._split = np.hstack([Pi.T, Pi.conj().T])
@@ -91,7 +94,7 @@ class AbelianVarietyModel:
             gens = full[self.d :, :]  # d x 2d, column k = k-th dual generator
             real = np.vstack([gens.real, gens.imag])
             s = np.linalg.svd(real, compute_uv=False)
-            if s[-1] <= self.frame.eps_rank:
+            if s[-1] <= self.frame.eps_rank * s[0]:
                 raise DegeneratePeriodMatrixError("dual generators do not span over R")
             self._dual = full
             self._dual_real_inv = np.linalg.inv(real)

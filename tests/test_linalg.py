@@ -1,5 +1,6 @@
 """Scalar and matrix layer: exact arithmetic, float tolerances, solvers."""
 
+import warnings
 from fractions import Fraction
 from math import lcm
 
@@ -162,6 +163,14 @@ class TestMatrix:
         assert Matrix.flt(a).norm() == pytest.approx(c * 14**0.5, rel=1e-15)
         if c <= 1e150:
             assert Matrix.flt(a).norm() == np.linalg.norm(a)
+
+    def test_float_norm_past_the_squared_range_warns_nothing(self):
+        # the plain first attempt overflows; numpy must not warn before the
+        # rescaled one
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = Matrix.flt(1e200 * np.diag([1.0, 2.0, 3.0])).norm()
+        assert norm == pytest.approx(1e200 * 14**0.5, rel=1e-15)
 
     def test_json_roundtrip_both_modes(self):
         A = Matrix.exact([["1/3", (0, 2)], [5, 0]])

@@ -4,6 +4,7 @@ import cmath
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -155,7 +156,7 @@ class TestPoints:
 def _float_unit_piece(x):
     # a length-1 float piece of the betti chart at (x, 1)
     zero = [Matrix.flt([[0.0]]), Matrix.flt([[0.0]])]
-    return PunctualData((Scalar.flt(x), Scalar.flt(1.0)), CommutingTuple(zero), Matrix.flt([[1.0]]))
+    return PunctualData((Scalar.from_complex(x), Scalar.flt(1.0)), CommutingTuple(zero), Matrix.flt([[1.0]]))
 
 
 class TestChartPointGroups:
@@ -182,6 +183,29 @@ class TestChartPointGroups:
         s = hilbert_chow(h)
         assert [k for _, k in s.support] == [3]
         assert s.support[0][0][0].cx == pytest.approx(1 + 0.9e-9, abs=1e-15)
+
+    def test_merged_point_joins_an_exact_point(self):
+        # two exact points never merge with each other; the float piece
+        # merges with x = 1, and that mean lies within tolerance of the
+        # other exact point, so it merges again
+        sp = FiberSpace.betti(1)
+        pieces = [_piece(_exact_pt(1, 1), 1, 2), _piece(_exact_pt(1 - Fraction(5, 10**10), 1), 1, 2)]
+        for order in itertools.permutations(pieces + [_float_unit_piece(1 + 0.9e-9)]):
+            s = hilbert_chow(assemble_pieces(sp, order))
+            assert [k for _, k in s.support] == [3]
+
+    def test_merged_mean_joins_another_group(self):
+        # the last point is more than tolerance from each of the others,
+        # but within tolerance of their merged mean: the assembly regroups
+        # until no two points are one, in every order
+        sp = FiberSpace.betti(1)
+        xs = [1 - 0.8e-9, 1 + 0.8e-9, 1 - 0.5e-9j, 1 + 0.75e-9j]
+        docs = {
+            json.dumps(assemble_pieces(sp, [_float_unit_piece(x) for x in order]).to_json(), sort_keys=True)
+            for order in itertools.permutations(xs)
+        }
+        assert len(docs) == 1
+        assert [P.length for P in HilbPoint.from_json(json.loads(docs.pop())).pieces] == [4]
 
 
 class TestBettiAssembly:

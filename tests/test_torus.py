@@ -53,6 +53,17 @@ class TestModel:
         with pytest.raises(DegeneratePeriodMatrixError):
             AbelianVarietyModel([[1.0, 2.0]])
 
+    def test_square_torus_spans_at_every_scale(self):
+        for c in (1e-12, 1.0, 1e6, 1e12):
+            m = AbelianVarietyModel([[c, c * 1j]])
+            assert m.dual_generators.shape == (1, 2)
+
+    def test_near_degenerate_periods_rejected_at_every_scale(self):
+        # the second period lies 1e-12 of its length off the first's line
+        for c in (1e-12, 1.0, 1e6, 1e12):
+            with pytest.raises(DegeneratePeriodMatrixError):
+                AbelianVarietyModel([[c, c * (1 + 1e-12j)]])
+
     def test_json_roundtrip(self):
         m = AbelianVarietyModel([[1.0, 0.5 + 2j]])
         back = AbelianVarietyModel.from_json(m.to_json())
