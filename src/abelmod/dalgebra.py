@@ -243,12 +243,15 @@ def classify(t: UtaiTriple, coefficients: str = "tangent") -> DAlgebraLabel:
     the data alone cannot decide: "tangent" (default) reads the symmetric
     algebra with alpha = 0, v = d as the Dolbeault algebra, "cotangent"
     reads the same triple on the dual side (co-Higgs data).  The abelian
-    flag is alpha = 0 and gamma = 0 regardless of the name.
+    flag is alpha = 0 and gamma = 0 regardless of the name.  In float
+    mode a part is zero when it is negligible against the triple's scale
+    max(|alpha|, |beta|, |gamma|).
     """
     if coefficients not in ("tangent", "cotangent"):
         raise ValueError("coefficients must be 'tangent' or 'cotangent'")
-    abelian = t.alpha.negligible() and t.gamma.negligible()
-    bg_zero = t.beta.negligible() and t.gamma.negligible()
+    scale = max(t.alpha.norm(), t.beta.norm(), t.gamma.norm())
+    abelian = t.alpha.negligible(scale) and t.gamma.negligible(scale)
+    bg_zero = t.beta.negligible(scale) and t.gamma.negligible(scale)
     eps = (t.alpha.frame or DEFAULT_FRAME).eps_eq
     one = Scalar.one(t.mode)
     if bg_zero and t.v == t.d:

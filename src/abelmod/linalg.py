@@ -674,9 +674,10 @@ class Matrix:
         _, R, I = self._a
         return not (any(map(any, R)) or any(map(any, I)))
 
-    def negligible(self, scale: float = 1.0) -> bool:
+    def negligible(self, scale: float) -> bool:
         """Exact mode: every entry is exactly zero.  Float mode: the
-        Frobenius norm is at most frame.eps_eq * scale."""
+        Frobenius norm is at most frame.eps_eq * scale, scale being the
+        size of the data the matrix comes from (a fixed one is absolute)."""
         if self.mode == EXACT:
             return self.is_zero()
         return self.norm() <= self.frame.eps_eq * scale
@@ -750,20 +751,22 @@ class Matrix:
 @np.errstate(over="ignore")
 def _frobenius(a: np.ndarray) -> float:
     """The Frobenius norm of a complex array.  Only where the plain sum of
-    squares overflows (norms past about 1.3e154) are the entries first
-    scaled by a power of two near the largest, as LAPACK's nrm2 does
-    (Blue, ACM TOMS 4, 1978); numpy does not warn of that overflow.  The
-    plain sum is np.linalg.norm's own (one dot each over the real and the
-    imaginary parts), so it has its bits, without its per-call checks,
-    which would cost as much again as the errstate."""
+    squares overflows (norms past about 1.3e154), or underflows past the
+    normal range with an entry nonzero, are the parts first scaled by
+    np.ldexp to a largest entry near 1, as LAPACK's nrm2 does (Blue, ACM
+    TOMS 4, 1978); a factor 2.0**-e would overflow at a subnormal largest
+    entry.  numpy does not warn of the overflow.  The plain sum is
+    np.linalg.norm's own, so it has its bits, without its per-call checks."""
     x = a.ravel(order="K")
     xr, xi = x.real, x.imag
     r = math.sqrt(xr.dot(xr) + xi.dot(xi))
-    if math.isfinite(r) or not np.isfinite(a).all():
+    if _ROOT_TINY <= r < math.inf or not (r or np.count_nonzero(x)) or not np.isfinite(x).all():
         return r
-    e = math.frexp(max(np.abs(a.real).max(), np.abs(a.imag).max()))[1]
+    e = -math.frexp(max(np.abs(xr).max(), np.abs(xi).max()))[1]
+    xr, xi = np.ldexp(xr, e), np.ldexp(xi, e)
+    r = math.sqrt(xr.dot(xr) + xi.dot(xi))
     try:
-        return math.ldexp(float(np.linalg.norm(a * 2.0**-e)), e)
+        return math.ldexp(r, -e)
     except OverflowError:
         return math.inf
 
@@ -1087,13 +1090,13 @@ class Span:
                 return False
             img = self.v._a if parent is None else self.B[j]._a @ self._images[parent]
             r = img.reshape(-1)
-            nrm = np.linalg.norm(r)
+            nrm = _frobenius(r)
             if nrm == 0.0:
                 return False
             for _ in range(2):  # re-orthogonalize once for stability
                 for q in self._basis:
                     r = r - (q.conj() @ r) * q
-            rn = np.linalg.norm(r)
+            rn = _frobenius(r)
             if rn <= self.frame.eps_rank * nrm:
                 return False
             self._basis.append(r / rn)
@@ -1434,7 +1437,7 @@ def exact_roots(coeffs: list[Scalar]) -> list[tuple[Scalar, int]]:
     return roots
 
 
-_EPS = float(np.finfo(np.float64).eps)
+_EPS, _ROOT_TINY = float(np.finfo(np.float64).eps), math.sqrt(np.finfo(np.float64).tiny)
 
 
 def _radius(ref: Matrix, size: float) -> float:

@@ -98,8 +98,8 @@ def _coord_from_json(obj) -> Scalar:
     return Scalar.from_json(obj, mode)
 
 
-def _log_scalar(p: Scalar, eps: float) -> Scalar:
-    if p.negligible(eps):
+def _log_scalar(p: Scalar) -> Scalar:
+    if p.is_zero():
         raise LogAtZeroError("log of zero base point")
     return p.log()
 
@@ -140,7 +140,7 @@ class FiberSpace:
         if kind == HODGE:
             if tau is None:
                 raise ValueError("hodge spaces need a tau")
-            tau = tau if isinstance(tau, Scalar) else Scalar.from_complex(tau)
+            tau = Scalar.of(FLOAT, tau)
         else:
             tau = None
         if kind == PRODUCT_ALPHA_ZERO:
@@ -212,12 +212,15 @@ class FiberSpace:
         """Chart equality, decided for each coordinate pair on its own
         (Scalar.equal_within): an exact pair only when the two values are
         identical, any other pair when |difference| <= tol (eps_eq by
-        default) as complex numbers.  On the natural chart, whose
+        default) as complex numbers; on the multiplicative betti chart,
+        when it is <= tol max(|a|, |b|).  On the natural chart, whose
         coordinates are branch representatives, the imaginary part of a
         difference is first taken modulo 2 pi."""
         if len(p) != len(q):
             return False
         tol = tol if tol is not None else self.frame.eps_eq
+        if self.kind == BETTI:
+            return all(a.equal_within(b, tol * max(abs(a), abs(b))) for a, b in zip(p, q))
         fold = fold_imag if self.kind == NATURAL else None
         return all(a.equal_within(b, tol, fold) for a, b in zip(p, q))
 
@@ -439,8 +442,9 @@ def _one_mode(pieces, frame) -> list[PunctualData]:
 
 def _direct_sum(space: FiberSpace, group: list[PunctualData]) -> PunctualData:
     """Merge the pieces of one group into one piece: the base point p is
-    the mean of their points, the nilpotent parts are block-diagonal with
-    block i absorbing its offset p_i - p, and the marking is stacked.  If
+    the mean of their points weighted by their lengths (two merges land
+    where one would), the nilpotent parts are block-diagonal with block i
+    absorbing its offset p_i - p, and the marking is stacked.  If
     the stacked marking is not cyclic, a deterministic family of candidate
     markings is tried; PieceCollision if none is cyclic.  The data is in
     one mode (_one_mode); an exact group holds identical points, so its
@@ -451,8 +455,11 @@ def _direct_sum(space: FiberSpace, group: list[PunctualData]) -> PunctualData:
     total = sum(P.length for P in group)
     frame = space.frame
     group = _one_mode(group, frame)
-    k = Scalar.of(group[0].N.mode, len(group))
-    point = tuple(sum(cs[1:], cs[0]) / k for cs in zip(*(P.point for P in group)))
+    mode = group[0].N.mode
+    point = tuple(
+        sum((P.point[j] * Scalar.of(mode, P.length) for P in group), Scalar.zero(mode)) / Scalar.of(mode, total)
+        for j in range(m)
+    )
     parts = [
         [P.N[j] + Matrix.identity(P.length, P.N.mode, frame).scale(P.point[j] - point[j]) for P in group]
         for j in range(m)
@@ -496,11 +503,12 @@ def hilbert_chow(h: HilbPoint) -> SymPoint:
 # Betti models of matrix data
 
 
-def _spectrum_invertible(support, frame):
-    eps = (frame or DEFAULT_FRAME).eps_eq
+def _spectrum_invertible(support, T: CommutingTuple):
+    """ZeroEigenvalue where coordinate j of a point is negligible against B_j."""
+    sizes = [(T.frame or DEFAULT_FRAME).eps_eq * Bj.norm() for Bj in T.B]
     for pt, _ in support:
-        for c in pt:
-            if c.negligible(eps):
+        for c, size in zip(pt, sizes):
+            if c.negligible(size):
                 raise ZeroEigenvalueError(
                     "joint eigenvalue has a zero coordinate; holonomy is singular"
                 )
@@ -514,7 +522,7 @@ def betti_marked(M: MarkedTuple) -> HilbPoint:
         raise ValueError("need an even number of members (one per lattice generator)")
     d = M.m // 2
     pieces = decompose_punctual(M)
-    _spectrum_invertible([(P.point, P.length) for P in pieces], M.tuple.frame)
+    _spectrum_invertible([(P.point, P.length) for P in pieces], M.tuple)
     space = FiberSpace.betti(d, M.tuple.frame)
     normalized = []
     for P in pieces:
@@ -529,7 +537,7 @@ def betti_unmarked(T: CommutingTuple) -> SymPoint:
     if T.m % 2 != 0:
         raise ValueError("need an even number of members (one per lattice generator)")
     support = spectrum_support(T)
-    _spectrum_invertible(support, T.frame)
+    _spectrum_invertible(support, T)
     return SymPoint(FiberSpace.betti(T.m // 2, T.frame), support)
 
 
@@ -578,8 +586,7 @@ def rh_to_derham(h: HilbPoint, model: AbelianVarietyModel) -> HilbPoint:
         raise ValueError("rh_to_derham starts from a betti-chart point")
     if model.d != h.space.d:
         raise ValueError("model dimension differs from the chart")
-    eps = model.frame.eps_eq
-    out = _mapped(h.pieces, lambda k, z: _log_scalar(z, eps), lambda k, N: log1p_matrix(N))
+    out = _mapped(h.pieces, lambda k, z: _log_scalar(z), lambda k, N: log1p_matrix(N))
     return assemble_pieces(FiberSpace.natural(model), out)
 
 
@@ -596,8 +603,8 @@ def rh_to_betti(h: HilbPoint) -> HilbPoint:
 # Hodge family
 
 
-def _tau_nonzero(tau: Scalar, eps: float):
-    if tau.negligible(eps):
+def _tau_nonzero(tau: Scalar):
+    if tau.is_zero():
         raise TauZeroError("tau-scaling is undefined at tau = 0")
 
 
@@ -629,8 +636,8 @@ def hodge_deform(h: HilbPoint, tau) -> HilbPoint:
     if h.space.kind != NATURAL:
         raise ValueError("hodge_deform starts from a natural-chart point")
     model = h.space.model
-    tau = tau if isinstance(tau, Scalar) else Scalar.from_complex(tau)
-    _tau_nonzero(tau, model.frame.eps_eq)
+    tau = Scalar.of(FLOAT, tau)
+    _tau_nonzero(tau)
     d, C, tz = model.d, model.split_coeffs(), tau.cx
 
     def split(a):
@@ -647,7 +654,7 @@ def hodge_undeform(h: HilbPoint) -> HilbPoint:
     if h.space.kind != HODGE:
         raise ValueError("hodge_undeform starts from a hodge-chart point")
     model = h.space.model
-    _tau_nonzero(h.space.tau, model.frame.eps_eq)
+    _tau_nonzero(h.space.tau)
     d, K, tz = model.d, model.split_matrix, h.space.tau.cx
 
     def unsplit(x):
@@ -664,8 +671,8 @@ def hodge_rescale(h: HilbPoint, factor) -> HilbPoint:
     as rescaling by t * t'."""
     if h.space.kind != HODGE:
         raise ValueError("hodge_rescale needs a hodge-chart point")
-    factor = factor if isinstance(factor, Scalar) else Scalar.from_complex(factor)
-    _tau_nonzero(factor, h.space.frame.eps_eq)
+    factor = Scalar.of(FLOAT, factor)
+    _tau_nonzero(factor)
     d = h.space.d
 
     def fiber_scaled(k, x):
@@ -687,9 +694,7 @@ def rank1_identify(space: FiberSpace, point) -> dict:
     shift in 2 pi i Z^{2d} whose w-part DualPoint removes from w is
     removed from u too, so the pair depends on the point, not on its
     cover representative."""
-    coords = tuple(
-        c if isinstance(c, Scalar) else Scalar.from_complex(c) for c in point
-    )
+    coords = tuple(Scalar.of(FLOAT, c) for c in point)
     if len(coords) != space.chart_dim:
         raise ValueError("point arity differs from the chart")
     d = space.d
@@ -742,10 +747,9 @@ def diagram_check(M: MarkedTuple, tol: float | None = None) -> bool:
     model = square_model(M.m // 2)
     n = rh_to_derham(h, model)
     s_rh = hilbert_chow(n)
-    eps = model.frame.eps_eq
     space_n = FiberSpace.natural(model)
     logged = [
-        (space_n.canonical_point(tuple(_log_scalar(c, eps) for c in p)), k)
+        (space_n.canonical_point(tuple(_log_scalar(c) for c in p)), k)
         for p, k in s_plain.support
     ]
     s_logged = SymPoint(space_n, logged)

@@ -48,17 +48,6 @@ def fold_imag(a: complex) -> complex:
     return complex(a.real, a.imag + TWO_PI * k)
 
 
-def _as_complex_vec(coords) -> np.ndarray:
-    out = []
-    for c in coords:
-        out.append(c.cx if isinstance(c, Scalar) else complex(c))
-    return np.array(out, dtype=np.complex128)
-
-
-def _float_scalars(vec) -> tuple[Scalar, ...]:
-    return tuple(Scalar(FLOAT, z.real, z.imag) for z in map(complex, vec))
-
-
 class AbelianVarietyModel:
     """A torus presented by a d x 2d period matrix with columns spanning
     over the reals.  Owns the tolerance frame for all derived charts.
@@ -169,7 +158,7 @@ class DualPoint:
     __slots__ = ("model", "w", "coords", "lattice_shift")
 
     def __init__(self, model: AbelianVarietyModel, w):
-        vec = _as_complex_vec(w)
+        vec = np.array([Scalar.of(FLOAT, c).cx for c in w], dtype=np.complex128)
         if vec.shape != (model.d,):
             raise ValueError("need d dual coordinates")
         t = model.dual_coords(vec)
@@ -181,7 +170,7 @@ class DualPoint:
         self.model = model
         self.coords = np.where(wrap, 0.0, frac)
         self.lattice_shift = np.where(wrap, shift + 1.0, shift)
-        self.w = _float_scalars(model.dual_from_coords(frac))
+        self.w = tuple(map(Scalar.from_complex, model.dual_from_coords(frac)))
 
     def close_to(self, other: "DualPoint", tol: float | None = None) -> bool:
         tol = tol if tol is not None else self.model.frame.eps_lattice

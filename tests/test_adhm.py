@@ -129,6 +129,13 @@ class TestStability:
         assert is_stable(MarkedTuple(T, Matrix.flt([[0.0], [1.0]])))
         assert not is_stable(MarkedTuple(T, Matrix.flt([[1.0], [1e-12]])))
 
+    @pytest.mark.parametrize("c", [1e-150, 1e-100, 1e100, 1e150])
+    def test_float_stability_past_the_squared_range(self, c):
+        # the image of x^2 is about c^2, and its squared norm is past the
+        # double range at both ends
+        T = CommutingTuple([Matrix.flt(c * np.diag([1.0, 2.0, 3.0]))])
+        assert is_stable(MarkedTuple(T, Matrix.flt([[1.0], [1.0], [1.0]])))
+
     @pytest.mark.parametrize("c", [1e-12, 1e-10, 1e-8, 1e-4, 1.0, 1e4, 1e8, 1e12])
     def test_float_marking_at_any_scale(self, c):
         """A marking is refused only when it is exactly zero: stability

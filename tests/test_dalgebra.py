@@ -111,6 +111,21 @@ class TestClassify:
         z = Matrix.flt([[0.0, 0.0], [0.0, 0.0]])
         assert classify(UtaiTriple(eye, z, z)).kind == "de-rham"
 
+    def test_float_small_alpha_is_not_abelian(self):
+        # alpha = 1e-10 Id is the whole triple: it is not zero against it
+        z = Matrix.flt([[0.0, 0.0], [0.0, 0.0]])
+        lab = classify(UtaiTriple(Matrix.flt([[1e-10, 0.0], [0.0, 1e-10]]), z, z))
+        assert lab.kind == "tau-connection" and not lab.abelian
+
+    def test_small_gamma_alone_is_generic_in_both_modes(self):
+        z = [[0, 0], [0, 0]]
+        small = _triple(z, z, [[0, "1/10000000000"], ["-1/10000000000", 0]])
+        fz = Matrix.flt(z)
+        flt = UtaiTriple(fz, fz, Matrix.flt([[0.0, 1e-10], [-1e-10, 0.0]]))
+        for t in (small, flt):
+            lab = classify(t)
+            assert lab.kind == "generic" and not lab.abelian
+
 
 class TestBracket:
     def test_jacobi_connection_like(self):

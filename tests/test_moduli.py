@@ -8,12 +8,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from abelmod.adhm import CommutingTuple, MarkedTuple, PunctualData, from_points, log1p_matrix
+from abelmod.adhm import CommutingTuple, MarkedTuple, PunctualData, from_points, is_stable, log1p_matrix
+from abelmod.dalgebra import UtaiTriple, classify
 from abelmod.errors import (
     LogAtZeroError,
     PieceCollisionError,
     TauZeroError,
+    ZeroEigenvalueError,
 )
 from abelmod.linalg import EXACT, FLOAT, Matrix, Scalar, ToleranceFrame
 from abelmod.moduli import (
@@ -187,12 +191,13 @@ class TestChartPointGroups:
     def test_merged_point_joins_an_exact_point(self):
         # two exact points never merge with each other; the float piece
         # merges with x = 1, and that mean lies within tolerance of the
-        # other exact point, so it merges again
+        # other exact point, so it merges again: a length-2 piece with a
+        # length-1 piece, which sit at the mean of the three points
         sp = FiberSpace.betti(1)
         pieces = [_piece(_exact_pt(1, 1), 1, 2), _piece(_exact_pt(1 - Fraction(5, 10**10), 1), 1, 2)]
         for order in itertools.permutations(pieces + [_float_unit_piece(1 + 0.9e-9)]):
-            s = hilbert_chow(assemble_pieces(sp, order))
-            assert [k for _, k in s.support] == [3]
+            (point, k), = hilbert_chow(assemble_pieces(sp, order)).support
+            assert k == 3 and point[0].cx == 1.0000000001333333
 
     def test_merged_mean_joins_another_group(self):
         # the last point is more than tolerance from each of the others,
@@ -215,6 +220,15 @@ class TestBettiAssembly:
         assert h.total == 3 and len(h.pieces) == 3
         M2 = betti_assemble(h)
         assert joint_spectrum_eq(M, M2)
+
+    @pytest.mark.parametrize("c", [1e-9, 1e-12])
+    def test_float_small_holonomy_is_invertible(self, c):
+        # a coordinate is zero only against its own member
+        for second in (np.diag([1.0, 3.0]), np.eye(2)):
+            T = CommutingTuple([Matrix.flt(c * np.diag([1.0, 2.0])), Matrix.flt(second)])
+            s = betti_unmarked(T)
+            assert [k for _, k in s.support] == [1, 1]
+            assert [p[0].cx for p, _ in s.support] == pytest.approx([c, 2 * c], rel=1e-12, abs=0)
 
     def test_unmarked_support(self):
         T = CommutingTuple([Matrix.exact([[2, 1], [0, 2]]), Matrix.exact([[3, 0], [0, 3]])])
@@ -281,9 +295,17 @@ class TestRiemannHilbert:
 
     def test_zero_holonomy_rejected(self):
         sp = FiberSpace.betti(1)
-        h = HilbPoint(sp, [_piece(_exact_pt(0, 1), 1, 2)])
-        with pytest.raises(LogAtZeroError):
-            rh_to_derham(h, square_model(1))
+        for piece in (_piece(_exact_pt(0, 1), 1, 2), _float_unit_piece(0.0)):
+            with pytest.raises(LogAtZeroError):
+                rh_to_derham(HilbPoint(sp, [piece]), square_model(1))
+
+    def test_small_float_holonomy_is_logged_as_its_exact_twin(self):
+        sp, model = FiberSpace.betti(1), square_model(1)
+        logged = [
+            rh_to_derham(HilbPoint(sp, [piece]), model).pieces[0].point
+            for piece in (_float_unit_piece(1e-12), _piece(_exact_pt("1/1000000000000", 1), 1, 2))
+        ]
+        assert [c.cx for c in logged[0]] == [c.cx for c in logged[1]] == [cmath.log(1e-12), 0]
 
 
 class TestHodge:
@@ -293,14 +315,15 @@ class TestHodge:
         h = HilbPoint(sp, [_piece(_exact_pt(2, 1), 2, 2)])
         return rh_to_derham(h, model)
 
-    @pytest.mark.parametrize("tau", [1.0, 2.0, 0.5, 1j])
+    @pytest.mark.parametrize("tau", [1.0, 2.0, 0.5, 1j, 1e-12, Scalar.exact("1/1000000000000")])
     def test_deform_undeform_roundtrip(self, tau):
         h = self._natural()
         assert hodge_undeform(hodge_deform(h, tau)).close_to(h, 1e-8)
 
     def test_tau_zero_rejected(self):
-        with pytest.raises(TauZeroError):
-            hodge_deform(self._natural(), 0.0)
+        for tau in (0.0, Scalar.exact(0)):
+            with pytest.raises(TauZeroError):
+                hodge_deform(self._natural(), tau)
 
     def test_rescale_composition_exact(self):
         # exact split coordinates with exact factors compose bitwise;
@@ -346,3 +369,78 @@ class TestDiagram:
     def test_float_instance(self):
         M = from_points([(2.0, 1.0), (0.5, 1.5)], mode=FLOAT)
         assert diagram_check(M, tol=1e-8)
+
+
+# ----------------------------------------------------------------------
+# decisions at every scale
+
+_HALVES = st.integers(-6, 6).map(lambda x: x / 2)
+
+
+def _halves_grid(draw, rows, cols):
+    return np.array([[draw(_HALVES) for _ in range(cols)] for _ in range(rows)], dtype=complex)
+
+
+@st.composite
+def _float_pair(draw):
+    """(members, v): two commuting float n x n members, n <= 3, each
+    g p(J) g^-1 for a polynomial p of degree at most 2 with half-integer
+    coefficients (p(J) is exact, so a member that vanishes is zero), J
+    upper bidiagonal on halves (equal neighbours sometimes joined into a
+    Jordan block) and g = I + X, every entry of X at most 0.2 / n; and a
+    marking v of small integers."""
+    n = draw(st.integers(1, 3))
+    points = sorted(draw(st.lists(_HALVES, min_size=n, max_size=n)))
+    J = np.diag(np.array(points, dtype=complex))
+    for i in range(n - 1):
+        if points[i] == points[i + 1] and draw(st.booleans()):
+            J[i, i + 1] = 1.0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = np.eye(n) + 0.2 / n * (rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n)))
+    gi = np.linalg.inv(g)
+    members = [g @ sum(draw(_HALVES) * P for P in (np.eye(n), J, J @ J)) @ gi for _ in range(2)]
+    v = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n).filter(any))
+    return members, np.array([v], dtype=complex).T
+
+
+@st.composite
+def _float_triple(draw):
+    """(alpha, beta, gamma) on halves, d <= 3: alpha sometimes tau Id,
+    beta and gamma sometimes zero, gamma alternating."""
+    d = draw(st.integers(1, 3))
+    v = draw(st.integers(1, d))
+    if v == d and draw(st.booleans()):
+        alpha = draw(_HALVES) * np.eye(d, dtype=complex)
+    else:
+        alpha = _halves_grid(draw, d, v)
+    beta = _halves_grid(draw, d, v) if draw(st.booleans()) else np.zeros((d, v), dtype=complex)
+    X = _halves_grid(draw, v, v) if draw(st.booleans()) else np.zeros((v, v), dtype=complex)
+    return alpha, beta, X - X.T
+
+
+# the kinds that name tau = 1, a fixed scale, read as the kinds they specialize
+_AT_TAU_ONE = {"de-rham": "tau-connection", "twisted-differential-operators": "generic"}
+
+
+def _decisions(members, v, triple, c):
+    T = CommutingTuple([Matrix.flt(c * B) for B in members])
+    try:
+        mults = sorted(k for _, k in betti_unmarked(T).support)
+    except ZeroEigenvalueError:
+        mults = None
+    label = classify(UtaiTriple(*(Matrix.flt(c * X) for X in triple)))
+    kind = _AT_TAU_ONE.get(label.kind, label.kind)
+    return mults, is_stable(MarkedTuple(T, Matrix.flt(v))), kind, label.abelian
+
+
+class TestDecisionsAtEveryScale:
+    """Scaling float data by c = 2^k is exact in floating point short of
+    the double range, and the float decisions are relative to the data,
+    so none of them moves.  With n <= 3 the staircase walk's images, of
+    size up to about c^2, stay inside the range."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_float_pair(), _float_triple(), st.integers(-480, 480))
+    def test_decisions_do_not_move_with_a_power_of_two(self, pair, triple, k):
+        members, v = pair
+        assert _decisions(members, v, triple, 2.0**k) == _decisions(members, v, triple, 1.0)

@@ -8,7 +8,10 @@ constructors (``Matrix.exact``, ``Matrix.flt``, ``Matrix.column``, ...).
 Parses every module of the package and fails on any import of an
 underscore name from a sibling module, and on any call of a numpy
 eigenvalue solver outside ``linalg._eigen_groups``: in float mode that
-function alone decides which computed eigenvalues are one point.
+function alone decides which computed eigenvalues are one point.  In
+``linalg``, numpy's norm is called only by ``_frobenius``, which rescales
+where the plain sum of squares leaves the double range, and by
+``_eigen_groups``; the battery's residuals in ``checks`` are its own.
 Fails on any domain error class of ``errors`` that no module raises, so
 an error code with no raise site shows.  Lists the functions outside
 ``linalg`` and ``checks`` that compare with ``EXACT`` or ``FLOAT`` and
@@ -26,16 +29,17 @@ from abelmod import errors
 MODULES = ("adhm", "moduli", "dalgebra", "checks", "cli", "torus")
 
 
+def _name(node) -> str | None:
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+
 def _violations(source: str) -> list[str]:
     out = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute) and node.attr == "_a":
             out.append(f"line {node.lineno}: ._a")
-        if isinstance(node, ast.Call):
-            f = node.func
-            name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
-            if name == "Matrix":
-                out.append(f"line {node.lineno}: raw Matrix(...) constructor")
+        if isinstance(node, ast.Call) and _name(node.func) == "Matrix":
+            out.append(f"line {node.lineno}: raw Matrix(...) constructor")
     return out
 
 
@@ -77,9 +81,9 @@ def test_guard_sees_private_imports():
 _EIGEN_SOLVERS = {"eig", "eigvals", "eigh", "eigvalsh"}
 
 
-def _eigen_solver_sites(source: str) -> list[str | None]:
+def _call_sites(source: str, hit) -> list[str | None]:
     """The innermost enclosing function (None at module level) of each call
-    of a numpy eigenvalue solver, however it was imported."""
+    whose callee expression satisfies hit."""
     out = []
 
     def visit(node, fn):
@@ -87,15 +91,36 @@ def _eigen_solver_sites(source: str) -> list[str | None]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call):
-                f = child.func
-                name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
-                if name in _EIGEN_SOLVERS:
-                    out.append(fn)
+            if isinstance(child, ast.Call) and hit(child.func):
+                out.append(fn)
             visit(child, fn)
 
     visit(ast.parse(source), None)
     return out
+
+
+def _eigen_solver_sites(source: str) -> list[str | None]:
+    """The enclosing function of each call of a numpy eigenvalue solver,
+    however it was imported."""
+    return _call_sites(source, lambda f: _name(f) in _EIGEN_SOLVERS)
+
+
+def _numpy_norm_sites(source: str) -> list[str | None]:
+    """The enclosing function of each call of numpy's norm, as
+    ``np.linalg.norm``, ``linalg.norm`` or a name imported from
+    ``numpy.linalg``; ``M.norm()`` is no such call."""
+    imported = {
+        a.asname or a.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+        for a in node.names
+        if a.name == "norm"
+    }
+    return _call_sites(
+        source,
+        lambda f: (isinstance(f, ast.Name) and f.id in imported)
+        or (isinstance(f, ast.Attribute) and f.attr == "norm" and _name(f.value) == "linalg"),
+    )
 
 
 def test_one_eigenvalue_solver_site():
@@ -116,6 +141,24 @@ def test_guard_sees_eigen_solvers():
         "    return np.linalg.svd(a), np.linalg.eigvalsh(a)\n"
     )
     assert _eigen_solver_sites(src) == ["f", None, "h", "g"]
+
+
+def test_numpy_norm_only_in_frobenius_and_eigen_groups():
+    path = Path(abelmod.__file__).with_name("linalg.py")
+    assert set(_numpy_norm_sites(path.read_text())) <= {"_frobenius", "_eigen_groups"}
+
+
+def test_guard_sees_numpy_norms():
+    src = (
+        "from numpy.linalg import norm as nrm\n"
+        "def f(a):\n"
+        "    return np.linalg.norm(a), a.norm()\n"
+        "class S:\n"
+        "    def add(self, r):\n"
+        "        return nrm(r) + linalg.norm(r) + self.norm()\n"
+        "x = numpy.linalg.norm(b, axis=1)\n"
+    )
+    assert _numpy_norm_sites(src) == ["f", "add", "add", None]
 
 
 def _raised_names(source: str) -> set[str]:
@@ -162,8 +205,7 @@ def _mode_branches(source: str) -> list[str]:
                 visit(child, child.name if scope == "<module>" else f"{scope}.{child.name}")
                 continue
             if isinstance(child, ast.Compare) and scope not in out:
-                names = {x.id if isinstance(x, ast.Name) else x.attr if isinstance(x, ast.Attribute) else None for x in ast.walk(child)}
-                if names & _MODES:
+                if {_name(x) for x in ast.walk(child)} & _MODES:
                     out.append(scope)
             visit(child, scope)
 
