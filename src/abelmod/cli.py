@@ -167,19 +167,20 @@ def _cmd_canonicalize(obj, ctx: _Ctx):
 
 
 def _cmd_rees(obj, ctx: _Ctx):
-    T = _tuple(obj, ctx)
-    if "g" in obj:
-        F = InvariantFlag(Matrix.from_json(obj["g"], T.mode, ctx.frame))
-    else:
-        _, F, _ = triangularize(T)
+    # the flags are parsed before anything is computed; --t needs the mode
     try:
         weights = [int(x) for x in ctx.args.weights.split(",")]
     except ValueError:
         raise SchemaError("weights must be a comma-separated integer list") from None
-    if ctx.args.t is not None:
-        t = _parse_scalar(ctx.args.t, T.mode)
-        return rees_family(T, F, weights, t).to_json()
-    return rees_limit(T, F, weights).to_json()
+    T = _tuple(obj, ctx)
+    t = None if ctx.args.t is None else _parse_scalar(ctx.args.t, T.mode)
+    if "g" in obj:
+        F = InvariantFlag(Matrix.from_json(obj["g"], T.mode, ctx.frame))
+    else:
+        _, F, _ = triangularize(T)
+    if t is None:
+        return rees_limit(T, F, weights).to_json()
+    return rees_family(T, F, weights, t).to_json()
 
 
 def _cmd_hilbert_chow(obj, ctx: _Ctx):

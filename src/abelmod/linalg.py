@@ -73,7 +73,8 @@ through this surface:
 * spectra: ``char_poly`` and ``exact_roots`` (exact only); in float
   mode every decision that two computed eigenvalues are one point is
   taken by ``_eigen_groups``, relative to the matrix's own scale and to
-  each eigenvalue's condition number;
+  each eigenvalue's condition number, one call serving a stack of
+  matrices (L, or the m restrictions of one piece);
 * flags: ``null_vector`` (one vector of a kernel, with no threshold in
   float mode) and ``complete_basis``;
 * joint spectra: ``primary_decomposition``, the support points of a
@@ -88,6 +89,7 @@ from __future__ import annotations
 import cmath
 import math
 import re
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -748,27 +750,33 @@ class Matrix:
 # exact storage helpers: (D, R, I) integer grids over one denominator
 
 
-@np.errstate(over="ignore")
 def _frobenius(a: np.ndarray) -> float:
-    """The Frobenius norm of a complex array.  Only where the plain sum of
-    squares overflows (norms past about 1.3e154), or underflows past the
-    normal range with an entry nonzero, are the parts first scaled by
-    np.ldexp to a largest entry near 1, as LAPACK's nrm2 does (Blue, ACM
-    TOMS 4, 1978); a factor 2.0**-e would overflow at a subnormal largest
-    entry.  numpy does not warn of the overflow.  The plain sum is
-    np.linalg.norm's own, so it has its bits, without its per-call checks."""
-    x = a.ravel(order="K")
-    xr, xi = x.real, x.imag
-    r = math.sqrt(xr.dot(xr) + xi.dot(xi))
-    if _ROOT_TINY <= r < math.inf or not (r or np.count_nonzero(x)) or not np.isfinite(x).all():
-        return r
-    e = -math.frexp(max(np.abs(xr).max(), np.abs(xi).max()))[1]
-    xr, xi = np.ldexp(xr, e), np.ldexp(xi, e)
-    r = math.sqrt(xr.dot(xr) + xi.dot(xi))
-    try:
-        return math.ldexp(r, -e)
-    except OverflowError:
-        return math.inf
+    """The Frobenius norm of a complex array (see :func:`_norms`)."""
+    return _norms((a,))[0]
+
+
+@np.errstate(over="ignore")
+def _norms(arrays) -> list[float]:
+    """The Frobenius norms of complex arrays, such as the slices of a
+    stack, under one errstate.  Only where the plain sum of squares
+    overflows (norms past about 1.3e154), or underflows past the normal
+    range with an entry nonzero, are the parts first scaled by np.ldexp
+    to a largest entry near 1, as LAPACK's nrm2 does (Blue, ACM TOMS 4,
+    1978); a factor 2.0**-e would overflow at a subnormal largest entry.
+    numpy does not warn of the overflow.  The plain sum is
+    np.linalg.norm's own, so it has its bits, without its per-call
+    checks."""
+    out = []
+    for a in arrays:
+        x = a.ravel(order="K")
+        xr, xi = x.real, x.imag
+        r = math.sqrt(xr.dot(xr) + xi.dot(xi))
+        if not (_ROOT_TINY <= r < math.inf or not (r or np.count_nonzero(x)) or not np.isfinite(x).all()):
+            e = -math.frexp(max(np.abs(xr).max(), np.abs(xi).max()))[1]
+            xr, xi = np.ldexp(xr, e), np.ldexp(xi, e)
+            r = float(np.ldexp(math.sqrt(xr.dot(xr) + xi.dot(xi)), -e))
+        out.append(r)
+    return out
 
 
 def _zero_grid(rows: int, cols: int) -> list[list[int]]:
@@ -1440,48 +1448,57 @@ def exact_roots(coeffs: list[Scalar]) -> list[tuple[Scalar, int]]:
 _EPS, _ROOT_TINY = float(np.finfo(np.float64).eps), math.sqrt(np.finfo(np.float64).tiny)
 
 
-def _radius(ref: Matrix, size: float) -> float:
-    """The widest radius within which eigenvalues computed from the float
-    n x n matrix ref, with rounding errors of about eps size, count as one
-    point: max(|ref - tr(ref)/n| eps^(1/(n+1)), eps_eq size), the scatter
-    a defective block of length up to n puts on computed eigenvalues,
-    which moves with a rescaling and not with a shift, and the frame's
-    resolution.  :func:`_eigen_groups` narrows it for each eigenvalue to
-    that eigenvalue's own error."""
-    n = ref.rows
-    spread = _frobenius(ref._a - np.trace(ref._a) / n * np.eye(n))
-    return max(spread * _EPS ** (1.0 / (n + 1)), ref.frame.eps_eq * size)
+def _radius(S: np.ndarray, sizes, eps_eq) -> list[float]:
+    """For each float n x n slice A of the stack S, of size |A| (sizes)
+    and frame resolution in eps_eq, the widest radius within which
+    computed eigenvalues, with rounding errors of about eps |A|, count as
+    one point: max(|A - tr(A)/n| eps^(1/(n+1)), eps_eq |A|), the scatter a
+    defective block of length up to n puts on computed eigenvalues, which
+    moves with a rescaling and not with a shift, and the frame's
+    resolution.  :func:`_eigen_groups` narrows it for each eigenvalue."""
+    n = S.shape[-1]
+    spread = _norms(S - (np.trace(S, axis1=1, axis2=2) / n)[:, None, None] * np.eye(n))
+    return [max(r * _EPS ** (1.0 / (n + 1)), e * s) for r, e, s in zip(spread, eps_eq, sizes)]
 
 
-def _eigen_groups(M: Matrix, radius: float, size: float, error: float) -> list[list[Scalar]]:
-    """The eigenvalues of the float matrix M, with multiplicity, in
-    groups, one per point: numpy eigenvalues merged transitively, z
-    with u when |z - u| <= max(r_z, r_u).  M is within error of the
-    matrix it stands for, and each r_z is 8 n error kappa_z,
+def _eigen_groups(S: np.ndarray, radius, size, error, eps_eq: float) -> list[list[list[complex]]]:
+    """The eigenvalues of each float matrix M in the stack S, with
+    multiplicity, in groups, one per point: numpy eigenvalues merged
+    transitively, z with u when |z - u| <= max(r_z, r_u).  M is within
+    error of the matrix it stands for (radius, size and error are lists,
+    one value per slice), and each r_z is 8 n error kappa_z,
     kappa_z = |x| |y| / |y^H x| the condition number of z from its right
     and left eigenvectors, clipped to [eps_eq size, radius].  A simple
     eigenvalue of a far-from-normal matrix so keeps a radius of its own
     first-order error, while the k computed eigenvalues of a defective
     block, on a ring of radius rho with kappa about rho / (k error),
-    merge: neighbours on the ring are at most 2 rho sin(pi / k) apart."""
-    w, X = np.linalg.eig(M._a)
-    n = M.rows
-    try:
-        with np.errstate(all="ignore"):
-            # numpy's eigenvectors have unit length, and the rows of X^-1
-            # are the left eigenvectors scaled to y^H x = 1
-            kappa = np.linalg.norm(np.linalg.inv(X), axis=1)
-    except np.linalg.LinAlgError:
-        kappa = np.full(n, np.inf)
+    merge: neighbours on the ring are at most 2 rho sin(pi / k) apart.
+    One eig, one inv and one norm serve the stack; only a slice whose
+    eigenvectors are singular gets kappa = inf."""
+    n = S.shape[-1]
+    w, X = np.linalg.eig(S)
+    with np.errstate(all="ignore"):
+        try:
+            Y = np.linalg.inv(X)
+        except np.linalg.LinAlgError:
+            Y = np.full_like(X, np.inf)
+            for Xj, Yj in zip(X, Y):
+                with suppress(np.linalg.LinAlgError):
+                    Yj[...] = np.linalg.inv(Xj)
+        # numpy's eigenvectors have unit length, and the rows of X^-1
+        # are the left eigenvectors scaled to y^H x = 1
+        kappa = np.linalg.norm(Y, axis=2)
     kappa = np.where(np.isfinite(kappa), kappa, np.inf)
-    floor = M.frame.eps_eq * size
-    radii = np.clip(8 * n * error * kappa, floor, radius)
-    groups: list[list[tuple[complex, float]]] = []
-    for z, r in zip(w, radii):
-        near = [g for g in groups if min(abs(z - u) - max(r, s) for u, s in g) <= 0]
-        groups = [g for g in groups if all(g is not h for h in near)]
-        groups.append([(z, r)] + [e for g in near for e in g])
-    return [[Scalar.from_complex(z) for z, _ in g] for g in groups]
+    error, floor, radius = (np.array(v)[:, None] for v in (error, np.multiply(eps_eq, size), radius))
+    out = []
+    for zs, rs in zip(w.tolist(), np.clip(8 * n * error * kappa, floor, radius).tolist()):
+        groups: list[list[tuple[complex, float]]] = []
+        for z, r in zip(zs, rs):
+            near = [g for g in groups if min(abs(z - u) - max(r, s) for u, s in g) <= 0]
+            groups = [g for g in groups if all(g is not h for h in near)]
+            groups.append([(z, r)] + [e for g in near for e in g])
+        out.append([[z for z, _ in g] for g in groups])
+    return out
 
 
 def _one_point(R: Matrix) -> bool:
@@ -1500,12 +1517,10 @@ def _one_point(R: Matrix) -> bool:
 
 
 def _trace_mean(R: Matrix) -> Scalar:
-    """tr(R) / k for R of size k; exact mode reads it off R's numerators."""
+    """tr(R) / k for exact R of size k, read off R's numerators."""
     k = R.rows
-    if R.mode == EXACT:
-        D, RR, RI = R._a
-        return Scalar(EXACT, Fraction(_diag_sum(RR), k * D), Fraction(_diag_sum(RI), k * D))
-    return R.trace() / Scalar.flt(k)
+    D, RR, RI = R._a
+    return Scalar(EXACT, Fraction(_diag_sum(RR), k * D), Fraction(_diag_sum(RI), k * D))
 
 
 def _adjugate_column(NR, NI, P, c: int):
@@ -1549,8 +1564,9 @@ def _reverse_echelon(vecs, n: int):
 
 
 def _exact_pieces(B: list[Matrix], L: Matrix):
-    """The pieces (k, E, R) of exact L, one per root of its characteristic
-    polynomial in the order of exact_roots: the root's multiplicity k,
+    """The pieces (p, k, E, R) of exact L, one per root of its
+    characteristic polynomial in the order of exact_roots: the point p
+    (the trace means of the R_j), the root's multiplicity k,
     the canonical reduced-echelon kernel basis E of (L - lam)^k, the
     identity at its pivot coordinates, and the rows R_j of B_j E at those
     coordinates, so B_j E = E R_j; None when some R_j has more than one
@@ -1575,8 +1591,9 @@ def _exact_pieces(B: list[Matrix], L: Matrix):
     coeffs = char_poly(L)
     roots = exact_roots(coeffs)
     if len(roots) == 1:
-        R = list(B)
-        return [(n, Matrix.identity(n, EXACT), R)] if n == 1 or all(map(_one_point, R)) else None
+        if n > 1 and not all(map(_one_point, B)):
+            return None
+        return [(tuple(map(_trace_mean, B)), n, Matrix.identity(n, EXACT), list(B))]
     D, NR, NI = L._a
     NI = NI if any(map(any, NI)) else None
     P = _integer_poly(coeffs, D)  # p_N(x) = D^n p_L(x / D)
@@ -1610,76 +1627,84 @@ def _exact_pieces(B: list[Matrix], L: Matrix):
             R.append(_exact(DB * DE, FR, FI, k, k))
         if k > 1 and c and not all(map(_one_point, R)):
             return None
-        pieces.append((k, Matrix(EXACT, n, k, (DE, ER, EI)), R))
+        pieces.append((tuple(map(_trace_mean, R)), k, Matrix(EXACT, n, k, (DE, ER, EI)), R))
     return pieces
 
 
-def _restrict(B: list[Matrix], sizes: list[float], L: Matrix, group: list[Scalar]):
-    """(E, R, e) for float L and one group of its eigenvalues: an
-    orthonormal basis E, as columns, of the generalized eigenspace of
-    that point, the restrictions R_j of the members, B_j E = E R_j, and
-    the errors e_j of the R_j; None when some B_j does not keep that
-    space invariant.  E is the identity when the group holds every
-    eigenvalue.
-
-    It grows an invariant V one direction at a time:
-    step i < k adds the least right singular vector of the projected
-    operator (Id - V V^H)(L - w_i) on the orthogonal complement of V, so
-    no step drops a direction V holds where L - w_i has a kernel of more
-    than one dimension (Jordan blocks of different lengths at one
-    point).  E is {x : (L - w_k) x in V}, the k smallest right singular
-    vectors of that operator over the whole space.  It restricts by
-    R_j = E^H B_j E and takes B_j E within INVARIANCE_SLACK eps_eq |B_j|
-    of E R_j as invariant.  R_j is an exact restriction of
-    B_j - (B_j E - E R_j) E^H, so e_j = eps |B_j| + |B_j E - E R_j|.
-    Each w_i is an eigenvalue of a matrix within
-    rounding of L, so the count, not a threshold, fixes the dimension, and
-    a step compares the new direction with the rest of the spectrum at a
-    gap that stays linear: a k-th power would compress it like gap^k."""
-    n, k = L.rows, len(group)
-    eye = Matrix.identity(n, FLOAT, L.frame)
-    if k == n:
-        E = W = eye
-    else:
-        V, Q = np.zeros((n, 0), dtype=np.complex128), eye._a
-        for w in group[:-1]:
-            A = L._a - w.cx * eye._a
-            vh = np.linalg.svd((A - V @ (V.conj().T @ A)) @ Q)[2]
-            V = np.column_stack([V, Q @ vh[-1].conj()])
-            Q = Q @ vh[:-1].conj().T
-        A = L._a - group[-1].cx * eye._a
-        V = np.linalg.svd(A - V @ (V.conj().T @ A))[2][n - k :].conj().T
-        E = Matrix(FLOAT, n, k, V, L.frame)
-        W = E.conj_transpose()
-    BE = [Bj @ E for Bj in B]
-    R = [W @ X for X in BE]
-    res = [(X - E @ Rj).norm() for X, Rj in zip(BE, R)]
-    if any(e > L.frame.eps_eq * (INVARIANCE_SLACK * s) for e, s in zip(res, sizes)):
+def _restrict(S: np.ndarray, sizes: list[float], E: np.ndarray, eps_eq: float):
+    """(R, e) for the stack S of float members B_j, of sizes |B_j|, and
+    an orthonormal basis E, as columns, of a space L keeps invariant: the
+    stack of restrictions R_j = E^H B_j E and their errors e_j =
+    eps |B_j| + |B_j E - E R_j|, R_j being an exact restriction of
+    B_j - (B_j E - E R_j) E^H; None when some B_j E is farther than
+    INVARIANCE_SLACK eps_eq |B_j| from E R_j.  B_j E, R_j and E R_j are
+    each one batched matmul over the stack."""
+    n, k = E.shape
+    BE = S @ E
+    R = (E if k == n else E.conj().T.copy()) @ BE
+    res = _norms(BE - E @ R)
+    if any(e > eps_eq * (INVARIANCE_SLACK * s) for e, s in zip(res, sizes)):
         return None
-    return E, R, [_EPS * s + e for e, s in zip(res, sizes)]
+    return R, [_EPS * s + e for e, s in zip(res, sizes)]
 
 
-def _float_pieces(B: list[Matrix], L: Matrix, sizes: list[float], radii: list[float], size: float):
-    """The pieces (k, E, R) of float L of the given size, one per group of
-    its eigenvalues (:func:`_eigen_groups`), restricted by
-    :func:`_restrict`; None when a member does not keep a piece invariant
-    or some R_j of a piece of more than one dimension holds more than one
-    point.  R_j, within e_j of the member's exact restriction, holds one
-    point when its eigenvalues form one group within the radius r_j and
-    at the size |B_j| of that member, so a piece counts as one point
-    exactly when the eigenvalues it holds would merge as eigenvalues of
-    the member."""
+def _float_pieces(S: np.ndarray, L: np.ndarray, sizes: list, radii: list, size: float, frame: ToleranceFrame):
+    """The pieces (p, k, E, R) of float L of the given size, one per group
+    of its eigenvalues (:func:`_eigen_groups`), restricted by
+    :func:`_restrict`, with p_j = tr(R_j) / k; None when a member does not
+    keep a piece invariant or some R_j of a piece of more than one
+    dimension holds more than one point.  R_j, within e_j of the member's
+    exact restriction, holds one point when its eigenvalues form one group
+    within the radius r_j and at the size |B_j| of that member, so a piece
+    counts as one point exactly when the eigenvalues it holds would merge
+    as eigenvalues of the member.
+
+    E is the identity when the group holds every eigenvalue.  Otherwise
+    it grows an invariant V one direction at a time: step i < k adds the
+    least right singular vector of the projected operator
+    (Id - V V^H)(L - w_i) on the orthogonal complement of V, so no step
+    drops a direction V holds where L - w_i has a kernel of more than one
+    dimension (Jordan blocks of different lengths at one point).  E is
+    {x : (L - w_k) x in V}, the k smallest right singular vectors of that
+    operator over the whole space; the simple groups (k = 1) share one
+    stacked SVD.  Each w_i is an eigenvalue of a matrix within rounding
+    of L, so the count, not a threshold, fixes the dimension, and a step
+    compares the new direction with the rest of the spectrum at a gap
+    that stays linear: a k-th power would compress it like gap^k.
+    Matrices are built for the pieces returned only."""
+    n, eps_eq = L.shape[0], frame.eps_eq
+    eye = np.eye(n, dtype=np.complex128)
+    (groups,) = _eigen_groups(L[None], _radius(L[None], [size], [eps_eq]), [size], [_EPS * size], eps_eq)
+    simple = [g[0] for g in groups if len(g) == 1 < n]
+    vhs = iter(np.linalg.svd(L - np.reshape(simple, (-1, 1, 1)) * eye)[2] if simple else ())
     pieces = []
-    for group in _eigen_groups(L, _radius(L, size), size, _EPS * size):
-        piece = _restrict(B, sizes, L, group)
+    for group in groups:
+        k = len(group)
+        if k == n:
+            E = eye
+        elif k == 1:
+            E = next(vhs)[n - 1 :].conj().T
+        else:
+            V, Q = np.zeros((n, 0), dtype=np.complex128), eye
+            for w in group[:-1]:
+                A = L - w * eye
+                vh = np.linalg.svd((A - V @ (V.conj().T @ A)) @ Q)[2]
+                V = np.column_stack([V, Q @ vh[-1].conj()])
+                Q = Q @ vh[:-1].conj().T
+            A = L - group[-1] * eye
+            E = np.linalg.svd(A - V @ (V.conj().T @ A))[2][n - k :].conj().T
+        piece = _restrict(S, sizes, E, eps_eq)
         if piece is None:
             return None
-        E, R, errors = piece
-        k = len(group)
-        if k > 1 and any(len(_eigen_groups(*args)) > 1 for args in zip(R, radii, sizes, errors)):
+        R, errors = piece
+        if k > 1 and any(len(g) > 1 for g in _eigen_groups(R, radii, sizes, errors, eps_eq)):
             return None
         pieces.append((k, E, R))
-    return pieces
+    return [
+        (tuple(Scalar.from_complex(z) / Scalar.flt(k) for z in np.trace(R, axis1=1, axis2=2).tolist()), k,
+         Matrix(FLOAT, n, k, E, frame), [Matrix(FLOAT, k, k, Rj, frame) for Rj in R])
+        for k, E, R in pieces
+    ]
 
 
 def primary_decomposition(B: Sequence[Matrix]) -> list[tuple[tuple[Scalar, ...], int, Matrix, list[Matrix]]]:
@@ -1714,6 +1739,8 @@ def primary_decomposition(B: Sequence[Matrix]) -> list[tuple[tuple[Scalar, ...],
     separating L then does not split.
 
     Float mode resolves what its frame resolves (:func:`_float_pieces`).
+    It stacks the m members once: their sizes, radii, restrictions and
+    eigenvalue groups are each one numpy call over the stack.
     The eigenvalues of B_j merge within at most r_j, the larger of the
     scatter |B_j - tr(B_j)/n| eps^(1/(n+1)) of a defective block and the
     rounding scale eps_eq |B_j|, and within less where their condition
@@ -1730,8 +1757,9 @@ def primary_decomposition(B: Sequence[Matrix]) -> list[tuple[tuple[Scalar, ...],
     n, m, mode = first.rows, len(B), first.mode
     weights = [1] * m
     if mode == FLOAT:
-        sizes = [Bj.norm() for Bj in B]
-        radii = [_radius(Bj, s) for Bj, s in zip(B, sizes)]
+        S = np.stack([Bj._a for Bj in B])
+        sizes = _norms(Bj._a for Bj in B)
+        radii = _radius(S, sizes, [Bj.frame.eps_eq for Bj in B])
         weights = [1 / r if r else 1 for r in radii]
     for t in range(1 + (m - 1) * n * (n - 1) // 2):
         L = first if weights[0] == 1 else first.scale(Scalar.of(mode, weights[0]))
@@ -1742,11 +1770,9 @@ def primary_decomposition(B: Sequence[Matrix]) -> list[tuple[tuple[Scalar, ...],
             pieces = _exact_pieces(B, L)
         else:
             size = sum(w * s * t**j for j, (w, s) in enumerate(zip(weights, sizes)))
-            pieces = _float_pieces(B, L, sizes, radii, size)
+            pieces = _float_pieces(S, L._a, sizes, radii, size, L.frame)
         if pieces is not None:
-            out = [(tuple(_trace_mean(Rj) for Rj in R), k, E, R) for k, E, R in pieces]
-            out.sort(key=lambda piece: tuple(c.sort_key() for c in piece[0]))
-            return out
+            return sorted(pieces, key=lambda piece: tuple(c.sort_key() for c in piece[0]))
     raise NonSplitCharPolyError("no combination of the members separates the joint spectrum")
 
 

@@ -188,9 +188,9 @@ class FiberSpace:
             return False
         if (self.tau is None) != (other.tau is None):
             return False
-        if self.tau is not None and abs(self.tau.cx - other.tau.cx) > self.frame.eps_eq:
-            return False
-        return True
+        # tau compares relatively, as betti chart coordinates do
+        a, b = self.tau, other.tau
+        return a is None or a.equal_within(b, self.frame.eps_eq * max(abs(a), abs(b)))
 
     def __repr__(self):
         extra = f" tau={self.tau.cx}" if self.tau is not None else ""
@@ -326,11 +326,12 @@ class SymPoint:
         return f"<SymPoint {self.space.kind} {pts}>"
 
     def close_to(self, other: "SymPoint", tol: float | None = None) -> bool:
-        """Multiset match of supports within tol (weights equal)."""
+        """Multiset match of supports within tol (weights equal) on equal
+        spaces: the same chart, model and tau."""
         def same(a, b):
             return a[1] == b[1] and self.space.points_equal(a[0], b[0], tol)
 
-        return self.space.kind == other.space.kind and _matched(self.support, other.support, same)
+        return self.space == other.space and _matched(self.support, other.support, same)
 
     def to_json(self):
         return {
@@ -377,8 +378,9 @@ class HilbPoint:
         return f"<HilbPoint {self.space.kind} n={self.total} pieces={len(self.pieces)}>"
 
     def close_to(self, other: "HilbPoint", tol: float | None = None) -> bool:
-        """Piecewise match: base points within tol, nilpotents and
-        markings entrywise within tol."""
+        """Piecewise match on equal spaces (the same chart, model and tau):
+        base points within tol, nilpotents and markings entrywise within
+        tol."""
         tol_ = tol if tol is not None else self.space.frame.eps_eq
 
         def same(P, Q):
@@ -389,7 +391,7 @@ class HilbPoint:
                 and P.marking.close_to(Q.marking, tol_)
             )
 
-        return self.space.kind == other.space.kind and _matched(self.pieces, other.pieces, same)
+        return self.space == other.space and _matched(self.pieces, other.pieces, same)
 
     def to_json(self):
         out = {"space": self.space.to_json(), "pieces": []}

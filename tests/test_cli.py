@@ -279,6 +279,23 @@ class TestRees:
             assert rc == 0
             assert "error" not in _read(tmp_path, "out.json")
 
+    @pytest.mark.parametrize(
+        "flags, rc, error",
+        [
+            (["--weights", "x,y"], 1, "Malformed"),
+            (["--weights", "1,0", "--t", "zz"], 1, "Malformed"),
+            (["--weights", "1,0"], 2, "NonSplitCharPoly"),
+        ],
+        ids=["bad-weights", "bad-t", "valid-flags"],
+    )
+    def test_flags_are_read_before_the_flag_is_computed(self, tmp_path, flags, rc, error):
+        # [[0, 2], [1, 0]] has eigenvalues +-sqrt(2): computing its flag
+        # raises NonSplitCharPoly, which malformed flags must not reach
+        doc = {"m": 1, "n": 2, "mode": "exact", "B": [[[_sc("0"), _sc("2")], [_sc("1"), _sc("0")]]]}
+        inp = _write(tmp_path, "in.json", doc)
+        assert main(["rees", *flags, "--in", inp, "--out", str(tmp_path / "out.json")]) == rc
+        assert _read(tmp_path, "out.json")["error"] == error
+
     @pytest.mark.parametrize("c,c2", [("1e-10", "2e-10"), ("1", "2"), ("1e10", "2e10")])
     def test_float_flag_that_is_not_invariant(self, tmp_path, c, c2):
         # in the basis g = [[1, 0], [1, 1]] the member c diag(1, 2) has the

@@ -678,6 +678,64 @@ def test_simple_spectrum_needs_no_elimination_and_no_norm(monkeypatch):
     ]
 
 
+def _float_conjugate(D, g):
+    g = np.array(g, dtype=complex)
+    return Matrix.flt(np.linalg.inv(g) @ np.array(D, dtype=complex) @ g)
+
+
+def test_float_eigen_solves_are_one_per_stack(monkeypatch):
+    """A float tuple that splits at t = 0 into p pieces of length above 1
+    makes 1 + p eig calls, one for L and one for each piece's stack of
+    restrictions, whatever the number m of members."""
+    g = np.eye(4) + 0.25 * np.array([[0, 1, 0, 1j], [1, 0, 1, 0], [0, -1j, 0, 1], [1, 0, 1, 0]])
+    B0 = _float_conjugate([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 2, 1], [0, 0, 0, 2]], g)
+    eye = Matrix.identity(4, FLOAT)
+    members = [B0, B0 @ B0, B0.scale(Scalar.flt(2.0)) - eye, B0 + eye.scale(Scalar.flt(0, 1))]
+    eig = np.linalg.eig
+    counts = []
+
+    def counted(a):
+        counts[-1] += 1
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    for m in (1, 4):
+        counts.append(0)
+        pieces = primary_decomposition(members[:m])
+        assert [k for _, k, _, _ in pieces] == [2, 2]
+    assert counts == [1 + 2, 1 + 2]
+
+
+def test_float_stack_with_a_zero_and_a_scalar_member():
+    """Members 0 (radius 0, weight 1) and 2 Id (one point) beside B: the
+    support is B's, with the coordinates 0 and 2 appended, and B's
+    coordinate keeps its bits."""
+    B = _float_conjugate([[1, 1, 0], [0, 1, 0], [0, 0, 3]], [[1 + 0.5j, 0.3, 0], [0.1, 0.9 - 0.4j, 0.2], [0, 0.3j, 1]])
+    alone = primary_decomposition([B])
+    pieces = primary_decomposition([B, Matrix.zeros(3, 3, FLOAT), Matrix.identity(3, FLOAT).scale(Scalar.flt(2.0))])
+    assert [k for _, k, _, _ in pieces] == [k for _, k, _, _ in alone] == [2, 1]
+    for (p, _, _, _), (q, _, _, _) in zip(pieces, alone):
+        assert p[0].cx == q[0].cx
+        assert p[1].cx == 0
+        assert p[2].cx == pytest.approx(2.0, rel=1e-12, abs=0)
+    assert [p[0].cx for p, _, _, _ in alone] == pytest.approx([1.0, 3.0], rel=1e-6, abs=0)
+
+
+def test_singular_eigenvectors_in_a_stack_leave_the_other_slices_alone():
+    """The eigenvectors numpy returns for a 5 x 5 nilpotent shift are
+    singular, so the stacked inverse fails; only that slice takes
+    kappa = inf, and diag(1, 1.001, 2, 3, 4) beside it keeps its five
+    points, which the Jordan cap alone (about 0.006) would merge."""
+    S = np.stack([np.eye(5, k=1), np.diag([1, 1.001, 2, 3, 4])]).astype(complex)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(np.linalg.eig(S)[1])
+    sizes = [float(np.linalg.norm(A)) for A in S]
+    args = [linalg._radius(S, sizes, [1e-9] * 2), sizes, [linalg._EPS * s for s in sizes]]
+    stacked = linalg._eigen_groups(S, *args, 1e-9)
+    assert stacked == [linalg._eigen_groups(S[j : j + 1], *([a[j]] for a in args), 1e-9)[0] for j in range(2)]
+    assert [len(g) for g in stacked] == [1, 5]
+
+
 # ----------------------------------------------------------------------
 # float spectra move with a rescaling
 

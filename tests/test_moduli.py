@@ -103,6 +103,24 @@ class TestSpaces:
         # a chart at the default frame writes no tolerances, as before
         assert FiberSpace.betti(1).to_json() == {"kind": "betti", "d": 1}
 
+    def test_hodge_tau_compares_relatively(self):
+        m = square_model(1)
+        small = [FiberSpace.hodge(m, tau) for tau in (1e-12, 2e-12, -1e-12)]
+        for a, b in itertools.combinations(small, 2):
+            assert a != b
+        assert FiberSpace.hodge(m, 1.0) == FiberSpace.hodge(m, 1.0 + 1e-12)
+
+    def test_points_on_charts_with_other_parameters_are_not_close(self):
+        m = square_model(1)
+        pt = (Scalar.flt(0.5), Scalar.flt(0.25))
+        one, two = (FiberSpace.hodge(m, tau) for tau in (1.0, 2.0))
+        assert SymPoint(one, [(pt, 1)]).close_to(SymPoint(one, [(pt, 1)]))
+        assert not SymPoint(one, [(pt, 1)]).close_to(SymPoint(two, [(pt, 1)]))
+        N = CommutingTuple([Matrix.zeros(1, 1, FLOAT), Matrix.zeros(1, 1, FLOAT)])
+        P = PunctualData(pt, N, Matrix.column([Scalar.flt(1.0)]))
+        assert HilbPoint(one, [P]).close_to(HilbPoint(one, [P]))
+        assert not HilbPoint(one, [P]).close_to(HilbPoint(two, [P]))
+
 
 class TestPoints:
     def test_sym_orders_support(self):
