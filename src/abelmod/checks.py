@@ -1,12 +1,14 @@
 """Seeded property battery behind the ``check`` subcommand.
 
-Each driver generates its own instances from an explicit seed and sample
-count, exercises one library guarantee end to end, and reports a row of
-counts and worst-case metrics.  ``run_all`` executes the whole battery;
-sample counts scale proportionally, so the same code runs the full desk
-scale and the reduced scale used by the determinism driver.  Rows carry
-no timing data: the report for a fixed seed and scale is reproducible
-byte for byte.
+Each driver takes the battery's scale and seed (and n_max, d_max where
+it reads them), generates its own instances, exercises one library
+guarantee end to end, and reports a row of counts and worst-case
+metrics.  Its instance counts are its desk scales at samples = 500,
+scaled in proportion (``_count``), and its generator seed is
+1000 seed + 100 + its criterion.  ``run_all`` executes the whole battery,
+so the same code runs the full desk scale and the reduced scale used by
+the determinism driver.  Rows carry no timing data: the report for a
+fixed seed and scale is reproducible byte for byte.
 """
 
 from __future__ import annotations
@@ -334,13 +336,14 @@ def _tuple_gap(a: CommutingTuple, b: CommutingTuple) -> float:
 # criterion 1: triangularization completeness
 
 
-def run_triangularization(count: int = 1000, n_max: int = 6, m_max: int = 4, seed: int = 101) -> dict:
-    rng = random.Random(seed)
+def run_triangularization(samples: int = _REF, seed: int = 0, n_max: int = 6) -> dict:
+    rng = random.Random(1000 * seed + 101)
+    count = _count(samples, 1000)
     worst = 0.0
     failures = 0
     for _ in range(count):
         n = rng.randint(1, n_max)
-        m = rng.randint(1, m_max)
+        m = rng.randint(1, 4)
         T = _float_commuting(rng, n, m)
         _, _, upper = triangularize(T)
         res = _upper_residual(upper)
@@ -418,8 +421,9 @@ def _stability_instance(rng, n_max: int) -> MarkedTuple:
     return MarkedTuple(T, Matrix.flt(g[:, :1]))
 
 
-def run_stability(count: int = 500, n_max: int = 6, seed: int = 102) -> dict:
-    rng = random.Random(seed)
+def run_stability(samples: int = _REF, seed: int = 0, n_max: int = 6) -> dict:
+    rng = random.Random(1000 * seed + 102)
+    count = _count(samples, 500)
     equiv_mism = oracle_mism = oracle_checked = 0
     stable_seen = unstable_seen = 0
     for _ in range(count):
@@ -461,8 +465,9 @@ def _inf_signature(f) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def run_hilb_canonical(count: int = 300, conj: int = 50, seed: int = 103) -> dict:
-    rng = random.Random(seed)
+def run_hilb_canonical(samples: int = _REF, seed: int = 0) -> dict:
+    rng = random.Random(1000 * seed + 103)
+    count, conj = _count(samples, 300), _count(samples, 50)
     orbit_mism = shape_fail = 0
     for _ in range(count):
         n = rng.randint(2, 4)
@@ -524,8 +529,9 @@ def _weights(rng, n: int) -> list[int]:
     return w
 
 
-def run_rees(count: int = 300, n_max: int = 6, seed: int = 104) -> dict:
-    rng = random.Random(seed)
+def run_rees(samples: int = _REF, seed: int = 0, n_max: int = 6) -> dict:
+    rng = random.Random(1000 * seed + 104)
+    count = _count(samples, 300)
     failures = 0
     worst_comm = worst_drift = worst_gap = 0.0
     for _ in range(count):
@@ -566,12 +572,13 @@ def run_rees(count: int = 300, n_max: int = 6, seed: int = 104) -> dict:
 # criterion 5: marked diagram
 
 
-def run_marked_diagram(count: int = 500, n_max: int = 5, d_max: int = 2, seed: int = 105) -> dict:
-    rng = random.Random(seed)
+def run_marked_diagram(samples: int = _REF, seed: int = 0, n_max: int = 6, d_max: int = 2) -> dict:
+    rng = random.Random(1000 * seed + 105)
+    count = _count(samples, 500)
     failures = 0
     for _ in range(count):
         d = rng.randint(1, d_max)
-        n = rng.randint(1, n_max)
+        n = rng.randint(1, min(n_max, 5))
         h = _hilb(rng, FiberSpace.betti(d), n, lambda: _annulus(rng, 0.45, 2.0))
         M = betti_assemble(h)
         g = Matrix.flt(_float_conjugator(rng, M.n))
@@ -585,13 +592,14 @@ def run_marked_diagram(count: int = 500, n_max: int = 5, d_max: int = 2, seed: i
 # criterion 6: Riemann-Hilbert roundtrip
 
 
-def run_rh_roundtrip(count: int = 200, n_max: int = 5, seed: int = 106) -> dict:
-    rng = random.Random(seed)
+def run_rh_roundtrip(samples: int = _REF, seed: int = 0, n_max: int = 6) -> dict:
+    rng = random.Random(1000 * seed + 106)
+    count = _count(samples, 200)
     nilpotent_mism = rank1_mism = base_fail = 0
     worst_base = 0.0
     for _ in range(count):
         d = rng.randint(1, 2)
-        n = rng.randint(1, n_max)
+        n = rng.randint(1, min(n_max, 5))
         h = _hilb(rng, FiberSpace.betti(d), n, lambda: _annulus(rng, 0.45, 2.0), EXACT)
         model = square_model(d)
         mid = rh_to_derham(h, model)
@@ -638,8 +646,9 @@ def run_rh_roundtrip(count: int = 200, n_max: int = 5, seed: int = 106) -> dict:
 # criterion 7: Hodge deformation
 
 
-def run_hodge(count: int = 100, seed: int = 107) -> dict:
-    rng = random.Random(seed)
+def run_hodge(samples: int = _REF, seed: int = 0) -> dict:
+    rng = random.Random(1000 * seed + 107)
+    count = _count(samples, 100)
     roundtrip_fail = 0
     for _ in range(count):
         d = rng.randint(1, 2)
@@ -695,9 +704,9 @@ def _alternating(rng, v: int) -> Matrix:
     return Matrix.exact(rows)
 
 
-def _triple(rng, dv_max: int) -> UtaiTriple:
-    d = rng.randint(1, dv_max)
-    v = rng.randint(1, dv_max)
+def _triple(rng) -> UtaiTriple:
+    d = rng.randint(1, 4)
+    v = rng.randint(1, 4)
     return UtaiTriple(_exact_rand(rng, d, v), _exact_rand(rng, d, v), _alternating(rng, v))
 
 
@@ -730,13 +739,12 @@ def _section(rng, t: UtaiTriple) -> dict:
     return {u: p for u, p in out.items() if not p.is_zero()}
 
 
-def run_dalgebra(
-    count: int = 200, group: int = 50, jac: int = 100, dv_max: int = 4, seed: int = 108
-) -> dict:
-    rng = random.Random(seed)
+def run_dalgebra(samples: int = _REF, seed: int = 0) -> dict:
+    rng = random.Random(1000 * seed + 108)
+    count, group, jac = _count(samples, 200), _count(samples, 50), _count(samples, 100)
     fm_fail = orbit_fail = 0
     for _ in range(count):
-        t = _triple(rng, dv_max)
+        t = _triple(rng)
         minus = Matrix.identity(t.v, EXACT).scale(Scalar.exact(-1))
         if fm_dual(fm_dual(t)) != gl_act(t, minus):
             fm_fail += 1
@@ -778,23 +786,15 @@ def run_dalgebra(
 
 
 def _battery(samples: int, seed: int, n_max: int, d_max: int) -> list[dict]:
-    base = seed * 1000
     return [
-        run_triangularization(count=_count(samples, 1000), n_max=n_max, seed=base + 101),
-        run_stability(count=_count(samples, 500), n_max=n_max, seed=base + 102),
-        run_hilb_canonical(count=_count(samples, 300), conj=_count(samples, 50), seed=base + 103),
-        run_rees(count=_count(samples, 300), n_max=n_max, seed=base + 104),
-        run_marked_diagram(
-            count=_count(samples, 500), n_max=min(n_max, 5), d_max=d_max, seed=base + 105
-        ),
-        run_rh_roundtrip(count=_count(samples, 200), n_max=min(n_max, 5), seed=base + 106),
-        run_hodge(count=_count(samples, 100), seed=base + 107),
-        run_dalgebra(
-            count=_count(samples, 200),
-            group=_count(samples, 50),
-            jac=_count(samples, 100),
-            seed=base + 108,
-        ),
+        run_triangularization(samples, seed, n_max),
+        run_stability(samples, seed, n_max),
+        run_hilb_canonical(samples, seed),
+        run_rees(samples, seed, n_max),
+        run_marked_diagram(samples, seed, n_max, d_max),
+        run_rh_roundtrip(samples, seed, n_max),
+        run_hodge(samples, seed),
+        run_dalgebra(samples, seed),
     ]
 
 

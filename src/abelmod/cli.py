@@ -36,7 +36,7 @@ from .adhm import (
 from .checks import SCHEMA, run_all
 from .dalgebra import UtaiTriple, classify, fm_dual, orbit_invariants
 from .errors import AbelmodError, SchemaError
-from .linalg import DEFAULT_FRAME, EXACT, FLOAT, Matrix, Scalar, ToleranceFrame
+from .linalg import EXACT, FLOAT, Matrix, Scalar, ToleranceFrame
 from .moduli import BETTI, NATURAL, HilbPoint, hilbert_chow, hodge_deform, rh_to_betti, rh_to_derham
 from .torus import square_model
 
@@ -82,55 +82,45 @@ def _parse_scalar(text: str, mode: str) -> Scalar:
 
 
 def _frame(args) -> ToleranceFrame | None:
-    given = (args.eps_rank, args.eps_eq, args.eps_lattice)
-    if all(x is None for x in given):
-        return None
-    return ToleranceFrame(
-        eps_rank=args.eps_rank if args.eps_rank is not None else DEFAULT_FRAME.eps_rank,
-        eps_eq=args.eps_eq if args.eps_eq is not None else DEFAULT_FRAME.eps_eq,
-        eps_lattice=args.eps_lattice if args.eps_lattice is not None else DEFAULT_FRAME.eps_lattice,
-    )
+    """The frame the eps flags set, the defaults where a flag is not
+    given; None when none is given or the subcommand takes none."""
+    given = {k: v for k in ("eps_rank", "eps_eq", "eps_lattice") if (v := getattr(args, k, None)) is not None}
+    return ToleranceFrame(**given) if given else None
 
 
-class _Ctx:
-    __slots__ = ("args", "frame")
-
-    def __init__(self, args):
-        self.args = args
-        self.frame = _frame(args) if hasattr(args, "eps_rank") else None
-
-
-def _in_mode(data, ctx: _Ctx, to_float):
+def _in_mode(data, args, to_float):
     """data in the mode --mode asks for: kept as it is without --mode or
     in its own mode, to_float(frame) under --mode float; float data is
     never promoted to exact."""
-    want = ctx.args.mode
+    want = args.mode
     if want is None or want == data.mode:
         return data
     if want == FLOAT:
-        return to_float(ctx.frame)
+        return to_float(args.frame)
     raise SchemaError("cannot promote float data to exact mode")
 
 
-def _tuple(obj, ctx: _Ctx) -> CommutingTuple:
-    T = CommutingTuple.from_json(obj, ctx.frame)
-    return _in_mode(T, ctx, T.to_float)
+def _tuple(obj, args) -> CommutingTuple:
+    T = CommutingTuple.from_json(obj, args.frame)
+    return _in_mode(T, args, T.to_float)
 
 
-def _marked(obj, ctx: _Ctx) -> MarkedTuple:
+def _marked(obj, args) -> MarkedTuple:
     if "v" not in obj:
         raise SchemaError("instance carries no marking vector 'v'")
-    M = MarkedTuple.from_json(obj, ctx.frame)
-    return _in_mode(M, ctx, lambda frame: MarkedTuple(M.tuple.to_float(frame), M.v.to_float(frame)))
+    M = MarkedTuple.from_json(obj, args.frame)
+    return _in_mode(M, args, lambda frame: MarkedTuple(M.tuple.to_float(frame), M.v.to_float(frame)))
 
 
 # ----------------------------------------------------------------------
-# one handler per subcommand; each returns the result body as a dict
+# one handler per subcommand; each takes an instance and the parsed
+# flags, with args.frame the frame main() reads off the eps flags, and
+# returns the result body as a dict
 
 
-def _cmd_classify(obj, ctx: _Ctx):
-    t = UtaiTriple.from_json(obj, ctx.frame)
-    t = _in_mode(t, ctx, lambda frame: UtaiTriple(*(X.to_float(frame) for X in (t.alpha, t.beta, t.gamma))))
+def _cmd_classify(obj, args):
+    t = UtaiTriple.from_json(obj, args.frame)
+    t = _in_mode(t, args, lambda frame: UtaiTriple(*(X.to_float(frame) for X in (t.alpha, t.beta, t.gamma))))
     lab = classify(t)
     body = {
         "label": lab.kind.title().replace("-", ""),
@@ -143,39 +133,39 @@ def _cmd_classify(obj, ctx: _Ctx):
     return body
 
 
-def _cmd_stability(obj, ctx: _Ctx):
+def _cmd_stability(obj, args):
     # one walk: the marking is cyclic iff its Krylov span has n columns
-    M = _marked(obj, ctx)
+    M = _marked(obj, args)
     K = krylov_span(M)
     if K.cols == M.n:
         return {"stable": True, "witness_subspace": None}
     return {"stable": False, "witness_subspace": K.to_json()}
 
 
-def _cmd_spectrum(obj, ctx: _Ctx):
+def _cmd_spectrum(obj, args):
     # the joint spectrum is the support with each point repeated by its
     # multiplicity (adhm.joint_spectrum), so the support is computed once
-    support = [([c.to_json() for c in p], k) for p, k in spectrum_support(_tuple(obj, ctx))]
+    support = [([c.to_json() for c in p], k) for p, k in spectrum_support(_tuple(obj, args))]
     return {
         "joint_spectrum": [p for p, k in support for _ in range(k)],
         "support": [{"point": p, "multiplicity": k} for p, k in support],
     }
 
 
-def _cmd_canonicalize(obj, ctx: _Ctx):
-    return ideal_normal_form(_marked(obj, ctx)).to_json()
+def _cmd_canonicalize(obj, args):
+    return ideal_normal_form(_marked(obj, args)).to_json()
 
 
-def _cmd_rees(obj, ctx: _Ctx):
+def _cmd_rees(obj, args):
     # the flags are parsed before anything is computed; --t needs the mode
     try:
-        weights = [int(x) for x in ctx.args.weights.split(",")]
+        weights = [int(x) for x in args.weights.split(",")]
     except ValueError:
         raise SchemaError("weights must be a comma-separated integer list") from None
-    T = _tuple(obj, ctx)
-    t = None if ctx.args.t is None else _parse_scalar(ctx.args.t, T.mode)
+    T = _tuple(obj, args)
+    t = None if args.t is None else _parse_scalar(args.t, T.mode)
     if "g" in obj:
-        F = InvariantFlag(Matrix.from_json(obj["g"], T.mode, ctx.frame))
+        F = InvariantFlag(Matrix.from_json(obj["g"], T.mode, args.frame))
     else:
         _, F, _ = triangularize(T)
     if t is None:
@@ -183,17 +173,17 @@ def _cmd_rees(obj, ctx: _Ctx):
     return rees_family(T, F, weights, t).to_json()
 
 
-def _cmd_hilbert_chow(obj, ctx: _Ctx):
+def _cmd_hilbert_chow(obj, args):
     return hilbert_chow(HilbPoint.from_json(obj)).to_json()
 
 
-def _cmd_rh(obj, ctx: _Ctx):
+def _cmd_rh(obj, args):
     h = HilbPoint.from_json(obj)
-    pair = (ctx.args.src, ctx.args.dst)
+    pair = (args.src, args.dst)
     if pair == ("betti", "derham"):
         if h.space.kind != BETTI:
             raise SchemaError(f"input chart is {h.space.kind!r}, expected 'betti'")
-        model = square_model(h.space.d, ctx.frame)
+        model = square_model(h.space.d, args.frame)
         return rh_to_derham(h, model).to_json()
     if pair == ("derham", "betti"):
         if h.space.kind != NATURAL:
@@ -202,9 +192,9 @@ def _cmd_rh(obj, ctx: _Ctx):
     raise SchemaError(f"unsupported transform {pair[0]} -> {pair[1]}")
 
 
-def _cmd_hodge_deform(obj, ctx: _Ctx):
+def _cmd_hodge_deform(obj, args):
     h = HilbPoint.from_json(obj)
-    tau = _parse_scalar(ctx.args.tau, EXACT)
+    tau = _parse_scalar(args.tau, EXACT)
     return hodge_deform(h, tau).to_json()
 
 
@@ -332,7 +322,7 @@ def main(argv=None) -> int:
     handler = _HANDLERS[args.command]
     out = args.out
     try:
-        ctx = _Ctx(args)
+        args.frame = _frame(args)
         payload = _load(args.inp)
         _check_schema_tag(payload)
         if isinstance(payload, list):
@@ -343,7 +333,7 @@ def main(argv=None) -> int:
                     raise SchemaError("batch entries must be JSON objects")
                 _check_schema_tag(entry)
                 try:
-                    results.append(handler(entry, ctx))
+                    results.append(handler(entry, args))
                 except AbelmodError as exc:
                     results.append({"error": exc.code, "detail": exc.detail})
                     failed = True
@@ -351,7 +341,7 @@ def main(argv=None) -> int:
             return 2 if failed else 0
         if not isinstance(payload, dict):
             raise SchemaError("input must be a JSON object or array of objects")
-        body = handler(payload, ctx)
+        body = handler(payload, args)
         body["schema"] = SCHEMA
         _emit(body, out)
         return 0
@@ -361,7 +351,8 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         _emit({"schema": SCHEMA, "error": "Malformed", "detail": str(exc)}, out)
         return 1
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: an exact value past the double range taken as a float
         _emit({"schema": SCHEMA, "error": "Malformed", "detail": f"{type(exc).__name__}: {exc}"}, out)
         return 1
 

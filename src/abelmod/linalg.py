@@ -32,10 +32,9 @@ a float one raises :class:`~abelmod.errors.ModeMismatchError`.
 This module is the only one that knows how a :class:`Matrix` is stored
 (integer grids over one denominator when exact, a numpy array when
 float).  ``Fraction`` values are built where a :class:`Scalar` leaves a
-matrix (``Matrix[i, j]``, ``entries``, ``trace``, the coefficients of
-``char_poly``, the roots of ``exact_roots``, the points of
-``primary_decomposition``) and in ``Scalar.exact``.  Exact matrices are
-read in without them:
+matrix (``Matrix[i, j]``, the coefficients of ``char_poly``, the roots
+of ``exact_roots``, the points of ``primary_decomposition``) and in
+``Scalar.exact``.  Exact matrices are read in without them:
 ``Matrix.exact``, ``Matrix.from_json``, ``Matrix.column`` and
 ``Matrix.diag`` share one grid reader that takes each entry as
 (numerator, denominator) pairs.  It reads plain integer and 'p/q' text
@@ -304,9 +303,6 @@ class Scalar:
     def __neg__(self) -> "Scalar":
         return Scalar(self.mode, -self.re, -self.im)
 
-    def conj(self) -> "Scalar":
-        return Scalar(self.mode, self.re, -self.im)
-
     def __abs__(self) -> float:
         """|z| as a float; math.inf past the double range."""
         try:
@@ -513,9 +509,6 @@ class Matrix:
         """Explicit mode conversion (the only sanctioned exact-to-float path)."""
         return Matrix.flt(self.to_numpy(), frame or (self.frame or DEFAULT_FRAME))
 
-    def entries(self) -> list[list[Scalar]]:
-        return [[self[i, j] for j in range(self.cols)] for i in range(self.rows)]
-
     # ------------------------------------------------------------------
     # arithmetic
 
@@ -580,21 +573,6 @@ class Matrix:
             return Matrix(FLOAT, self.cols, self.rows, self._a.T.copy(), self.frame)
         D, R, I = self._a
         return Matrix(EXACT, self.cols, self.rows, (D, _transposed(R, self.cols), _transposed(I, self.cols)))
-
-    def conj_transpose(self) -> "Matrix":
-        if self.mode == FLOAT:
-            return Matrix(FLOAT, self.cols, self.rows, self._a.conj().T.copy(), self.frame)
-        D, R, I = self._a
-        return Matrix(EXACT, self.cols, self.rows, (D, _transposed(R, self.cols), _negated(_transposed(I, self.cols))))
-
-    def trace(self) -> Scalar:
-        if self.rows != self.cols:
-            raise ValueError("trace of non-square matrix")
-        if self.mode == FLOAT:
-            z = complex(np.trace(self._a))
-            return Scalar(FLOAT, z.real, z.imag)
-        D, R, I = self._a
-        return Scalar(EXACT, Fraction(_diag_sum(R), D), Fraction(_diag_sum(I), D))
 
     def power(self, k: int) -> "Matrix":
         if self.rows != self.cols:
@@ -1006,6 +984,16 @@ def _reduced(rows, pivots, cols: Sequence[int]):
     return L, R, I
 
 
+def _pivot_block(rows, pivots, cols: Sequence[int], n: int) -> Matrix:
+    """The n x len(cols) matrix whose row p is the reduced echelon row with
+    pivot p restricted to columns cols, and zero where p is no pivot."""
+    D, BR, BI = _reduced(rows, pivots, cols)
+    R, I = _zero_grid(n, len(cols)), _zero_grid(n, len(cols))
+    for r, p in enumerate(pivots):
+        R[p], I[p] = BR[r], BI[r]
+    return Matrix(EXACT, n, len(cols), (D, R, I))
+
+
 def _kernel(rows, pivots, n: int) -> Matrix | None:
     """The canonical kernel basis (one column per free column among the
     first n, unit in its free coordinate) read off reduced echelon rows,
@@ -1014,24 +1002,11 @@ def _kernel(rows, pivots, n: int) -> Matrix | None:
     free = [c for c in range(n) if c not in pivset]
     if not free:
         return None
-    D, BR, BI = _reduced(rows, pivots, free)
-    R, I = _zero_grid(n, len(free)), _zero_grid(n, len(free))
-    for r, p in enumerate(pivots):
-        R[p] = [-u for u in BR[r]]
-        I[p] = [-v for v in BI[r]]
+    K = -_pivot_block(rows, pivots, free, n)
+    D, R, _ = K._a
     for k, f in enumerate(free):
         R[f][k] = D
-    return Matrix(EXACT, n, len(free), (D, R, I))
-
-
-def _pivot_block(rows, pivots, c0: int, c1: int, n: int) -> Matrix:
-    """The n x (c1 - c0) matrix whose row p is the reduced echelon row with
-    pivot p restricted to columns c0..c1-1, and zero where p is no pivot."""
-    D, BR, BI = _reduced(rows, pivots, range(c0, c1))
-    R, I = _zero_grid(n, c1 - c0), _zero_grid(n, c1 - c0)
-    for r, p in enumerate(pivots):
-        R[p], I[p] = BR[r], BI[r]
-    return Matrix(EXACT, n, c1 - c0, (D, R, I))
+    return K
 
 
 def _gauss_matvec(R, I, x, y):
@@ -1255,7 +1230,7 @@ def _solve(A: Matrix, B: Matrix) -> Matrix:
         raise NoSolutionError("columns outside the column space")
     if len(pivots) < A.cols:
         raise ValueError("coefficient matrix is column rank deficient")
-    return _pivot_block(rows, pivots, A.cols, A.cols + B.cols, A.cols)
+    return _pivot_block(rows, pivots, range(A.cols, A.cols + B.cols), A.cols)
 
 
 def inverse(M: Matrix) -> Matrix:
@@ -1270,7 +1245,7 @@ def inverse(M: Matrix) -> Matrix:
     rows, pivots = _rref_exact(M.hstack(Matrix.identity(n, EXACT)))
     if len(pivots) < n or pivots[n - 1] != n - 1:
         raise ValueError("singular matrix")
-    return _pivot_block(rows, pivots, n, 2 * n, n)
+    return _pivot_block(rows, pivots, range(n, 2 * n), n)
 
 
 # ----------------------------------------------------------------------
@@ -1446,6 +1421,7 @@ def exact_roots(coeffs: list[Scalar]) -> list[tuple[Scalar, int]]:
 
 
 _EPS, _ROOT_TINY = float(np.finfo(np.float64).eps), math.sqrt(np.finfo(np.float64).tiny)
+_HUGE = float(np.finfo(np.float64).max)
 
 
 def _radius(S: np.ndarray, sizes, eps_eq) -> list[float]:
@@ -1746,7 +1722,8 @@ def primary_decomposition(B: Sequence[Matrix]) -> list[tuple[tuple[Scalar, ...],
     rounding scale eps_eq |B_j|, and within less where their condition
     numbers bound their error more tightly (:func:`_eigen_groups`).
     w_j = 1 / r_j, so each member counts in units of its own resolution
-    whatever its scale beside the others (w_j = 1 for B_j = 0).
+    whatever its scale beside the others (w_j = 1 for B_j = 0, and the
+    largest double where 1 / r_j overflows).
     Eigenvalues of L merge by the same rule taken from L, with the size
     sum_j t^j w_j |B_j|.  A piece passes when B_j E is within
     INVARIANCE_SLACK eps_eq |B_j| of E R_j (:func:`_restrict`) and the
@@ -1760,7 +1737,8 @@ def primary_decomposition(B: Sequence[Matrix]) -> list[tuple[tuple[Scalar, ...],
         S = np.stack([Bj._a for Bj in B])
         sizes = _norms(Bj._a for Bj in B)
         radii = _radius(S, sizes, [Bj.frame.eps_eq for Bj in B])
-        weights = [1 / r if r else 1 for r in radii]
+        # held finite where 1 / r_j overflows; every other weight keeps its bits
+        weights = [min(1 / r, _HUGE) if r else 1 for r in radii]
     for t in range(1 + (m - 1) * n * (n - 1) // 2):
         L = first if weights[0] == 1 else first.scale(Scalar.of(mode, weights[0]))
         if t:

@@ -180,13 +180,8 @@ class FiberSpace:
     def __eq__(self, other):
         if not isinstance(other, FiberSpace):
             return NotImplemented
-        if self.kind != other.kind or self.d != other.d or self.vdim != other.vdim:
-            return False
-        if (self.model is None) != (other.model is None):
-            return False
-        if self.model is not None and self.model != other.model:
-            return False
-        if (self.tau is None) != (other.tau is None):
+        # equal kinds carry a model, and a tau, on both sides or on neither
+        if (self.kind, self.d, self.vdim, self.model) != (other.kind, other.d, other.vdim, other.model):
             return False
         # tau compares relatively, as betti chart coordinates do
         a, b = self.tau, other.tau

@@ -62,16 +62,22 @@ class AbelianVarietyModel:
         self.d = Pi.shape[0]
         self.period = Pi
         self.frame = frame or DEFAULT_FRAME
-        real = np.vstack([Pi.real, Pi.imag])
-        s = np.linalg.svd(real, compute_uv=False)
-        if s[-1] <= self.frame.eps_rank * s[0]:
-            raise DegeneratePeriodMatrixError("period columns do not span over R")
+        self._real_span(Pi, "period columns")
         # a(lambda_j) = u . lambda_j + w . conj(lambda_j) as rows of [Pi^T | conj(Pi)^T]
         self._split = np.hstack([Pi.T, Pi.conj().T])
         self._dual = None
         self._dual_real_inv = None
 
     # ------------------------------------------------------------------
+
+    def _real_span(self, A: np.ndarray, what: str) -> np.ndarray:
+        """[Re A; Im A] for the d x 2d matrix A, refused unless its columns
+        span over R: its least singular value exceeds eps_rank times the largest."""
+        real = np.vstack([A.real, A.imag])
+        s = np.linalg.svd(real, compute_uv=False)
+        if s[-1] <= self.frame.eps_rank * s[0]:
+            raise DegeneratePeriodMatrixError(f"{what} do not span over R")
+        return real
 
     def _dual_data(self):
         if self._dual is None:
@@ -81,10 +87,7 @@ class AbelianVarietyModel:
             except np.linalg.LinAlgError:
                 raise DegeneratePeriodMatrixError("antilinear splitting system is singular") from None
             gens = full[self.d :, :]  # d x 2d, column k = k-th dual generator
-            real = np.vstack([gens.real, gens.imag])
-            s = np.linalg.svd(real, compute_uv=False)
-            if s[-1] <= self.frame.eps_rank * s[0]:
-                raise DegeneratePeriodMatrixError("dual generators do not span over R")
+            real = self._real_span(gens, "dual generators")
             self._dual = full
             self._dual_real_inv = np.linalg.inv(real)
         return self._dual, self._dual_real_inv

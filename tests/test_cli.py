@@ -11,6 +11,7 @@ import pytest
 
 import abelmod
 from abelmod.cli import main
+from abelmod.torus import square_model
 
 
 def _write(tmp_path, name, doc):
@@ -216,6 +217,32 @@ class TestExactBeyondTheDoubleRange:
         out = self._run(tmp_path, ["canonicalize"], doc)
         assert out["staircase"] == [[0], [1]]
         assert out["support"] == [{"point": [_sc(str(x))], "multiplicity": 1} for x in values]
+
+
+class TestFloatsPastTheDoubleRange:
+    """Exact values that a command must take as floats, past the double
+    range, are malformed, as out-of-range flag literals are: exit 1 with
+    a Malformed report in the output file and nothing on stdout."""
+
+    def _malformed(self, tmp_path, capsys, args, doc):
+        inp = _write(tmp_path, "in.json", doc)
+        assert main(args + ["--in", inp, "--out", str(tmp_path / "out.json")]) == 1
+        assert capsys.readouterr().out == ""
+        assert _read(tmp_path, "out.json")["error"] == "Malformed"
+
+    def test_hodge_tau(self, tmp_path, capsys):
+        doc = _hilb_doc()
+        doc["space"] = {"kind": "natural", "d": 1, "model": square_model(1).to_json()}
+        self._malformed(tmp_path, capsys, ["hodge-deform", "--tau", "1e999"], doc)
+
+    def test_betti_coordinate(self, tmp_path, capsys):
+        doc = _hilb_doc()
+        doc["pieces"][0]["point"]["coords"][0] = _sc(str(10**400))
+        self._malformed(tmp_path, capsys, ["rh-transform", "--from", "betti", "--to", "derham"], doc)
+
+    def test_float_spectrum_of_an_exact_entry(self, tmp_path, capsys):
+        doc = {"m": 1, "n": 1, "mode": "exact", "B": [_diag([10**400])]}
+        self._malformed(tmp_path, capsys, ["spectrum", "--mode", "float"], doc)
 
 
 class TestRees:

@@ -44,7 +44,7 @@ class TestScalar:
         i = Scalar.exact(0, 1)
         assert i * i == Scalar.exact(-1)
         z = Scalar.exact("1/2", "-3")
-        assert (z * z.conj()).cx == pytest.approx(abs(z.cx) ** 2)
+        assert z * Scalar.exact("1/2", "3") == Scalar.exact("37/4")
         assert (Scalar.one(EXACT) / z) * z == Scalar.one(EXACT)
 
     def test_refuses_nonintegral_floats(self):
@@ -96,10 +96,6 @@ class TestMatrix:
         assert A[0, 0] == Scalar.exact(1, 2)
         assert A[1, 1] == Scalar.exact(0, 1)
 
-    def test_conj_transpose(self):
-        A = Matrix.exact([[(0, 1)]])
-        assert A.conj_transpose()[0, 0] == Scalar.exact(0, -1)
-
     def test_rank_exact(self):
         A = Matrix.exact([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
         assert rank(A) == 2
@@ -139,7 +135,6 @@ class TestMatrix:
     def test_power_and_trace(self):
         N = Matrix.exact([[0, 1], [0, 0]])
         assert N.power(2).is_zero()
-        assert Matrix.exact([[3, 9], [0, 4]]).trace() == Scalar.exact(7)
 
     def test_commutes_with(self):
         A = Matrix.exact([[1, "1/2"], [0, 3]])
@@ -451,7 +446,8 @@ class TestExactKernelProperties:
         P = Matrix.exact(A) @ Matrix.exact(B)
         ref = _ref_matmul(A, B)
         assert _ref_of(P) == ref
-        assert P.entries() == [[Scalar.exact(*z) for z in row] for row in ref]
+        got = [[P[i, j] for j in range(P.cols)] for i in range(P.rows)]
+        assert got == [[Scalar.exact(*z) for z in row] for row in ref]
         assert P.to_json() == [[{"re": str(z[0]), "im": str(z[1])} for z in row] for row in ref]
 
     @_PROPS
@@ -734,6 +730,17 @@ def test_singular_eigenvectors_in_a_stack_leave_the_other_slices_alone():
     stacked = linalg._eigen_groups(S, *args, 1e-9)
     assert stacked == [linalg._eigen_groups(S[j : j + 1], *([a[j]] for a in args), 1e-9)[0] for j in range(2)]
     assert [len(g) for g in stacked] == [1, 5]
+
+
+@pytest.mark.parametrize("diag", [[5e-300], [3e-300], [1e-305, 2e-305]], ids=["5e-300", "3e-300", "1e-305-diag"])
+def test_float_member_whose_weight_would_overflow(diag):
+    """1 / r_j overflows for a radius below about 1 / 1.8e308, here
+    eps_eq |B|; with the weight held finite the points come back, each
+    with multiplicity 1, and numpy warns of nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pieces = primary_decomposition([Matrix.flt(np.diag(diag))])
+    assert [(p[0].cx, k) for p, k, _, _ in pieces] == [(pytest.approx(x, rel=1e-12, abs=0), 1) for x in diag]
 
 
 # ----------------------------------------------------------------------

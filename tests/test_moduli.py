@@ -69,6 +69,10 @@ class TestSpaces:
     def test_json_roundtrip(self):
         sp = FiberSpace.hodge(square_model(1), Scalar.exact("1/2"))
         assert FiberSpace.from_json(sp.to_json()) == sp
+        sp = FiberSpace("product-alpha-zero", model=square_model(2), vdim=3)
+        back = FiberSpace.from_json(json.loads(json.dumps(sp.to_json())))
+        assert back == sp and back.vdim == 3
+        assert FiberSpace("product-alpha-zero", model=square_model(2), vdim=2) != sp
 
     def test_natural_points_equal_mod_2pi(self):
         sp = FiberSpace.natural(square_model(1))
@@ -377,6 +381,28 @@ class TestRank1Identify:
         sp = FiberSpace.hodge(m, 0.5)
         out = rank1_identify(sp, (Scalar.flt(0.1), Scalar.flt(0.2)))
         assert out["kind"] == "tau-connection" and "tau" in out
+
+    def test_dual_torus_point_is_invariant_under_a_dual_lattice_shift(self):
+        m = square_model(2)
+        sp = FiberSpace("dual-torus", model=m)
+        w = np.array([0.3 + 0.2j, -0.1 + 0.45j])
+        gens = m.dual_generators
+        out = rank1_identify(sp, tuple(map(Scalar.from_complex, w)))
+        assert out["kind"] == "line-bundle"
+        for k in ((1, 0, 0, 0), (0, -1, 2, 0), (1, 1, 1, -3)):
+            moved = rank1_identify(sp, tuple(map(Scalar.from_complex, w + gens @ np.array(k))))
+            assert moved["kind"] == "line-bundle"
+            a, b = (np.array([complex(c["re"], c["im"]) for c in o["point"]["w"]]) for o in (out, moved))
+            assert np.abs(a - b).max() <= 1e-12
+
+    def test_product_alpha_zero_reads_a_covector_and_a_line_bundle(self):
+        m = square_model(1)
+        w = Scalar.flt(0.3, 0.2)
+        xi = (Scalar.exact(1), Scalar.exact("1/2"))
+        out = rank1_identify(FiberSpace("product-alpha-zero", model=m, vdim=2), xi + (w,))
+        assert out["kind"] == "alpha-zero"
+        assert out["covector"] == [c.to_json() for c in xi]
+        assert out["line_bundle"] == rank1_identify(FiberSpace("dual-torus", model=m), (w,))["point"]
 
 
 class TestDiagram:
