@@ -58,9 +58,9 @@ from .linalg import (
     Scalar,
     Span,
     ToleranceFrame,
-    complete_basis,
+    all_nilpotent,
+    flag_basis,
     inverse,
-    null_vector,
     parse_mode,
     primary_decomposition,
     rank,
@@ -287,29 +287,12 @@ def is_stable(M: MarkedTuple) -> bool:
 def triangularize(T: CommutingTuple):
     """Simultaneous triangularization: returns (g, flag, upper) with
     g^{-1} B_j g upper triangular and the flag spanned by the leading
-    columns of g.  The diagonal is joint_spectrum, in its order; each
-    deflation step takes a null vector (linalg.null_vector) of the
-    stacked B_j - p_j of the trailing block at the next point p, so the
-    result is deterministic and no step solves an eigenproblem.  In exact
-    mode that vector is the first of the canonical reduced-echelon joint
-    eigenspace; float mode accumulates unitary deflation steps.  Raises
+    columns of g.  The diagonal is joint_spectrum, in its order: g is
+    linalg.flag_basis, which deflates along it one joint eigenvector (a
+    null vector of the stacked B_j - p_j) per step, so the result is
+    deterministic and no step solves an eigenproblem.  Raises
     NonSplitCharPoly where joint_spectrum does."""
-    n = T.n
-    spectrum = joint_spectrum(T)
-    g = Matrix.identity(n, T.mode, T.frame)
-    current = list(T.B)
-    for offset in range(n - 1):
-        k = n - offset
-        eye = Matrix.identity(k, T.mode, T.frame)
-        shifted = [M - eye.scale(c) for M, c in zip(current, spectrum[offset])]
-        P = complete_basis(null_vector(shifted[0].vstack(*shifted[1:])))
-        current = CommutingTuple._unchecked(current).conjugate(P).B
-        # embed P into the ambient space at the current offset
-        if offset:
-            P = Matrix.block_diag([Matrix.identity(offset, T.mode, T.frame), P])
-        g = g @ P
-        # recurse on the trailing block
-        current = [M.submatrix(1, k, 1, k) for M in current]
+    g = flag_basis(T.B, joint_spectrum(T))
     return g, InvariantFlag(g), T.conjugate(g)
 
 
@@ -556,7 +539,7 @@ class PunctualData:
         pt = tuple(Scalar.of(N.mode, c) for c in point)
         if len(pt) != N.m:
             raise ValueError("point dimension differs from tuple arity")
-        if not all(Nj.is_nilpotent() for Nj in N.B):
+        if not all_nilpotent(N.B):
             raise ValueError("parts are not nilpotent")
         if marking is not None and (marking.cols != 1 or marking.rows != N.n):
             raise ValueError("marking must be an ell x 1 column")

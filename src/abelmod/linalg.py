@@ -73,14 +73,19 @@ through this surface:
   mode every decision that two computed eigenvalues are one point is
   taken by ``_eigen_groups``, relative to the matrix's own scale and to
   each eigenvalue's condition number, one call serving a stack of
-  matrices (L, or the m restrictions of one piece);
+  matrices (L, or the restrictions of all the pieces of one length);
 * flags: ``null_vector`` (one vector of a kernel, with no threshold in
-  float mode) and ``complete_basis``;
+  float mode), ``complete_basis``, and ``flag_basis``, which deflates a
+  commuting tuple along its joint spectrum with both (in float mode on
+  one stack of the trailing blocks per step);
+* ``all_nilpotent``, ``Matrix.is_nilpotent`` for a list of matrices,
+  with one norm call in float mode;
 * joint spectra: ``primary_decomposition``, the support points of a
   commuting tuple with their multiplicities, joint generalized
   eigenspaces and restrictions, by the eigenvalue method in both modes:
   exact pieces come off the Faddeev-LeVerrier adjugate
-  (``_exact_pieces``), float ones off singular vectors (``_restrict``).
+  (``_exact_pieces``), float ones off singular vectors and restricted
+  per piece length (``_restrict``).
 """
 
 from __future__ import annotations
@@ -130,6 +135,8 @@ __all__ = [
     "exact_roots",
     "primary_decomposition",
     "complete_basis",
+    "flag_basis",
+    "all_nilpotent",
 ]
 
 # Float residual slack, in units of eps_eq times the data scale: a flag or
@@ -293,12 +300,7 @@ class Scalar:
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
         self._chk(other)
-        c, d = other.re, other.im
-        den = c * c + d * d
-        if not den:
-            raise ZeroDivisionError("scalar division by zero")
-        a, b = self.re, self.im
-        return Scalar(self.mode, (a * c + b * d) / den, (b * c - a * d) / den)
+        return Scalar(self.mode, *_quotient(self.re, self.im, other.re, other.im))
 
     def __neg__(self) -> "Scalar":
         return Scalar(self.mode, -self.re, -self.im)
@@ -333,6 +335,15 @@ class Scalar:
         if parse_mode(mode) == EXACT:
             return Scalar.exact(obj["re"], obj["im"])
         return Scalar.flt(float(obj["re"]), float(obj["im"]))
+
+
+def _quotient(a, b, c, d):
+    """(re, im) of (a + b i) / (c + d i), rational or float parts alike;
+    ZeroDivisionError when c^2 + d^2 is 0."""
+    den = c * c + d * d
+    if not den:
+        raise ZeroDivisionError("scalar division by zero")
+    return (a * c + b * d) / den, (b * c - a * d) / den
 
 
 @dataclass(frozen=True)
@@ -579,14 +590,7 @@ class Matrix:
             raise ValueError("power of non-square matrix")
         if not k:
             return Matrix.identity(self.rows, self.mode, self.frame)
-        out, base = None, self
-        while True:
-            if k & 1:
-                out = base if out is None else out @ base
-            k >>= 1
-            if not k:
-                return out
-            base = base @ base
+        return _power(self, k)
 
     def hstack(self, *others: "Matrix") -> "Matrix":
         for o in others:
@@ -671,13 +675,8 @@ class Matrix:
         return (AB - BA).negligible(max(self.norm() * other.norm(), 1e-300))
 
     def is_nilpotent(self) -> bool:
-        """Whether M^n vanishes for n x n M: exactly in exact mode, within
-        eps_eq max(1, |M|)^n (Frobenius) in float mode."""
-        n = self.rows
-        P = self.power(n)
-        if self.mode == EXACT:
-            return P.is_zero()
-        return P.negligible(max(1.0, self.norm()) ** n)
+        """Whether M^n vanishes for n x n M (see :func:`all_nilpotent`)."""
+        return all_nilpotent([self])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
@@ -724,6 +723,33 @@ class Matrix:
         return Matrix.flt([[complex(float(x["re"]), float(x["im"])) for x in row] for row in obj], frame)
 
 
+def all_nilpotent(mats: Sequence[Matrix]) -> bool:
+    """Whether M^n vanishes for every n x n M of mats, of one size and
+    mode: exactly in exact mode, within eps_eq max(1, |M|)^n (Frobenius)
+    in float mode, where M^n is taken on the arrays and one _norms call
+    serves every M and M^n.  Where that bound is past the double range,
+    |M| > 1 and the test is homogeneous of degree n, so it is made on M
+    scaled by a power of two to a norm near 1."""
+    n = mats[0].rows
+    if mats[0].mode == EXACT or not n:
+        return all(M.power(n).is_zero() for M in mats)
+    # a power that overflows is past the bound too, and is taken again scaled
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = [_power(M._a, n) for M in mats]
+    norms = _norms(powers + [M._a for M in mats])
+    for M, top, size in zip(mats, norms, norms[len(mats) :]):
+        try:
+            small = top <= M.frame.eps_eq * max(1.0, size) ** n
+        except OverflowError:
+            e = -math.frexp(size)[1]
+            a = np.ldexp(M._a.real, e) + 1j * np.ldexp(M._a.imag, e)
+            top, size = _norms((_power(a, n), a))
+            small = top <= M.frame.eps_eq * size**n
+        if not small:
+            return False
+    return True
+
+
 # ----------------------------------------------------------------------
 # exact storage helpers: (D, R, I) integer grids over one denominator
 
@@ -755,6 +781,18 @@ def _norms(arrays) -> list[float]:
             r = float(np.ldexp(math.sqrt(xr.dot(xr) + xi.dot(xi)), -e))
         out.append(r)
     return out
+
+
+def _power(base, k: int):
+    """base^k for k >= 1, Matrix or numpy array, by repeated squaring."""
+    out = None
+    while True:
+        if k & 1:
+            out = base if out is None else out @ base
+        k >>= 1
+        if not k:
+            return out
+        base = base @ base
 
 
 def _zero_grid(rows: int, cols: int) -> list[list[int]]:
@@ -1044,10 +1082,12 @@ class Span:
     -t / s behind, so ``mult_matrices`` reads column a of M_j off the
     image offered for x_j x^a, or a unit column when that image was
     accepted (the linear algebra of Moller-Buchberger and FGLM).  Float
-    mode keeps orthonormal vectors, rejects a vector whose residual is at
-    most eps_rank times its norm (and every vector once the span is
-    full, without forming it), and solves P M_j = B_j P by least squares
-    in ``mult_matrices``."""
+    mode keeps the accepted directions as the orthonormal rows of one
+    array Q, takes a candidate's residual by two block Gram-Schmidt passes
+    r - Q^T conj(Q) r, rejects it when that residual is at most eps_rank
+    times its norm (and every vector once the span is full, without
+    forming it), and solves P M_j = B_j P by least squares in
+    ``mult_matrices``."""
 
     def __init__(self, B: Sequence[Matrix], v: Matrix):
         self.B = B
@@ -1055,10 +1095,12 @@ class Span:
         self.n = v.rows
         self.frame = B[0].frame or DEFAULT_FRAME
         self._images = []  # exact: (D, x, y) in lowest terms; float: n x 1 numpy arrays
-        self._basis = []  # exact: (pivot, working row); float: orthonormal numpy vectors
         self._coords = []  # exact: per offered image, a row whose k-th coordinate is row[k] / row[n]
         if v.mode == EXACT:
+            self._basis = []  # (pivot, working row) per accepted image
             self._members = [(D, R, I if any(map(any, I)) else None) for D, R, I in (M._a for M in B)]
+        else:
+            self._basis = np.empty((self.n, self.n), dtype=np.complex128)  # rows < dim: orthonormal Q
 
     @property
     def dim(self) -> int:
@@ -1076,13 +1118,16 @@ class Span:
             nrm = _frobenius(r)
             if nrm == 0.0:
                 return False
-            for _ in range(2):  # re-orthogonalize once for stability
-                for q in self._basis:
-                    r = r - (q.conj() @ r) * q
+            d = len(self._images)
+            if d:
+                Q = self._basis[:d]
+                Qc = Q.conj()
+                for _ in range(2):  # re-orthogonalize once for stability
+                    r = r - (Qc @ r) @ Q
             rn = _frobenius(r)
             if rn <= self.frame.eps_rank * nrm:
                 return False
-            self._basis.append(r / rn)
+            self._basis[d] = r / rn
             self._images.append(img)
             return True
         if parent is None:
@@ -1192,8 +1237,12 @@ def null_vector(M: Matrix) -> Matrix:
         if K is None:
             raise ValueError("matrix has full column rank")
         return K.col(0)
-    vh = np.linalg.svd(M._a)[2]
-    return Matrix(FLOAT, M.cols, 1, vh[-1].conj().reshape(-1, 1), M.frame)
+    return Matrix(FLOAT, M.cols, 1, _least_singular_vector(M._a).reshape(-1, 1), M.frame)
+
+
+def _least_singular_vector(a: np.ndarray) -> np.ndarray:
+    """The right singular vector of the least singular value of a."""
+    return np.linalg.svd(a)[2][-1].conj()
 
 
 def solve(A: Matrix, b: Matrix) -> Matrix:
@@ -1238,14 +1287,20 @@ def inverse(M: Matrix) -> Matrix:
     if M.rows != M.cols:
         raise ValueError("inverse of non-square matrix")
     if M.mode == FLOAT:
-        if rank(M) < M.rows:
-            raise ValueError("singular matrix")
-        return Matrix(FLOAT, M.rows, M.cols, np.linalg.inv(M._a), M.frame)
+        return Matrix(FLOAT, M.rows, M.cols, _float_inverse(M._a, M.frame), M.frame)
     n = M.rows
     rows, pivots = _rref_exact(M.hstack(Matrix.identity(n, EXACT)))
     if len(pivots) < n or pivots[n - 1] != n - 1:
         raise ValueError("singular matrix")
     return _pivot_block(rows, pivots, range(n, 2 * n), n)
+
+
+def _float_inverse(a: np.ndarray, frame: ToleranceFrame) -> np.ndarray:
+    """The inverse of the float square array a; ValueError when its rank
+    (see :func:`rank`) is short."""
+    if _svd_rank(np.linalg.svd(a, compute_uv=False), frame) < a.shape[0]:
+        raise ValueError("singular matrix")
+    return np.linalg.inv(a)
 
 
 # ----------------------------------------------------------------------
@@ -1449,7 +1504,8 @@ def _eigen_groups(S: np.ndarray, radius, size, error, eps_eq: float) -> list[lis
     first-order error, while the k computed eigenvalues of a defective
     block, on a ring of radius rho with kappa about rho / (k error),
     merge: neighbours on the ring are at most 2 rho sin(pi / k) apart.
-    One eig, one inv and one norm serve the stack; only a slice whose
+    One eig, one inv and one norm serve the stack, which may hold L, or
+    the restrictions of every piece of one length; only a slice whose
     eigenvectors are singular gets kappa = inf."""
     n = S.shape[-1]
     w, X = np.linalg.eig(S)
@@ -1607,21 +1663,42 @@ def _exact_pieces(B: list[Matrix], L: Matrix):
     return pieces
 
 
-def _restrict(S: np.ndarray, sizes: list[float], E: np.ndarray, eps_eq: float):
-    """(R, e) for the stack S of float members B_j, of sizes |B_j|, and
-    an orthonormal basis E, as columns, of a space L keeps invariant: the
-    stack of restrictions R_j = E^H B_j E and their errors e_j =
-    eps |B_j| + |B_j E - E R_j|, R_j being an exact restriction of
-    B_j - (B_j E - E R_j) E^H; None when some B_j E is farther than
-    INVARIANCE_SLACK eps_eq |B_j| from E R_j.  B_j E, R_j and E R_j are
-    each one batched matmul over the stack."""
-    n, k = E.shape
-    BE = S @ E
-    R = (E if k == n else E.conj().T.copy()) @ BE
-    res = _norms(BE - E @ R)
+def _restrict(S: np.ndarray, sizes: list[float], Et: np.ndarray, eps_eq: float):
+    """(R, e) for the stack S of m float members B_j, of sizes |B_j|, and
+    the stack Et of p bases of one length k, E^T of an orthonormal basis
+    E of a space L keeps invariant (or the identity, taken as E): the
+    (p, m, k, k) stack of restrictions R_j = E^H B_j E and their errors
+    e_j = eps |B_j| + |B_j E - E R_j|, m per basis, R_j being an exact
+    restriction of B_j - (B_j E - E R_j) E^H; None when some B_j E is
+    farther than INVARIANCE_SLACK eps_eq |B_j| from E R_j.  B_j E, R_j
+    and E R_j are each one batched matmul over the p m pairs, and each
+    E is read transposed, as the rows of Et: numpy's matmul rounds a
+    column-major operand differently from a row-major one."""
+    p, k, n = Et.shape
+    E = Et[:, None] if k == n else Et.transpose(0, 2, 1)[:, None]
+    BE = S[None] @ E
+    R = (E if k == n else Et.conj()[:, None]) @ BE
+    res = _norms((BE - E @ R).reshape(-1, n, k))
+    sizes = sizes * p
     if any(e > eps_eq * (INVARIANCE_SLACK * s) for e, s in zip(res, sizes)):
         return None
     return R, [_EPS * s + e for e, s in zip(res, sizes)]
+
+
+def _grown_bases(L: np.ndarray, groups: list[list[complex]], eye: np.ndarray) -> np.ndarray:
+    """E^T, as k rows, for each basis E of the invariant space of float L
+    that one of the p groups of k eigenvalues w_i spans, as one (p, k, n)
+    stack (see :func:`_float_pieces`)."""
+    n, (p, k) = L.shape[0], np.shape(groups)
+    W = np.reshape(groups, (p, k, 1, 1))
+    V, Q = np.zeros((p, n, 0), dtype=np.complex128), eye
+    for i in range(k - 1):
+        A = L - W[:, i] * eye
+        vh = np.linalg.svd((A - V @ (V.conj().transpose(0, 2, 1) @ A)) @ Q)[2]
+        V = np.concatenate([V, Q @ vh[:, -1:].conj().transpose(0, 2, 1)], axis=2)
+        Q = Q @ vh[:, :-1].conj().transpose(0, 2, 1)
+    A = L - W[:, -1] * eye
+    return np.linalg.svd(A - V @ (V.conj().transpose(0, 2, 1) @ A))[2][:, n - k :].conj()
 
 
 def _float_pieces(S: np.ndarray, L: np.ndarray, sizes: list, radii: list, size: float, frame: ToleranceFrame):
@@ -1633,7 +1710,9 @@ def _float_pieces(S: np.ndarray, L: np.ndarray, sizes: list, radii: list, size: 
     exact restriction, holds one point when its eigenvalues form one group
     within the radius r_j and at the size |B_j| of that member, so a piece
     counts as one point exactly when the eigenvalues it holds would merge
-    as eigenvalues of the member.
+    as eigenvalues of the member.  The pieces of one length are grown,
+    restricted and grouped together, one numpy call over their stack for
+    each step.
 
     E is the identity when the group holds every eigenvalue.  Otherwise
     it grows an invariant V one direction at a time: step i < k adds the
@@ -1648,39 +1727,33 @@ def _float_pieces(S: np.ndarray, L: np.ndarray, sizes: list, radii: list, size: 
     compares the new direction with the rest of the spectrum at a gap
     that stays linear: a k-th power would compress it like gap^k.
     Matrices are built for the pieces returned only."""
-    n, eps_eq = L.shape[0], frame.eps_eq
+    n, m, eps_eq = L.shape[0], S.shape[0], frame.eps_eq
     eye = np.eye(n, dtype=np.complex128)
     (groups,) = _eigen_groups(L[None], _radius(L[None], [size], [eps_eq]), [size], [_EPS * size], eps_eq)
-    simple = [g[0] for g in groups if len(g) == 1 < n]
-    vhs = iter(np.linalg.svd(L - np.reshape(simple, (-1, 1, 1)) * eye)[2] if simple else ())
-    pieces = []
-    for group in groups:
-        k = len(group)
+    pieces = [None] * len(groups)
+    for k in dict.fromkeys(map(len, groups)):
+        at = [i for i, g in enumerate(groups) if len(g) == k]
         if k == n:
-            E = eye
+            Et = eye[None]
         elif k == 1:
-            E = next(vhs)[n - 1 :].conj().T
+            simple = [groups[i][0] for i in at]
+            Et = np.linalg.svd(L - np.reshape(simple, (-1, 1, 1)) * eye)[2][:, n - 1 :].conj()
         else:
-            V, Q = np.zeros((n, 0), dtype=np.complex128), eye
-            for w in group[:-1]:
-                A = L - w * eye
-                vh = np.linalg.svd((A - V @ (V.conj().T @ A)) @ Q)[2]
-                V = np.column_stack([V, Q @ vh[-1].conj()])
-                Q = Q @ vh[:-1].conj().T
-            A = L - group[-1] * eye
-            E = np.linalg.svd(A - V @ (V.conj().T @ A))[2][n - k :].conj().T
-        piece = _restrict(S, sizes, E, eps_eq)
+            Et = _grown_bases(L, [groups[i] for i in at], eye)
+        piece = _restrict(S, sizes, Et, eps_eq)
         if piece is None:
             return None
         R, errors = piece
-        if k > 1 and any(len(g) > 1 for g in _eigen_groups(R, radii, sizes, errors, eps_eq)):
+        R = R.reshape(-1, k, k)
+        if k > 1 and any(len(g) > 1 for g in _eigen_groups(R, radii * len(at), sizes * len(at), errors, eps_eq)):
             return None
-        pieces.append((k, E, R))
-    return [
-        (tuple(Scalar.from_complex(z) / Scalar.flt(k) for z in np.trace(R, axis1=1, axis2=2).tolist()), k,
-         Matrix(FLOAT, n, k, E, frame), [Matrix(FLOAT, k, k, Rj, frame) for Rj in R])
-        for k, E, R in pieces
-    ]
+        traces = np.trace(R, axis1=1, axis2=2).tolist()
+        for j, i in enumerate(at):
+            # tr(R_j) / k by the formula of Scalar.__truediv__
+            point = tuple(Scalar(FLOAT, *_quotient(z.real, z.imag, float(k), 0.0)) for z in traces[j * m : (j + 1) * m])
+            R_i = [Matrix(FLOAT, k, k, Rj, frame) for Rj in R[j * m : (j + 1) * m]]
+            pieces[i] = (point, k, Matrix(FLOAT, n, k, eye if k == n else Et[j].T, frame), R_i)
+    return pieces
 
 
 def primary_decomposition(B: Sequence[Matrix]) -> list[tuple[tuple[Scalar, ...], int, Matrix, list[Matrix]]]:
@@ -1715,8 +1788,10 @@ def primary_decomposition(B: Sequence[Matrix]) -> list[tuple[tuple[Scalar, ...],
     separating L then does not split.
 
     Float mode resolves what its frame resolves (:func:`_float_pieces`).
-    It stacks the m members once: their sizes, radii, restrictions and
-    eigenvalue groups are each one numpy call over the stack.
+    It stacks the m members once, and their sizes and radii are each one
+    numpy call over the stack; at each t the restrictions to the pieces
+    of one length, and the eigenvalue groups of those restrictions, are
+    one call per length.
     The eigenvalues of B_j merge within at most r_j, the larger of the
     scatter |B_j - tr(B_j)/n| eps^(1/(n+1)) of a defective block and the
     rounding scale eps_eq |B_j|, and within less where their condition
@@ -1765,8 +1840,58 @@ def complete_basis(w: Matrix) -> Matrix:
         last = max(i for i in range(n) if not w[i, 0].is_zero())
         eye = Matrix.identity(n, EXACT)
         return w.hstack(*(eye.col(j) for j in range(n) if j != last))
-    v = w._a.reshape(-1)
+    return Matrix(FLOAT, n, n, _unitary_completion(w._a.reshape(-1)), w.frame)
+
+
+def _unitary_completion(v: np.ndarray) -> np.ndarray:
+    """complete_basis in float mode, for the nonzero vector v."""
+    n = v.shape[0]
     i0 = int(np.argmax(np.abs(v)))
-    others = [np.eye(n)[:, j] for j in range(n) if j != i0]
-    Q, _ = np.linalg.qr(np.column_stack([v] + others))
-    return Matrix(FLOAT, n, n, Q, w.frame)
+    X = np.zeros((n, n), dtype=np.complex128)
+    X[:, 0] = v
+    X[[j for j in range(n) if j != i0], range(1, n)] = 1
+    return np.linalg.qr(X)[0]
+
+
+def flag_basis(B: Sequence[Matrix], points) -> Matrix:
+    """An invertible g whose leading columns span a complete flag that
+    the commuting n x n members B_j keep invariant, found by deflating
+    along points (the joint spectrum, in order): g^-1 B_j g is upper
+    triangular with diagonal points.  Step i takes a null vector
+    (null_vector) of the stacked B_j - p_j on the trailing block at the
+    i-th point p, completes it to a basis P (complete_basis), conjugates
+    the trailing block by P and keeps its trailing (k - 1) x (k - 1)
+    block, so no step solves an eigenproblem.  In exact mode that vector
+    is the first of the canonical reduced-echelon joint eigenspace.
+    Float mode holds the m trailing blocks as one (m, k, k) stack: the
+    null vector is the least right singular vector of the stack read as
+    (m k) x k, P is unitary, and P's inverse passes the rank test of
+    inverse; g accumulates the steps."""
+    n, mode, frame = B[0].rows, B[0].mode, B[0].frame
+    if mode == FLOAT:
+        S = np.stack([M._a for M in B])
+        g = np.eye(n, dtype=np.complex128)
+        for offset, p in enumerate(points[: n - 1]):
+            k = n - offset
+            shifted = S - np.eye(k, dtype=np.complex128) * np.array([c.cx for c in p])[:, None, None]
+            P = _unitary_completion(_least_singular_vector(shifted.reshape(-1, k)))
+            S = (_float_inverse(P, frame) @ S @ P)[:, 1:, 1:].copy()
+            if offset:  # embed P into the ambient space at the current offset
+                P, block = np.eye(n, dtype=np.complex128), P
+                P[offset:, offset:] = block
+            g = g @ P
+        return Matrix(FLOAT, n, n, g, frame)
+    g = Matrix.identity(n, mode, frame)
+    current = list(B)
+    for offset in range(n - 1):
+        k = n - offset
+        eye = Matrix.identity(k, mode, frame)
+        shifted = [M - eye.scale(c) for M, c in zip(current, points[offset])]
+        P = complete_basis(null_vector(shifted[0].vstack(*shifted[1:])))
+        Pi = inverse(P)
+        current = [(Pi @ M @ P).submatrix(1, k, 1, k) for M in current]
+        # embed P into the ambient space at the current offset
+        if offset:
+            P = Matrix.block_diag([Matrix.identity(offset, mode, frame), P])
+        g = g @ P
+    return g

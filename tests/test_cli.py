@@ -245,6 +245,22 @@ class TestFloatsPastTheDoubleRange:
         self._malformed(tmp_path, capsys, ["spectrum", "--mode", "float"], doc)
 
 
+@pytest.mark.parametrize("tau", ["1e200", "1e300"])
+def test_hodge_tau_whose_square_is_past_the_double_range(tmp_path, tau):
+    """A finite tau deforms the golden natural-chart point, although
+    tau^2, the bound of the nilpotency test of the tau-scaled parts, is
+    past the double range: the test answers on a copy scaled by a power
+    of two."""
+    from test_golden import NATURAL_H
+
+    inp = _write(tmp_path, "in.json", NATURAL_H)
+    assert main(["hodge-deform", "--tau", tau, "--in", inp, "--out", str(tmp_path / "out.json")]) == 0
+    out = _read(tmp_path, "out.json")
+    assert [len(p["punctual"]["N"][0]) for p in out["pieces"]] == [2, 1]
+    N = out["pieces"][0]["punctual"]["N"][0]
+    assert math.isfinite(N[0][1]["im"]) and abs(N[0][1]["im"]) >= float(tau)
+
+
 class TestRees:
     def test_family_and_limit(self, tmp_path):
         doc = {

@@ -151,6 +151,18 @@ class TestMatrix:
         assert Matrix.flt([[0.0, 1e6], [0.0, 0.0]]).is_nilpotent()
         assert not Matrix.flt([[0.0, 1.0], [1.0, 0.0]]).is_nilpotent()
 
+    @pytest.mark.parametrize("c", [1e160, 1e200, 1e300])
+    def test_float_is_nilpotent_past_the_double_range(self, c):
+        """|M|^n past the double range: the test answers, with no warning,
+        on M scaled by a power of two, c J_2 and c J_3 nilpotent and c Id
+        not."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert Matrix.flt([[0.0, c], [0.0, 0.0]]).is_nilpotent()
+            assert Matrix.flt([[0.0, c, 0.0], [0.0, 0.0, 1j * c], [0.0, 0.0, 0.0]]).is_nilpotent()
+            assert not Matrix.flt([[c, 0.0], [0.0, c]]).is_nilpotent()
+            assert not linalg.all_nilpotent([Matrix.flt([[0.0, c], [0.0, 0.0]]), Matrix.flt([[c, 0.0], [0.0, c]])])
+
     @pytest.mark.parametrize("c", [1e-310, 1e-300, 1e-200, 1e-160, 1e-150, 1.0, 1e150, 1e154, 1e200, 1e300])
     def test_float_norm_past_the_squared_range(self, c):
         # the squares of the entries overflow above about 1.3e154 and
@@ -679,14 +691,31 @@ def _float_conjugate(D, g):
     return Matrix.flt(np.linalg.inv(g) @ np.array(D, dtype=complex) @ g)
 
 
+_TWO_TWO = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 2, 1], [0, 0, 0, 2]]
+_TWO_TWO_THREE = [
+    [1, 1, 0, 0, 0, 0, 0],
+    [0, 1, 0, 0, 0, 0, 0],
+    [0, 0, 2, 1, 0, 0, 0],
+    [0, 0, 0, 2, 0, 0, 0],
+    [0, 0, 0, 0, 3, 1, 0],
+    [0, 0, 0, 0, 0, 3, 1],
+    [0, 0, 0, 0, 0, 0, 3],
+]
+
+
+def _shear(n):
+    """I + X / (2 n), X with ones one step and i three steps to the right."""
+    X = np.zeros((n, n), dtype=complex)
+    X[np.arange(n), (np.arange(n) + 1) % n] = 1
+    X[np.arange(n), (np.arange(n) + 3) % n] = 1j
+    return np.eye(n) + (0.5 / n) * X
+
+
 def test_float_eigen_solves_are_one_per_stack(monkeypatch):
-    """A float tuple that splits at t = 0 into p pieces of length above 1
-    makes 1 + p eig calls, one for L and one for each piece's stack of
-    restrictions, whatever the number m of members."""
-    g = np.eye(4) + 0.25 * np.array([[0, 1, 0, 1j], [1, 0, 1, 0], [0, -1j, 0, 1], [1, 0, 1, 0]])
-    B0 = _float_conjugate([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 2, 1], [0, 0, 0, 2]], g)
-    eye = Matrix.identity(4, FLOAT)
-    members = [B0, B0 @ B0, B0.scale(Scalar.flt(2.0)) - eye, B0 + eye.scale(Scalar.flt(0, 1))]
+    """A float tuple that splits at t = 0 into pieces of length above 1
+    makes one eig call for L and one for each length of those pieces,
+    over the stack of all their restrictions, whatever the number m of
+    members: 2 calls for lengths 2, 2 and 3 for lengths 2, 2, 3."""
     eig = np.linalg.eig
     counts = []
 
@@ -695,11 +724,17 @@ def test_float_eigen_solves_are_one_per_stack(monkeypatch):
         return eig(a)
 
     monkeypatch.setattr(np.linalg, "eig", counted)
-    for m in (1, 4):
-        counts.append(0)
-        pieces = primary_decomposition(members[:m])
-        assert [k for _, k, _, _ in pieces] == [2, 2]
-    assert counts == [1 + 2, 1 + 2]
+    g4 = np.eye(4) + 0.25 * np.array([[0, 1, 0, 1j], [1, 0, 1, 0], [0, -1j, 0, 1], [1, 0, 1, 0]])
+    for J, g, lengths, solves in [(_TWO_TWO, g4, [2, 2], 2), (_TWO_TWO_THREE, _shear(7), [2, 2, 3], 3)]:
+        n = len(J)
+        B0 = _float_conjugate(J, g)
+        eye = Matrix.identity(n, FLOAT)
+        members = [B0, B0 @ B0, B0.scale(Scalar.flt(2.0)) - eye, B0 + eye.scale(Scalar.flt(0, 1))]
+        for m in (1, 4):
+            counts.append(0)
+            pieces = primary_decomposition(members[:m])
+            assert [k for _, k, _, _ in pieces] == lengths
+            assert counts[-1] == solves
 
 
 def test_float_stack_with_a_zero_and_a_scalar_member():
