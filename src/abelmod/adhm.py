@@ -123,12 +123,12 @@ class CommutingTuple:
 
     @staticmethod
     def _unchecked(B) -> "CommutingTuple":
-        """Wrap without the commutativity check.  Internal: for tuples
-        derived from validated ones by operations that preserve
-        commutativity (conjugation, invariant restriction, multiplication
-        matrices).  Float members are not re-checked: their commutators
-        carry only the rounding of the derivation, and the members they
-        came from were checked on input."""
+        """Wrap without the commutativity check.  Checked at input,
+        trusted when derived: for tuples derived from checked ones by
+        operations that preserve commutativity (conjugation, invariant
+        restriction, multiplication matrices, diagonal blocks).  Float
+        members are not re-checked: their commutators carry only the
+        rounding of the derivation."""
         self = object.__new__(CommutingTuple)
         B = tuple(B)
         self.B = B
@@ -226,6 +226,13 @@ class InvariantFlag:
             raise ValueError("flag basis is singular")
         self.basis = basis
 
+    @staticmethod
+    def _unchecked(basis: Matrix) -> "InvariantFlag":
+        """Wrap a basis built invertible (linalg.flag_basis), untested."""
+        self = object.__new__(InvariantFlag)
+        self.basis = basis
+        return self
+
     @property
     def n(self):
         return self.basis.rows
@@ -293,7 +300,7 @@ def triangularize(T: CommutingTuple):
     deterministic and no step solves an eigenproblem.  Raises
     NonSplitCharPoly where joint_spectrum does."""
     g = flag_basis(T.B, joint_spectrum(T))
-    return g, InvariantFlag(g), T.conjugate(g)
+    return g, InvariantFlag._unchecked(g), T.conjugate(g)
 
 
 def joint_spectrum(T: CommutingTuple) -> list[tuple[Scalar, ...]]:
@@ -324,7 +331,8 @@ def sequiv_normal_form(T: CommutingTuple) -> CommutingTuple:
     mats = []
     for j in range(T.m):
         mats.append(Matrix.diag([t[j] for t in spec], T.frame))
-    return CommutingTuple(mats)
+    # diagonal matrices commute
+    return CommutingTuple._unchecked(mats)
 
 
 # ----------------------------------------------------------------------
@@ -382,7 +390,8 @@ def rees_family(T: CommutingTuple, F: InvariantFlag, weights, t: Scalar) -> Comm
 
     D = Matrix.diag([tpow(x) for x in w], T.frame)
     Dinv = Matrix.diag([tpow(-x) for x in w], T.frame)
-    return CommutingTuple([D @ A @ Dinv for A in adapted])
+    # a conjugation of the checked tuple
+    return CommutingTuple._unchecked([D @ A @ Dinv for A in adapted])
 
 
 def rees_limit(T: CommutingTuple, F: InvariantFlag, weights) -> CommutingTuple:
@@ -400,7 +409,8 @@ def rees_limit(T: CommutingTuple, F: InvariantFlag, weights) -> CommutingTuple:
         if k == T.n or w[k] != w[start]:
             runs.append((start, k))
             start = k
-    return CommutingTuple(
+    # the diagonal blocks of commuting block upper triangular members commute
+    return CommutingTuple._unchecked(
         [Matrix.block_diag([A.submatrix(a, b, a, b) for a, b in runs]) for A in adapted]
     )
 
@@ -531,7 +541,12 @@ def from_points(points, mode: str = EXACT, frame: ToleranceFrame | None = None) 
 class PunctualData:
     """A local piece: base point in C^m, commuting nilpotent parts, and an
     optional marking on the piece.  The operator convention is additive:
-    member j acts as point_j * Id + N_j."""
+    member j acts as point_j * Id + N_j.
+
+    Checked at input, trusted when derived: the constructor tests that
+    the parts are nilpotent; _unchecked wraps pieces derived from checked
+    ones (a restriction minus its one point, a polynomial in the parts
+    with no constant term, a mode conversion)."""
 
     __slots__ = ("point", "N", "marking")
 
@@ -546,6 +561,15 @@ class PunctualData:
         self.point = pt
         self.N = N
         self.marking = marking
+
+    @staticmethod
+    def _unchecked(point, N: CommutingTuple, marking: Matrix | None) -> "PunctualData":
+        """Wrap m Scalars and parts nilpotent by construction, untested."""
+        self = object.__new__(PunctualData)
+        self.point = tuple(point)
+        self.N = N
+        self.marking = marking
+        return self
 
     @property
     def length(self):
@@ -569,7 +593,8 @@ def decompose_punctual(M: MarkedTuple) -> list[PunctualData]:
     for pt, ell, _, R in parts:
         eye = Matrix.identity(ell, T.mode, T.frame)
         N = CommutingTuple._unchecked([Rj - eye.scale(p) for Rj, p in zip(R, pt)])
-        pieces.append(PunctualData(pt, N, coeffs.submatrix(offset, offset + ell, 0, 1)))
+        # nilpotent: the piece passed primary_decomposition's one-point test
+        pieces.append(PunctualData._unchecked(pt, N, coeffs.submatrix(offset, offset + ell, 0, 1)))
         offset += ell
     return pieces
 

@@ -67,12 +67,6 @@ class Poly:
                 if not c.is_zero():
                     self.terms[tuple(e)] = c
 
-    @staticmethod
-    def coordinate(d: int, k: int, mode: str = EXACT) -> "Poly":
-        e = [0] * d
-        e[k] = 1
-        return Poly(d, mode, {tuple(e): Scalar.one(mode)})
-
     def _chk(self, other: "Poly"):
         if self.mode != other.mode or self.d != other.d:
             raise ModeMismatchError("incompatible polynomials")

@@ -351,19 +351,27 @@ class HilbPoint:
 
     Each piece is a PunctualData whose point holds the chart coordinates
     and whose marking is cyclic.  Pieces are kept canonically ordered.
+
+    Checked at input, trusted when derived: the constructor tests that
+    each marking is cyclic; _unchecked wraps the pieces the chart maps
+    derive, which keep the algebra the parts generate.
     """
 
     __slots__ = ("space", "pieces")
 
     def __init__(self, space: FiberSpace, pieces):
-        pieces = _distinct(space, list(pieces), lambda P: P.point, "piece base point")
-        for P in pieces:
-            if P.marking is None:
-                raise ValueError("pieces must carry a marking")
-            if not is_stable(MarkedTuple(P.N, P.marking)):
-                raise ValueError("piece marking is not cyclic")
         self.space = space
-        self.pieces = pieces
+        self.pieces = _distinct(space, list(pieces), lambda P: P.point, "piece base point")
+        for P in self.pieces:
+            _require_cyclic(P)
+
+    @staticmethod
+    def _unchecked(space: FiberSpace, pieces) -> "HilbPoint":
+        """The constructor without the cyclicity test (see _mapped)."""
+        self = object.__new__(HilbPoint)
+        self.space = space
+        self.pieces = _distinct(space, list(pieces), lambda P: P.point, "piece base point")
+        return self
 
     @property
     def total(self) -> int:
@@ -422,13 +430,20 @@ class HilbPoint:
 # assembly with collision handling
 
 
+def _require_cyclic(P: PunctualData):
+    if P.marking is None:
+        raise ValueError("pieces must carry a marking")
+    if not is_stable(MarkedTuple(P.N, P.marking)):
+        raise ValueError("piece marking is not cyclic")
+
+
 def _one_mode(pieces, frame) -> list[PunctualData]:
     """The pieces in one mode: as they are when every point, nilpotent
     part and marking is exact, otherwise all as float data in frame."""
     if all(P.N.mode == P.marking.mode == EXACT and all(c.mode == EXACT for c in P.point) for P in pieces):
         return list(pieces)
     return [
-        PunctualData(
+        PunctualData._unchecked(
             tuple(c.to_float() for c in P.point),
             CommutingTuple._unchecked([Nk.to_float(frame) for Nk in P.N.B]),
             P.marking.to_float(frame),
@@ -461,7 +476,9 @@ def _direct_sum(space: FiberSpace, group: list[PunctualData]) -> PunctualData:
         [P.N[j] + Matrix.identity(P.length, P.N.mode, frame).scale(P.point[j] - point[j]) for P in group]
         for j in range(m)
     ]
-    N = CommutingTuple([Matrix.block_diag(blocks) for blocks in parts])
+    # block-diagonal parts commute; PunctualData tests them, since their
+    # offsets are zero only within tolerance
+    N = CommutingTuple._unchecked([Matrix.block_diag(blocks) for blocks in parts])
     candidates = [group[0].marking.vstack(*(P.marking for P in group[1:]))]
     for t in range(1, 2 * total + 1):
         candidates.append(Matrix.column([Scalar.of(N.mode, t**k) for k in range(total)], frame))
@@ -481,13 +498,22 @@ def assemble_pieces(space: FiberSpace, pieces) -> HilbPoint:
     (pieces at identical points aside).  A merged point can land within
     tolerance of another point, so the merged pieces are regrouped and
     merged again until no two points are one; each pass lowers the count
-    of pieces."""
-    staged = [PunctualData(space.canonical_point(P.point), P.N, P.marking) for P in pieces]
+    of pieces.  ValueError unless every input piece carries a cyclic
+    marking; a merged piece's marking is cyclic by _direct_sum's search."""
+    pieces = list(pieces)
+    for P in pieces:
+        _require_cyclic(P)
+    return _assembled(space, pieces)
+
+
+def _assembled(space: FiberSpace, pieces) -> HilbPoint:
+    """assemble_pieces on derived pieces, whose markings are not tested."""
+    staged = [PunctualData._unchecked(space.canonical_point(P.point), P.N, P.marking) for P in pieces]
     while True:
         staged.sort(key=lambda P: _point_key(P.point))
         groups = _groups(space, [P.point for P in staged])
         if len(groups) == len(staged):
-            return HilbPoint(space, staged)
+            return HilbPoint._unchecked(space, staged)
         staged = [_direct_sum(space, [staged[i] for i in g]) for g in groups]
 
 
@@ -523,9 +549,10 @@ def betti_marked(M: MarkedTuple) -> HilbPoint:
     space = FiberSpace.betti(d, M.tuple.frame)
     normalized = []
     for P in pieces:
+        # N_k / z_k, with z_k nonzero: nilpotent, and the marking stays cyclic
         units = [Nk.scale(Scalar.one(z.mode) / z) for Nk, z in zip(P.N.B, P.point)]
-        normalized.append(PunctualData(P.point, CommutingTuple._unchecked(units), P.marking))
-    return HilbPoint(space, normalized)
+        normalized.append(PunctualData._unchecked(P.point, CommutingTuple._unchecked(units), P.marking))
+    return HilbPoint._unchecked(space, normalized)
 
 
 def betti_unmarked(T: CommutingTuple) -> SymPoint:
@@ -554,7 +581,8 @@ def betti_assemble(h: HilbPoint) -> MarkedTuple:
             blocks.append((eye + P.N[k]).scale(P.point[k]))
         mats.append(Matrix.block_diag(blocks))
     mark = pieces[0].marking.vstack(*(P.marking for P in pieces[1:]))
-    return MarkedTuple(CommutingTuple(mats), mark)
+    # block-diagonal members whose blocks commute
+    return MarkedTuple(CommutingTuple._unchecked(mats), mark)
 
 
 # ----------------------------------------------------------------------
@@ -563,9 +591,12 @@ def betti_assemble(h: HilbPoint) -> MarkedTuple:
 
 def _mapped(pieces, coord, part) -> list[PunctualData]:
     """Each piece with coordinate k of its base point mapped by
-    coord(k, c) and nilpotent part k by part(k, N_k); markings kept."""
+    coord(k, c) and nilpotent part k by part(k, N_k); markings kept.
+    Each part map (log1p, expm1, a nonzero scaling) is a polynomial in
+    N_k with no constant term and an invertible linear term, so the parts
+    stay nilpotent and generate the same algebra: markings stay cyclic."""
     return [
-        PunctualData(
+        PunctualData._unchecked(
             tuple(coord(k, c) for k, c in enumerate(P.point)),
             CommutingTuple._unchecked([part(k, Nk) for k, Nk in enumerate(P.N.B)]),
             P.marking,
@@ -584,7 +615,7 @@ def rh_to_derham(h: HilbPoint, model: AbelianVarietyModel) -> HilbPoint:
     if model.d != h.space.d:
         raise ValueError("model dimension differs from the chart")
     out = _mapped(h.pieces, lambda k, z: _log_scalar(z), lambda k, N: log1p_matrix(N))
-    return assemble_pieces(FiberSpace.natural(model), out)
+    return _assembled(FiberSpace.natural(model), out)
 
 
 def rh_to_betti(h: HilbPoint) -> HilbPoint:
@@ -593,7 +624,7 @@ def rh_to_betti(h: HilbPoint) -> HilbPoint:
     if h.space.kind != NATURAL:
         raise ValueError("rh_to_betti starts from a natural-chart point")
     out = _mapped(h.pieces, lambda k, a: a.exp(), lambda k, N: expm1_matrix(N))
-    return assemble_pieces(FiberSpace.betti(h.space.d, h.space.frame), out)
+    return _assembled(FiberSpace.betti(h.space.d, h.space.frame), out)
 
 
 # ----------------------------------------------------------------------
@@ -608,20 +639,21 @@ def _tau_nonzero(tau: Scalar):
 def _linear_pieces(h: HilbPoint, L, space: FiberSpace) -> HilbPoint:
     """The pieces of h under a linear map of the chart coordinates, as
     float data: L acts along the first axis of the point and of the stack
-    of nilpotent parts (a complex array it may change in place)."""
+    of nilpotent parts (a complex array it may change in place).  L is
+    invertible, so the parts generate the same algebra (see _mapped)."""
     frame = space.frame
     out = []
     for P in h.pieces:
         x = L(np.array([c.cx for c in P.point]))
         X = L(np.stack([Nk.to_numpy() for Nk in P.N.B]).astype(np.complex128))
         out.append(
-            PunctualData(
+            PunctualData._unchecked(
                 tuple(Scalar.from_complex(z) for z in x),
                 CommutingTuple._unchecked([Matrix.flt(Xk, frame) for Xk in X]),
                 P.marking.to_float(frame),
             )
         )
-    return assemble_pieces(space, out)
+    return _assembled(space, out)
 
 
 def hodge_deform(h: HilbPoint, tau) -> HilbPoint:
@@ -676,7 +708,7 @@ def hodge_rescale(h: HilbPoint, factor) -> HilbPoint:
         return _scaled(x, factor) if k < d else x
 
     out = _mapped(h.pieces, fiber_scaled, fiber_scaled)
-    return HilbPoint(FiberSpace.hodge(h.space.model, _scaled(h.space.tau, factor)), out)
+    return HilbPoint._unchecked(FiberSpace.hodge(h.space.model, _scaled(h.space.tau, factor)), out)
 
 
 # ----------------------------------------------------------------------

@@ -386,6 +386,23 @@ class TestPunctual:
         assert len(pieces) == 1 and pieces[0].length == 3
         assert abs(pieces[0].point[0].cx - (1.0 + 0.5j)) <= 1e-10
 
+    @pytest.mark.parametrize("lam", [1.0, 1e6, 1e8])
+    def test_decompose_conjugated_jordan_block_far_from_zero(self, lam):
+        # g^-1 J_2(lam) g marked by g^-1 e_2 is one piece of length 2 at
+        # lam.  Its part R - lam passed the one-point test of the primary
+        # decomposition; a nilpotency test against a floor of 1 would
+        # refuse it at 1e8, where its square is rounding of size eps lam.
+        g = np.array([[1 + 0.5j, 0.3], [0.1, 0.9 - 0.4j]])
+        gi = np.linalg.inv(g)
+        J = np.array([[lam, 1.0], [0.0, lam]])
+        M = MarkedTuple(CommutingTuple([Matrix.flt(gi @ J @ g)]), Matrix.flt(gi @ np.array([[0.0], [1.0]])))
+        (P,) = decompose_punctual(M)
+        assert P.length == 2
+        assert abs(P.point[0].cx - lam) <= 1e-15 * lam
+        N = P.N[0].to_numpy()
+        assert np.linalg.norm(N @ N) <= 1e-15 * lam
+        assert is_stable(MarkedTuple(P.N, P.marking))
+
     def test_decompose_float_scalar_member(self):
         # the second member is the scalar 2 on the length-2 piece; its
         # nilpotent part there is rounding noise, which is no reason to

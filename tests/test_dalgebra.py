@@ -127,18 +127,21 @@ class TestClassify:
             assert lab.kind == "generic" and not lab.abelian
 
 
+# the coordinate polynomials x_0 and x_1 in two variables
+X0 = Poly(2, EXACT, {(1, 0): Scalar.one(EXACT)})
+X1 = Poly(2, EXACT, {(0, 1): Scalar.one(EXACT)})
+
+
 class TestBracket:
     def test_jacobi_connection_like(self):
         t = _triple([[1, 0], [0, 1]], _zeros(2, 2), _zeros(2, 2))
-        x0 = Poly.coordinate(2, 0)
-        x1 = Poly.coordinate(2, 1)
-        trips = [({0: x0}, {1: x1}, {0: x0 * x1})]
+        trips = [({0: X0}, {1: X1}, {0: X0 * X1})]
         assert jacobi_check(t, trips)
 
     def test_bracket_antisymmetry(self):
         t = _triple([[1, 0], [0, 1]], _zeros(2, 2), _zeros(2, 2))
-        s1 = {0: Poly.coordinate(2, 0) * Poly.coordinate(2, 1)}
-        s2 = {1: Poly.coordinate(2, 0)}
+        s1 = {0: X0 * X1}
+        s2 = {1: X0}
         b12 = bracket_sections(t, s1, s2)
         b21 = bracket_sections(t, s2, s1)
         for k, p in b12.items():
@@ -147,8 +150,8 @@ class TestBracket:
     def test_anchor_free_bracket_vanishes(self):
         # alpha = 0 kills both directional derivatives
         t = _triple(_zeros(2, 2), [[1, 0], [0, 1]], _zeros(2, 2))
-        s1 = {0: Poly.coordinate(2, 0)}
-        s2 = {1: Poly.coordinate(2, 1)}
+        s1 = {0: X0}
+        s2 = {1: X1}
         assert all(p.is_zero() for p in bracket_sections(t, s1, s2).values())
 
 

@@ -173,6 +173,16 @@ def test_golden(tmp_path, name, argv, doc, exact):
         _close(json.loads(text), json.loads(want_text))
 
 
+def test_check_report(tmp_path):
+    # the battery's report mixes exact counts and flags with float
+    # residuals, so it takes the float rule
+    out = tmp_path / "out.json"
+    rc = main(["check", "--samples", "40", "--seed", "0", "--out", str(out)])
+    want_rc, want_text = GOLDEN["check"]
+    assert rc == want_rc
+    _close(json.loads(out.read_text()), json.loads(want_text))
+
+
 def test_float_triangularization_has_the_exact_diagonal(tmp_path):
     # DENSE3's Jordan block at 1 is one point of the float spectrum, so the
     # float family carries the diagonal of the exact triangularization (the
@@ -292,5 +302,9 @@ GOLDEN = {
     'hodge-deform-float': (
         0,
         '{"pieces":[{"point":{"coords":[{"im":1.0,"re":-1.25},{"im":0.375,"re":0.5}]},"punctual":{"N":[[[{"im":0.0,"re":0.0}]],[[{"im":0.0,"re":0.0}]]],"mode":"float","v":[{"im":0.0,"re":1.0}]}},{"point":{"coords":[{"im":0.0,"re":0.5},{"im":0.25,"re":0.0}]},"punctual":{"N":[[[{"im":0.0,"re":0.0},{"im":1.0,"re":-2.0}],[{"im":0.0,"re":0.0},{"im":0.0,"re":0.0}]],[[{"im":0.0,"re":0.0},{"im":-1.0,"re":0.5}],[{"im":0.0,"re":0.0},{"im":0.0,"re":0.0}]]],"mode":"float","v":[{"im":0.0,"re":0.0},{"im":0.0,"re":1.0}]}}],"schema":"abelmod/1","space":{"d":1,"kind":"hodge","model":{"d":1,"period":[[[1.0,0.0],[0.0,1.0]]],"tolerances":{"eps_eq":1e-09,"eps_lattice":1e-07,"eps_rank":1e-09}},"tau":{"im":"2","re":"0"}}}\n',
+    ),
+    'check': (
+        0,
+        '{"criteria":[{"criterion":1,"detail":{"count":80,"failures":0,"n_max":6,"worst_residual":5.621957988181612e-16},"name":"triangularization-completeness","pass":true},{"criterion":2,"detail":{"count":40,"equivalence_mismatches":0,"oracle_checked":27,"oracle_mismatches":0,"stable":20,"unstable":20},"name":"stability-equivalence","pass":true},{"criterion":3,"detail":{"conjugations":4,"count":24,"orbit_mismatches":0,"shape_failures":0},"name":"hilb-canonical-form","pass":true},{"criterion":4,"detail":{"count":24,"failures":0,"worst_commutator":5.677958871791297e-16,"worst_drift":3.0247096289984873e-15,"worst_limit_gap":1.983863376978271e-15},"name":"rees-degeneration","pass":true},{"criterion":5,"detail":{"count":40,"d_max":2,"failures":0},"name":"marked-diagram","pass":true},{"criterion":6,"detail":{"base_failures":0,"count":16,"nilpotent_mismatches":0,"rank1_mismatches":0,"worst_base_drift":3.1401849173675503e-16},"name":"rh-roundtrip","pass":true},{"criterion":7,"detail":{"composition_checked":2,"composition_failures":0,"count":8,"roundtrip_failures":0},"name":"hodge-deformation","pass":true},{"criterion":8,"detail":{"cohomology_failures":0,"count":16,"fm_failures":0,"group_orbit":4,"jacobi_algebroids":3,"jacobi_failures":0,"jacobi_triples":8,"orbit_failures":0},"name":"dalgebra-calculus","pass":true},{"criterion":9,"detail":{"bytes":1412,"identical":true,"samples":4},"name":"determinism","pass":true}],"d_max":2,"n_max":6,"pass":true,"samples":40,"schema":"abelmod/1","seed":0}\n',
     ),
 }
