@@ -23,16 +23,35 @@ rings) precisely when alpha = 0 and gamma = 0.
 
 Polynomial sections and the degree-one bracket are evaluated exactly so
 the bracket identities can be checked symbolically rather than at sample
-points.
+points.  A :class:`Poly` keeps its coefficients as (re, im) numerators
+over one denominator, Gaussian integers in exact mode and the float
+parts over 1 in float mode, and the bracket reads alpha the same way, so
+section arithmetic builds no ``Fraction`` and takes no mode branch;
+Scalars are built only where ``Poly.terms`` is read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from math import gcd, lcm
+from operator import add
+from types import MappingProxyType
 
 from .errors import ModeMismatchError, SingularGroupElementError
-from .linalg import DEFAULT_FRAME, EXACT, Matrix, Scalar, ToleranceFrame, inverse, parse_mode, rank
+from .linalg import (
+    DEFAULT_FRAME,
+    EXACT,
+    Matrix,
+    Scalar,
+    ToleranceFrame,
+    from_numerators,
+    inverse,
+    parse_mode,
+    rank,
+    to_numerators,
+)
 
 __all__ = [
     "Poly",
@@ -50,82 +69,149 @@ __all__ = [
 
 
 class Poly:
-    """Polynomial in d coordinates: exponent tuple -> Scalar coefficient.
+    """Polynomial in d coordinates with coefficients of one scalar mode.
 
-    Used for formal section arithmetic; zero coefficients are dropped on
-    construction so equality is structural.
+    Stored the way ``Matrix`` stores exact data: one denominator ``_D``
+    and a dict exponent tuple -> (re, im) numerators, with zero
+    coefficients dropped.  Exact numerators are Gaussian integers over
+    ``_D > 0`` sharing no factor with it, so equal polynomials have equal
+    storage; float numerators are the two parts of each coefficient over
+    ``_D = 1``.  Arithmetic runs on these numbers with one body for both
+    modes, and the float products and sums are the ones ``Scalar``
+    arithmetic makes, in the same order.  ``Poly(d, mode, terms)`` takes
+    Scalars, and ``terms`` gives them back.  An exponent must be d
+    nonnegative integers (else ValueError) and a coefficient of the given
+    mode (else ModeMismatchError).
     """
 
-    __slots__ = ("d", "mode", "terms")
+    __slots__ = ("d", "mode", "_D", "_c")
 
     def __init__(self, d: int, mode: str, terms: dict | None = None):
-        self.d = d
-        self.mode = mode
-        self.terms = {}
-        if terms:
-            for e, c in terms.items():
-                if not c.is_zero():
-                    self.terms[tuple(e)] = c
+        terms = terms or {}
+        exps = [tuple(e) for e in terms]
+        for e in exps:
+            if len(e) != d or any(not isinstance(k, int) or k < 0 for k in e):
+                raise ValueError(f"exponent {e} is not {d} nonnegative integers")
+        D, pairs = to_numerators(mode, terms.values())
+        self.d, self.mode = d, mode
+        self._D, self._c = _lowest(D, {e: p for e, p in zip(exps, pairs) if p[0] or p[1]})
+
+    @classmethod
+    def _of(cls, d: int, mode: str, D: int, c: dict) -> "Poly":
+        """The polynomial with the nonzero numerators c over D."""
+        p = object.__new__(cls)
+        p.d, p.mode = d, mode
+        p._D, p._c = _lowest(D, c)
+        return p
+
+    @property
+    def terms(self):
+        """Read-only exponent -> Scalar coefficient view, built on each read."""
+        return MappingProxyType(dict(zip(self._c, from_numerators(self.mode, self._D, self._c.values()))))
 
     def _chk(self, other: "Poly"):
         if self.mode != other.mode or self.d != other.d:
             raise ModeMismatchError("incompatible polynomials")
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def _plus(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other."""
         self._chk(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out[e] + c if e in out else c
-        return Poly(self.d, self.mode, out)
+        L = lcm(self._D, other._D)
+        f1, f2 = L // self._D, sign * (L // other._D)
+        out = dict(self._c) if f1 == 1 else {e: (a * f1, b * f1) for e, (a, b) in self._c.items()}
+        for e, (a, b) in other._c.items():
+            if f2 != 1:
+                a, b = a * f2, b * f2
+            s = out.get(e)
+            if s is None:
+                out[e] = (a, b)
+            else:
+                a, b = s[0] + a, s[1] + b
+                if a or b:
+                    out[e] = (a, b)
+                else:
+                    del out[e]
+        return Poly._of(self.d, self.mode, L, out)
+
+    def __add__(self, other: "Poly") -> "Poly":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.d, self.mode, {e: -c for e, c in self.terms.items()})
+        return Poly._of(self.d, self.mode, self._D, {e: (-a, -b) for e, (a, b) in self._c.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._chk(other)
         out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                out[e] = out[e] + c if e in out else c
-        return Poly(self.d, self.mode, out)
+        for e1, (a, b) in self._c.items():
+            for e2, (c, d) in other._c.items():
+                e = tuple(map(add, e1, e2))
+                r, i = a * c - b * d, a * d + b * c
+                s = out.get(e)
+                out[e] = (r, i) if s is None else (s[0] + r, s[1] + i)
+        out = {e: p for e, p in out.items() if p[0] or p[1]}
+        return Poly._of(self.d, self.mode, self._D * other._D, out)
 
     def scale(self, c: Scalar) -> "Poly":
-        return Poly(self.d, self.mode, {e: x * c for e, x in self.terms.items()})
+        Dc, ((cr, ci),) = to_numerators(self.mode, [c])
+        out = {}
+        for e, (a, b) in self._c.items():
+            r, i = a * cr - b * ci, a * ci + b * cr
+            if r or i:
+                out[e] = (r, i)
+        return Poly._of(self.d, self.mode, self._D * Dc, out)
 
     def diff(self, k: int) -> "Poly":
         """Partial derivative with respect to the k-th coordinate."""
-        out = {}
-        for e, c in self.terms.items():
-            if e[k]:
-                e2 = list(e)
-                e2[k] -= 1
-                out[tuple(e2)] = c * Scalar.of(self.mode, e[k])
-        return Poly(self.d, self.mode, out)
+        if not 0 <= k < self.d:
+            raise ValueError(f"coordinate {k} outside range({self.d})")
+        return Poly._of(self.d, self.mode, self._D, {e: (r, i) for e, r, i in _derivative(self._c, k)})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._c
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.d == other.d and self.mode == other.mode and self.terms == other.terms
+        return self.d == other.d and self.mode == other.mode and self._D == other._D and self._c == other._c
 
     def __hash__(self):
-        return hash((self.d, self.mode, frozenset(self.terms.items())))
+        return hash((self.d, self.mode, self._D, frozenset(self._c.items())))
 
     def __repr__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "Poly(0)"
         bits = []
-        for e in sorted(self.terms, key=lambda t: (sum(t), t)):
+        for e in sorted(terms, key=lambda t: (sum(t), t)):
             mono = "*".join(f"x{k}^{p}" if p > 1 else f"x{k}" for k, p in enumerate(e) if p) or "1"
-            bits.append(f"({self.terms[e].cx})*{mono}")
+            bits.append(f"({terms[e].cx})*{mono}")
         return "Poly(" + " + ".join(bits) + ")"
+
+
+def _derivative(c: dict, k: int):
+    """(exponent, re, im) of each nonzero term of d/dx_k of the numerators
+    c: a coefficient with exponent n > 0 in x_k times n + 0i, formed as
+    Scalar multiplication forms it."""
+    for e, (a, b) in c.items():
+        n = e[k]
+        if n:
+            r, i = a * n - b * 0, a * 0 + b * n
+            if r or i:
+                yield e[:k] + (n - 1,) + e[k + 1 :], r, i
+
+
+def _lowest(D: int, c: dict) -> tuple[int, dict]:
+    """(D, c) divided through by the gcd of D and every numerator (D is
+    1 in float mode, so float numerators are never divided)."""
+    if D != 1:
+        g = gcd(D, *chain.from_iterable(c.values()))
+        if g != 1:
+            D //= g
+            c = {e: (a // g, b // g) for e, (a, b) in c.items()}
+    return D, c
 
 
 class UtaiTriple:
@@ -133,7 +219,7 @@ class UtaiTriple:
     homogeneous differential algebra: alpha, beta are d x v, gamma is a
     v x v alternating form.  All three share one scalar mode."""
 
-    __slots__ = ("d", "v", "alpha", "beta", "gamma", "mode")
+    __slots__ = ("d", "v", "alpha", "beta", "gamma", "mode", "_anchor")
 
     def __init__(self, alpha: Matrix, beta: Matrix, gamma: Matrix):
         if not (alpha.mode == beta.mode == gamma.mode):
@@ -148,6 +234,7 @@ class UtaiTriple:
         self.d, self.v = d, v
         self.alpha, self.beta, self.gamma = alpha, beta, gamma
         self.mode = alpha.mode
+        self._anchor = None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UtaiTriple):
@@ -272,22 +359,54 @@ def classify(t: UtaiTriple, coefficients: str = "tangent") -> DAlgebraLabel:
 Section = dict  # index in V -> Poly
 
 
+def _anchor(t: UtaiTriple) -> tuple[int, list[list[tuple]]]:
+    """(D, columns): alpha as numerators over one denominator D, and for
+    each column u the (k, re, im) of its nonzero entries.  Read on the
+    first bracket use and kept on the triple."""
+    if t._anchor is None:
+        D, parts = to_numerators(t.mode, [t.alpha[k, u] for u in range(t.v) for k in range(t.d)])
+        cols = [parts[u * t.d : (u + 1) * t.d] for u in range(t.v)]
+        t._anchor = (D, [[(k, a, b) for k, (a, b) in enumerate(col) if a or b] for col in cols])
+    return t._anchor
+
+
 def _directional(t: UtaiTriple, u: int, p: Poly) -> Poly:
-    """Derivative of p along the constant vector field alpha(e_u)."""
-    out = Poly(t.d, p.mode)
-    for k in range(t.d):
-        a = t.alpha[k, u]
-        if not a.is_zero():
-            out = out + p.diff(k).scale(a)
-    return out
+    """Derivative of p along the constant vector field alpha(e_u): the sum
+    over k of (d p / d x_k) alpha[k, u], formed and accumulated as the
+    Scalar chain diff(k).scale(alpha[k, u]) does, k outer."""
+    D, cols = _anchor(t)
+    out: dict = {}
+    for k, ar, ai in cols[u]:
+        for e, r, i in _derivative(p._c, k):
+            r, i = r * ar - i * ai, r * ai + i * ar
+            if not (r or i):
+                continue
+            s = out.get(e)
+            if s is None:
+                out[e] = (r, i)
+            else:
+                r, i = s[0] + r, s[1] + i
+                if r or i:
+                    out[e] = (r, i)
+                else:
+                    del out[e]
+    return Poly._of(p.d, p.mode, p._D * D, out)
 
 
-def bracket_eval(t: UtaiTriple, f: Poly, u: int, g: Poly, w: int) -> Section:
-    """Bracket of the pure sections f (x) e_u and g (x) e_w.
+def _check_terms(t: UtaiTriple, terms):
+    """Refuse, among the (index, polynomial) pairs of sections, an index
+    outside range(t.v) (ValueError) and a polynomial in another number of
+    coordinates (ValueError) or of another mode (ModeMismatchError)."""
+    for u, p in terms:
+        if not (isinstance(u, int) and 0 <= u < t.v):
+            raise ValueError(f"section index {u!r} outside range({t.v})")
+        if not isinstance(p, Poly) or p.d != t.d:
+            raise ValueError(f"section coefficient at {u} is not a polynomial in {t.d} coordinates")
+        if p.mode != t.mode:
+            raise ModeMismatchError(f"{p.mode} section on a {t.mode} triple")
 
-    The coefficient directions themselves commute; only the symbol acts,
-    so [f e_u, g e_w] = f (D_u g) e_w - g (D_w f) e_u with D_u the
-    derivative along alpha(e_u)."""
+
+def _bracket_eval(t: UtaiTriple, f: Poly, u: int, g: Poly, w: int) -> Section:
     out: Section = {}
     first = f * _directional(t, u, g)
     if not first.is_zero():
@@ -298,12 +417,23 @@ def bracket_eval(t: UtaiTriple, f: Poly, u: int, g: Poly, w: int) -> Section:
     return {i: p for i, p in out.items() if not p.is_zero()}
 
 
+def bracket_eval(t: UtaiTriple, f: Poly, u: int, g: Poly, w: int) -> Section:
+    """Bracket of the pure sections f (x) e_u and g (x) e_w.
+
+    The coefficient directions themselves commute; only the symbol acts,
+    so [f e_u, g e_w] = f (D_u g) e_w - g (D_w f) e_u with D_u the
+    derivative along alpha(e_u)."""
+    _check_terms(t, ((u, f), (w, g)))
+    return _bracket_eval(t, f, u, g, w)
+
+
 def bracket_sections(t: UtaiTriple, s1: Section, s2: Section) -> Section:
     """Bilinear extension of bracket_eval to general sections."""
+    _check_terms(t, chain(s1.items(), s2.items()))
     out: Section = {}
     for u, f in s1.items():
         for w, g in s2.items():
-            for i, p in bracket_eval(t, f, u, g, w).items():
+            for i, p in _bracket_eval(t, f, u, g, w).items():
                 out[i] = out[i] + p if i in out else p
     return {i: p for i, p in out.items() if not p.is_zero()}
 
@@ -312,7 +442,10 @@ def jacobi_check(t: UtaiTriple, triples) -> bool:
     """True iff the cyclic Jacobi sum vanishes identically for every given
     (a, b, c) triple of sections.  With constant symbols the bracket of
     brackets telescopes, so this holds for every valid triple; the check
-    is symbolic, not sampled at points."""
+    is symbolic, not sampled at points.  Every section is checked before
+    any sum is formed."""
+    triples = [tuple(abc) for abc in triples]
+    _check_terms(t, chain.from_iterable(s.items() for abc in triples for s in abc))
     for a, b, c in triples:
         acc: Section = {}
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):

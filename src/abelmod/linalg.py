@@ -33,8 +33,8 @@ This module is the only one that knows how a :class:`Matrix` is stored
 (integer grids over one denominator when exact, a numpy array when
 float).  ``Fraction`` values are built where a :class:`Scalar` leaves a
 matrix (``Matrix[i, j]``, the coefficients of ``char_poly``, the roots
-of ``exact_roots``, the points of ``primary_decomposition``) and in
-``Scalar.exact``.  Exact matrices are read in without them:
+of ``exact_roots``, the points of ``primary_decomposition``), where
+``Poly.terms`` is read (``from_numerators``), and in ``Scalar.exact``.  Exact matrices are read in without them:
 ``Matrix.exact``, ``Matrix.from_json``, ``Matrix.column`` and
 ``Matrix.diag`` share one grid reader that takes each entry as
 (numerator, denominator) pairs.  It reads plain integer and 'p/q' text
@@ -55,6 +55,11 @@ through this surface:
 * construction: ``Matrix.exact``, ``Matrix.flt``, ``Matrix.identity``,
   ``Matrix.zeros``, ``Matrix.column`` and ``Matrix.diag`` (both taking a
   ``frame``), ``Matrix.block_diag``, ``Scalar.of``;
+* numerators: ``to_numerators`` turns Scalars into (re, im) pairs over
+  one denominator, Gaussian integers over the lcm of their denominators
+  when exact and the float parts over 1 when float, and
+  ``from_numerators`` turns them back; ``dalgebra.Poly`` does all its
+  arithmetic on these pairs;
 * access and assembly: ``Matrix[i, j]``, ``col``, ``submatrix``,
   ``strict_lower``, variadic ``hstack`` / ``vstack``, ``kron``;
 * decisions: ``Scalar.negligible(eps)`` and ``Matrix.negligible(scale)``,
@@ -120,6 +125,8 @@ __all__ = [
     "FLOAT",
     "parse_mode",
     "Scalar",
+    "to_numerators",
+    "from_numerators",
     "ToleranceFrame",
     "Matrix",
     "Span",
@@ -335,6 +342,29 @@ class Scalar:
         if parse_mode(mode) == EXACT:
             return Scalar.exact(obj["re"], obj["im"])
         return Scalar.flt(float(obj["re"]), float(obj["im"]))
+
+
+def to_numerators(mode: str, values: Sequence[Scalar]) -> tuple[int, list[tuple]]:
+    """(D, [(re, im), ...]): the values as numerator pairs over one
+    denominator.  Exact values become Gaussian integers over the lcm D of
+    their denominators, sharing no factor with it; float values are their
+    two parts as Python floats over D = 1.  A value of another mode is a
+    ModeMismatchError."""
+    values = list(values)
+    if any(x.mode != mode for x in values):
+        raise ModeMismatchError(f"scalar of another mode among {mode} values")
+    if mode != EXACT:
+        return 1, [(float(x.re), float(x.im)) for x in values]
+    D = lcm(*(q.denominator for x in values for q in (x.re, x.im)))
+    return D, [(x.re.numerator * (D // x.re.denominator), x.im.numerator * (D // x.im.denominator)) for x in values]
+
+
+def from_numerators(mode: str, D: int, pairs) -> list[Scalar]:
+    """The Scalars (re + im i) / D of numerator pairs over D, as
+    to_numerators gives them (D is 1 in float mode)."""
+    if mode == EXACT:
+        return [Scalar(EXACT, Fraction(a, D), Fraction(b, D)) for a, b in pairs]
+    return [Scalar(FLOAT, a, b) for a, b in pairs]
 
 
 def _quotient(a, b, c, d):
